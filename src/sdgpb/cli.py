@@ -241,7 +241,9 @@ def ingest(ctx, corpus_dir):
 @main.command()
 @click.option("--backend", default=None, type=click.Choice(["live", "record", "replay", "scripted"]))
 @click.option("--batch-cap", default=None, type=int)
-@click.option("--workers", "worker_count", default=None, type=int)
+@click.option("--workers", "worker_count", default=None, type=int,
+              help="Documents processed at once; a live backend also overlaps "
+                   "the calls within each document.")
 @click.pass_context
 @handles_errors
 def run(ctx, backend, batch_cap, worker_count):

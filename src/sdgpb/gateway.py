@@ -129,19 +129,28 @@ class Gateway:
         self.backend = backend
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
-        self._rng = random.Random(jitter_seed)
+        self.jitter_seed = jitter_seed
         self._clock = clock
         self._sleep = sleep
         self._bucket = TokenBucket(rpm, clock, sleep)
-        self.call_count = 0
+
+    @property
+    def live(self) -> bool:
+        """Whether calls reach a remote backend (limited, retried, worth overlapping)."""
+        return self.backend.live
+
+    def _jitter(self, req: PromptRequest, attempt: int) -> float:
+        """Backoff jitter drawn from (seed, record key, attempt) alone, so
+        concurrent calls cannot reorder the draws."""
+        rng = random.Random(f"{self.jitter_seed}:{record_key(req).hex()}:{attempt}")
+        return rng.uniform(0, self.backoff_base)
 
     def complete(self, req: PromptRequest) -> RawResponse:
-        if not self.backend.live:
+        if not self.live:
             # replay and other offline backends bypass limiter and retries
             t0 = self._clock()
             text = self.backend.send(req)
             latency = int((self._clock() - t0) * 1000)
-            self.call_count += 1
             return RawResponse(text, self.backend.backend_id, latency, 1)
 
         last_exc: Exception | None = None
@@ -158,12 +167,9 @@ class Gateway:
                 if not text:
                     raise BackendError("backend returned empty completion")
                 latency = int((self._clock() - t0) * 1000)
-                self.call_count += 1
                 return RawResponse(text, self.backend.backend_id, latency, attempt)
             if attempt <= self.retry_budget:
-                delay = self.backoff_base * (2 ** (attempt - 1))
-                delay += self._rng.uniform(0, self.backoff_base)
-                self._sleep(delay)
+                self._sleep(self.backoff_base * (2 ** (attempt - 1)) + self._jitter(req, attempt))
         if isinstance(last_exc, Timeout):
             raise last_exc
         raise RateLimited(f"retry budget ({self.retry_budget}) exhausted: {last_exc}")

@@ -4,8 +4,17 @@ Stage 1 allocates SDGs, stage 2 allocates PBs, stage 3 classifies every
 (SDG, PB) pair as synergy/trade-off/neutral with a verbatim evidence
 quote, stage 4 assigns a direction to every non-neutral pair, and stage 5
 refines synergies and trade-offs into validated subcategories. Stages 3-5
-batch pairs (default cap 20 per request). A checkpoint is written after
-each completed stage so interrupted runs resume without re-querying.
+batch pairs (default cap 20 per request).
+
+A document's calls follow their dependencies in three waves: stages 1 and
+2 together, then every stage-3 batch, then every stage-4 and stage-5 batch.
+With a live backend the calls of a wave overlap. Offline backends (replay,
+scripted) answer in microseconds, so their waves run inline, in order.
+Either way replies are consumed in (stage, batch) order and the first
+failing call in that order decides a failed document, so results never
+depend on completion order. A checkpoint is written for each completed
+stage, in stage order after its wave, and resume runs only the missing
+stages.
 """
 
 from __future__ import annotations
@@ -14,11 +23,13 @@ import hashlib
 import json
 import logging
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .corpus import CleanDocument, estimate_tokens
 from .errors import (
@@ -478,7 +489,12 @@ def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) 
 
 
 class CheckpointStore:
-    """Per-document JSONL checkpoints under run_dir/checkpoints/."""
+    """Per-document JSONL checkpoints under run_dir/checkpoints/.
+
+    A document's completed stages are the stages its file holds. Stages of
+    one wave may complete in any combination, so resume runs whichever are
+    missing rather than everything past the last one.
+    """
 
     def __init__(self, run_dir: str | Path):
         self._dir = Path(run_dir) / "checkpoints"
@@ -488,7 +504,8 @@ class CheckpointStore:
         return self._dir / f"{doc_id}.jsonl"
 
     def load(self, doc_id: str) -> tuple[int, dict[int, dict], str | None]:
-        """Returns (last_completed_stage, payloads by stage, template_version)."""
+        """Returns (highest completed stage or 0, payloads by completed stage,
+        template_version)."""
         path = self._path(doc_id)
         payloads: dict[int, dict] = {}
         version: str | None = None
@@ -500,13 +517,12 @@ class CheckpointStore:
             entry = json.loads(line)
             payloads[entry["stage"]] = entry["payload"]
             version = entry["template_version"]
-        last = max(payloads) if payloads else 0
-        return last, payloads, version
+        return max(payloads, default=0), payloads, version
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
-        last, _, _ = self.load(doc_id)
-        if stage <= last:
-            raise ValueError(f"{doc_id}: checkpoint stage {stage} not past {last}")
+        _, payloads, _ = self.load(doc_id)
+        if stage in payloads:
+            raise ValueError(f"{doc_id}: checkpoint for stage {stage} already written")
         entry = {
             "doc_id": doc_id,
             "stage": stage,
@@ -522,16 +538,21 @@ def _normalize_ws(text: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# Document state machine
+# Document dependency graph
+
+# Stages 1 and 2 are independent, every stage-3 batch needs both, and stages
+# 4 and 5 need only stage 3's categories: each wave holds what the waves
+# before it unblock.
+_WAVES = ((1, 2), (3,), (4, 5))
+
+_PAYLOAD_KEYS = {1: "sdgs", 2: "pbs", 3: "verdicts", 4: "directions", 5: "refinements"}
 
 
-@dataclass
-class _DocState:
-    sdgs: frozenset[int] = frozenset()
-    pbs: frozenset[int] = frozenset()
-    verdicts: list[dict] = field(default_factory=list)
-    directions: list[dict] = field(default_factory=list)
-    refinements: list[dict] = field(default_factory=list)
+def _attempt(call: Callable[[], list]) -> tuple[list | None, Exception | None]:
+    try:
+        return call(), None
+    except Exception as exc:  # the wave's consumer acts on it in (stage, batch) order
+        return None, exc
 
 
 class PipelineRunner:
@@ -554,6 +575,9 @@ class PipelineRunner:
         self.batch_cap = batch_cap
         self.context_budget = context_budget
         self.output_budgets = dict(output_budgets or DEFAULT_OUTPUT_BUDGETS)
+        self._pool: ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+        self._docs_in_flight = 1
 
     # -- single stage call with repair + retry ---------------------------
 
@@ -572,155 +596,148 @@ class PipelineRunner:
             raw = self.gateway.complete(req)  # one full retry
             return parse(raw.text)
 
-    # -- stages -----------------------------------------------------------
+    # -- one call per stage or batch, each returning its payload entries ----
 
-    def _stage_allocation(self, doc: CleanDocument, axis: str) -> frozenset[int]:
+    def _allocation(self, doc: CleanDocument, axis: str) -> list[int]:
         req = build_allocation_prompt(
             doc, axis, self.catalog, self.templates, self.context_budget, self.output_budgets
         )
-        return self._ask(req, lambda t: parse_allocation(t, axis))
+        return sorted(self._ask(req, lambda t: parse_allocation(t, axis)))
 
-    def _stage_relationship(self, doc: CleanDocument, pairs: list[tuple[int, int]]) -> list[dict]:
+    def _relationship_batch(self, doc: CleanDocument, batch: list[tuple[int, int]]) -> list[dict]:
+        req = build_relationship_prompt(
+            doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
+        )
         verdicts = []
-        for batch in chunk_pairs(pairs, self.batch_cap):
-            req = build_relationship_prompt(
-                doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
+        for (s, p), category, justification, quote in self._ask(
+            req, lambda t: parse_relationship(t, batch)
+        ):
+            if category is not Category.NEUTRAL:
+                if not quote or _normalize_ws(quote) not in _normalize_ws(doc.body_text):
+                    logger.warning(
+                        "%s pair (%d,%d): evidence quote not found verbatim in body; "
+                        "downgrading to neutral",
+                        doc.doc_id, s, p,
+                    )
+                    category, quote = Category.NEUTRAL, ""
+            verdicts.append(
+                {
+                    "sdg": s,
+                    "pb": p,
+                    "category": category.value,
+                    "justification": justification,
+                    "evidence_quote": quote,
+                }
             )
-            parsed = self._ask(req, lambda t, b=batch: parse_relationship(t, b))
-            for (s, p), category, justification, quote in parsed:
-                if category is not Category.NEUTRAL:
-                    if not quote or _normalize_ws(quote) not in _normalize_ws(doc.body_text):
-                        logger.warning(
-                            "%s pair (%d,%d): evidence quote not found verbatim in body; "
-                            "downgrading to neutral",
-                            doc.doc_id, s, p,
-                        )
-                        category, quote = Category.NEUTRAL, ""
-                verdicts.append(
-                    {
-                        "sdg": s,
-                        "pb": p,
-                        "category": category.value,
-                        "justification": justification,
-                        "evidence_quote": quote,
-                    }
-                )
         return verdicts
 
-    def _stage_causality(self, doc: CleanDocument, pairs: list[tuple[int, int]]) -> list[dict]:
-        directions = []
-        for batch in chunk_pairs(pairs, self.batch_cap):
-            req = build_causality_prompt(
-                doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
-            )
-            parsed = self._ask(req, lambda t, b=batch: parse_causality(t, b))
-            for (s, p), direction in parsed:
-                directions.append({"sdg": s, "pb": p, "direction": direction.value})
-        return directions
+    def _causality_batch(self, doc: CleanDocument, batch: list[tuple[int, int]]) -> list[dict]:
+        req = build_causality_prompt(
+            doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
+        )
+        parsed = self._ask(req, lambda t: parse_causality(t, batch))
+        return [{"sdg": s, "pb": p, "direction": direction.value} for (s, p), direction in parsed]
 
-    def _stage_reasoner(
+    def _reasoner_batch(
         self,
         doc: CleanDocument,
-        pairs: list[tuple[int, int]],
+        batch: list[tuple[int, int]],
         categories: dict[tuple[int, int], Category],
     ) -> list[dict]:
-        refinements = []
-        for batch in chunk_pairs(pairs, self.batch_cap):
-            req = build_reasoner_prompt(
-                doc, batch, categories, self.catalog, self.templates,
-                self.context_budget, self.output_budgets,
-            )
-            parsed = self._ask(req, lambda t, b=batch: parse_reasoner(t, b, categories))
-            for (s, p), label in parsed:
-                refinements.append({"sdg": s, "pb": p, "label": label.value})
-        return refinements
+        req = build_reasoner_prompt(
+            doc, batch, categories, self.catalog, self.templates,
+            self.context_budget, self.output_budgets,
+        )
+        parsed = self._ask(req, lambda t: parse_reasoner(t, batch, categories))
+        return [{"sdg": s, "pb": p, "label": label.value} for (s, p), label in parsed]
+
+    def _stage_calls(
+        self, doc: CleanDocument, stage: int, payloads: dict[int, dict]
+    ) -> list[Callable[[], list]]:
+        """One stage's calls in batch order, built from the payloads it needs."""
+        if stage in (1, 2):
+            return [partial(self._allocation, doc, "SDG" if stage == 1 else "PB")]
+        if stage == 3:
+            pairs = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
+            batches = chunk_pairs(pairs, self.batch_cap)
+            return [partial(self._relationship_batch, doc, b) for b in batches]
+        categories = {
+            (v["sdg"], v["pb"]): Category(v["category"]) for v in payloads[3]["verdicts"]
+        }
+        active = [pair for pair, cat in categories.items() if cat is not Category.NEUTRAL]
+        batches = chunk_pairs(active, self.batch_cap)
+        if stage == 4:
+            return [partial(self._causality_batch, doc, b) for b in batches]
+        return [partial(self._reasoner_batch, doc, b, categories) for b in batches]
+
+    # -- wave dispatch ----------------------------------------------------
+
+    def _wave_pool(self) -> ThreadPoolExecutor:
+        """The runner's executor for overlapping live calls, made on first use."""
+        with self._pool_lock:
+            if self._pool is None:
+                # Threads start only on demand, so this ceiling (the widest
+                # wave of every document in flight) never throttles a run;
+                # the gateway's rate limiter does.
+                widest = 2 * -(-SDG_COUNT * PB_COUNT // self.batch_cap)
+                self._pool = ThreadPoolExecutor(
+                    max_workers=self._docs_in_flight * (widest - 1),
+                    thread_name_prefix="sdgpb-wave",
+                )
+            return self._pool
+
+    def _run_wave(
+        self, calls: list[Callable[[], list]]
+    ) -> list[tuple[list | None, Exception | None]]:
+        """Runs one wave; returns each call's (result, error) in call order.
+
+        Live calls overlap: all but the first go to the pool, and the first
+        runs on this thread. Offline backends answer in microseconds, less
+        than a thread handoff costs, so their calls run here, in order.
+        """
+        if len(calls) < 2 or not self.gateway.live:
+            return [_attempt(call) for call in calls]
+        pool = self._wave_pool()
+        futures = [pool.submit(_attempt, call) for call in calls[1:]]
+        return [_attempt(calls[0])] + [f.result() for f in futures]
 
     # -- document driver --------------------------------------------------
 
     def process_document(self, doc: CleanDocument) -> DocumentResult:
         version = self.templates.version
-        last, payloads, ckpt_version = self.checkpoints.load(doc.doc_id)
+        _, payloads, ckpt_version = self.checkpoints.load(doc.doc_id)
         if ckpt_version is not None and ckpt_version != version:
             raise TemplateVersionMismatch(
                 f"{doc.doc_id}: checkpoint was written with template version "
                 f"{ckpt_version}, current is {version}"
             )
 
-        state = _DocState()
-        if last >= 1:
-            state.sdgs = frozenset(payloads[1]["sdgs"])
-        if last >= 2:
-            state.pbs = frozenset(payloads[2]["pbs"])
-        if last >= 3:
-            state.verdicts = payloads[3]["verdicts"]
-        if last >= 4:
-            state.directions = payloads[4]["directions"]
-        if last >= 5:
-            state.refinements = payloads[5]["refinements"]
-
-        def fail(stage: int, reason: str) -> DocumentResult:
-            return DocumentResult(
-                doc_id=doc.doc_id, sdgs=state.sdgs, pbs=state.pbs, pairs=(),
-                status="failed", template_version=version,
-                failed_stage=stage, reason=reason,
-            )
-
-        try:
-            if last < 1:
-                state.sdgs = self._stage_allocation(doc, "SDG")
-                self.checkpoints.write(doc.doc_id, 1, {"sdgs": sorted(state.sdgs)}, version)
-                last = 1
-            if last < 2:
-                state.pbs = self._stage_allocation(doc, "PB")
-                self.checkpoints.write(doc.doc_id, 2, {"pbs": sorted(state.pbs)}, version)
-                last = 2
-        except OverContext as exc:
-            return DocumentResult(
-                doc_id=doc.doc_id, sdgs=frozenset(), pbs=frozenset(), pairs=(),
-                status="skipped", template_version=version, reason=str(exc),
-            )
-        except SchemaError as exc:
-            return fail(last + 1, type(exc).__name__)
-
-        pairs = pair_candidates(state.sdgs, state.pbs)
-
-        try:
-            if last < 3:
-                state.verdicts = self._stage_relationship(doc, pairs) if pairs else []
-                self.checkpoints.write(doc.doc_id, 3, {"verdicts": state.verdicts}, version)
-                last = 3
-        except SchemaError as exc:
-            return fail(3, type(exc).__name__)
-
-        categories = {
-            (v["sdg"], v["pb"]): Category(v["category"]) for v in state.verdicts
-        }
-        active = [pair for pair in pairs if categories[pair] is not Category.NEUTRAL]
-
-        try:
-            if last < 4:
-                state.directions = self._stage_causality(doc, active) if active else []
-                self.checkpoints.write(doc.doc_id, 4, {"directions": state.directions}, version)
-                last = 4
-        except SchemaError as exc:
-            return fail(4, type(exc).__name__)
-
-        try:
-            if last < 5:
-                state.refinements = self._stage_reasoner(doc, active, categories) if active else []
-                self.checkpoints.write(doc.doc_id, 5, {"refinements": state.refinements}, version)
-                last = 5
-        except (SchemaError, IllegalRefinement) as exc:
-            return fail(5, type(exc).__name__)
+        for wave in _WAVES:
+            missing = [stage for stage in wave if stage not in payloads]
+            calls = [
+                (stage, call)
+                for stage in missing
+                for call in self._stage_calls(doc, stage, payloads)
+            ]
+            outcomes = self._run_wave([call for _, call in calls])
+            # adopt and checkpoint in stage order, up to the first failure
+            for stage in missing:
+                mine = [outcome for (s, _), outcome in zip(calls, outcomes) if s == stage]
+                error = next((err for _, err in mine if err is not None), None)
+                if error is not None:
+                    return self._stopped(doc, stage, error, payloads)
+                entries = [entry for part, _ in mine for entry in part]
+                payloads[stage] = {_PAYLOAD_KEYS[stage]: entries}
+                self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
 
         direction_by_pair = {
-            (d["sdg"], d["pb"]): Direction(d["direction"]) for d in state.directions
+            (d["sdg"], d["pb"]): Direction(d["direction"]) for d in payloads[4]["directions"]
         }
         label_by_pair = {
-            (r["sdg"], r["pb"]): RefinedLabel(r["label"]) for r in state.refinements
+            (r["sdg"], r["pb"]): RefinedLabel(r["label"]) for r in payloads[5]["refinements"]
         }
         pair_results = []
-        for v in state.verdicts:
+        for v in payloads[3]["verdicts"]:
             pair = (v["sdg"], v["pb"])
             category = Category(v["category"])
             pair_results.append(
@@ -736,20 +753,51 @@ class PipelineRunner:
             )
         return DocumentResult(
             doc_id=doc.doc_id,
-            sdgs=state.sdgs,
-            pbs=state.pbs,
+            sdgs=frozenset(payloads[1]["sdgs"]),
+            pbs=frozenset(payloads[2]["pbs"]),
             pairs=tuple(pair_results),
             status="complete",
             template_version=version,
         )
 
+    def _stopped(
+        self, doc: CleanDocument, stage: int, error: Exception, payloads: dict[int, dict]
+    ) -> DocumentResult:
+        """The result of a document whose first failing call, in (stage, batch)
+        order, belongs to `stage` and raised `error`; other errors propagate."""
+        if isinstance(error, OverContext):
+            return DocumentResult(
+                doc_id=doc.doc_id, sdgs=frozenset(), pbs=frozenset(), pairs=(),
+                status="skipped", template_version=self.templates.version, reason=str(error),
+            )
+        if isinstance(error, (SchemaError, IllegalRefinement)):
+            return DocumentResult(
+                doc_id=doc.doc_id,
+                sdgs=frozenset(payloads[1]["sdgs"]) if 1 in payloads else frozenset(),
+                pbs=frozenset(payloads[2]["pbs"]) if 2 in payloads else frozenset(),
+                pairs=(), status="failed", template_version=self.templates.version,
+                failed_stage=stage, reason=type(error).__name__,
+            )
+        raise error
+
     def run(self, docs: Sequence[CleanDocument], workers: int = 1) -> list[DocumentResult]:
-        """Process a corpus; results come back sorted by doc_id."""
-        if workers <= 1:
-            results = [self.process_document(d) for d in docs]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(self.process_document, docs))
+        """Process a corpus; results come back sorted by doc_id.
+
+        `workers` documents run at once; with a live backend each document
+        also overlaps its own calls, wave by wave.
+        """
+        self._docs_in_flight = max(1, workers)
+        try:
+            if workers <= 1:
+                results = [self.process_document(d) for d in docs]
+            else:
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(self.process_document, docs))
+        finally:
+            with self._pool_lock:
+                wave_pool, self._pool, self._docs_in_flight = self._pool, None, 1
+            if wave_pool is not None:
+                wave_pool.shutdown()
         return sorted(results, key=lambda r: r.doc_id)
 
 

@@ -126,6 +126,27 @@ def test_backoff_schedule_deterministic_for_seed():
     assert first[1] > first[0] and first[2] > first[1]
 
 
+def test_backoff_jitter_independent_of_call_order():
+    def sleeps(order):
+        clock = SimClock()
+        taken = []
+
+        def sleep(s):
+            taken.append(s)
+            clock.sleep(s)
+
+        gw = Gateway(FlakyBackend(failures=10**6), rpm=1000, retry_budget=2, jitter_seed=7,
+                     clock=clock, sleep=sleep)
+        for doc_id in order:
+            with pytest.raises(RateLimited):
+                gw.complete(req(doc_id=doc_id))
+        return taken  # two backoff sleeps per request
+
+    forward, backward = sleeps(["a", "b"]), sleeps(["b", "a"])
+    assert forward == backward[2:] + backward[:2]
+    assert forward[:2] != forward[2:]
+
+
 # -- rate limiter -------------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
 import json
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -251,10 +253,15 @@ class StageBackend:
         self.replies = replies  # stage -> reply text (str or callable)
         self.bad_first = bad_first
         self.calls = 0
+        self.calls_by_stage = Counter()
+        self._lock = threading.Lock()
 
     def send(self, req):
-        self.calls += 1
-        if self.calls <= self.bad_first:
+        with self._lock:
+            self.calls += 1
+            self.calls_by_stage[req.stage] += 1
+            malformed = self.calls <= self.bad_first
+        if malformed:
             return "THIS IS NOT JSON"
         reply = self.replies[req.stage]
         return reply(req) if callable(reply) else reply
@@ -356,7 +363,8 @@ def test_persistent_schema_error_fails_stage(tmp_path, catalog, templates):
     res = runner.process_document(make_doc())
     assert res.status == "failed" and res.failed_stage == 1
     assert res.reason == "SchemaError"
-    assert backend.calls == 3  # original, repair, full retry
+    # stage 2 runs alongside stage 1, so only stage 1's sends are fixed
+    assert backend.calls_by_stage[1] == 3  # original, repair, full retry
 
 
 def test_stage3_failure_reported(tmp_path, catalog, templates):
@@ -373,6 +381,30 @@ def test_over_context_skips_document(tmp_path, catalog, templates):
                          context_budget=50)
     res = runner.process_document(make_doc())
     assert res.status == "skipped" and "exceeds context budget" in res.reason
+
+
+@pytest.mark.parametrize("template, stage", [
+    ("relationship.txt", 3), ("causality.txt", 4), ("reasoner.txt", 5),
+])
+def test_pair_stage_over_context_skips_document(tmp_path, catalog, templates, template, stage):
+    # pad one pair-stage template past a budget that stages 1 and 2 fit in
+    template_dir = tmp_path / "templates"
+    template_dir.mkdir()
+    for name in pipeline._TEMPLATE_NAMES:
+        (template_dir / name).write_text(templates.text(name), "utf-8")
+    doc = make_doc()
+    budget = max(
+        estimate_tokens(build_allocation_prompt(doc, axis, catalog, templates).user_text)
+        for axis in ("SDG", "PB")
+    )
+    (template_dir / template).write_text(templates.text(template) + "x" * 8 * budget, "utf-8")
+    quote = "Irrigation programs improved water access"
+    runner = make_runner(StageBackend(happy_replies(quote)), tmp_path, catalog,
+                         PromptTemplates(template_dir), context_budget=budget)
+    [res] = runner.run([doc])
+    assert res.status == "skipped" and "exceeds context budget" in res.reason
+    _, payloads, _ = runner.checkpoints.load(doc.doc_id)
+    assert set(payloads) == set(range(1, stage))
 
 
 def test_checkpoint_monotonicity(tmp_path):
@@ -404,6 +436,22 @@ def test_resume_skips_completed_stages(tmp_path, catalog, templates):
     rerun = runner.process_document(make_doc())
     assert backend.calls == calls_after_first
     assert rerun == first
+
+
+def test_resume_runs_only_missing_stages(tmp_path, catalog, templates):
+    quote = "Irrigation programs improved water access"
+    first = make_runner(StageBackend(happy_replies(quote)), tmp_path, catalog, templates)
+    complete = first.process_document(make_doc())
+
+    # a kill that kept stage 5's checkpoint but lost stage 4's
+    path = tmp_path / "checkpoints" / "doc-x.jsonl"
+    lines = path.read_text("utf-8").splitlines(keepends=True)
+    path.write_text("".join(l for l in lines if json.loads(l)["stage"] != 4), "utf-8")
+
+    backend = StageBackend(happy_replies(quote))
+    resumed = make_runner(backend, tmp_path, catalog, templates).process_document(make_doc())
+    assert dict(backend.calls_by_stage) == {4: 1}
+    assert resumed == complete
 
 
 # -- replay over bundled fixtures ---------------------------------------------

@@ -1,0 +1,149 @@
+"""The live dispatch path: a document's waves overlap their calls.
+
+The bundled fixtures replay offline, which runs every wave inline. Here the
+same recorded cache sits behind a backend that claims to be live and sleeps
+a seeded latency per send, so the gateway limits and retries and the runner
+overlaps each wave's calls in its pool.
+"""
+
+import json
+import random
+import sys
+import threading
+import time
+
+import pytest
+
+from sdgpb import analytics, pipeline, reporting
+from sdgpb.gateway import Gateway, ReplayBackend, record_key
+from sdgpb.pipeline import PipelineRunner
+
+from conftest import FIXTURES_DIR
+from test_acceptance import InterruptingStore, seeded_run_dir
+
+GOLDEN_FILES = ("results.jsonl", "matrix.json", "summary.json", "matrix.csv", "figure1.svg")
+
+
+class LiveReplay:
+    """The recorded cache behind a live-looking backend with a per-send log.
+
+    Each send sleeps a latency drawn from the request's record key, so the
+    draws do not depend on which thread sends first.
+    """
+
+    live = True
+    backend_id = "replay"
+
+    def __init__(self, run_dir, max_latency_s):
+        self.inner = ReplayBackend(run_dir)
+        self.max_latency_s = max_latency_s
+        self.calls = []  # (doc_id, stage, start, end)
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        latency = random.Random(record_key(req)).uniform(0.5, 1.0) * self.max_latency_s
+        start = time.perf_counter()
+        time.sleep(latency)
+        text = self.inner.send(req)
+        with self._lock:
+            self.calls.append((req.doc_id, req.stage, start, time.perf_counter()))
+        return text
+
+
+def live_runner(run_dir, backend, catalog, templates, checkpoints=None):
+    return PipelineRunner(
+        gateway=Gateway(backend, rpm=1_000_000),
+        checkpoints=checkpoints or pipeline.CheckpointStore(run_dir),
+        catalog=catalog,
+        templates=templates,
+    )
+
+
+def golden_outputs(results, run_dir) -> dict[str, bytes]:
+    """The five files `sdgpb run`, `aggregate` and `report` write, as bytes."""
+    results_path = run_dir / "results" / "results.jsonl"
+    pipeline.write_results(results, results_path)
+    results = pipeline.read_results(results_path)
+    matrix = analytics.build_matrix(
+        analytics.flatten(results), sum(1 for r in results if r.status == "complete")
+    )
+    return {
+        "results.jsonl": results_path.read_bytes(),
+        "matrix.json": (json.dumps(analytics.matrix_to_json(matrix), sort_keys=True, indent=2)
+                        + "\n").encode(),
+        "summary.json": reporting.emit_summary_json(matrix).encode(),
+        "matrix.csv": reporting.emit_matrix_csv(matrix).encode(),
+        "figure1.svg": reporting.render_svg(reporting.figure_spec(matrix)),
+    }
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return {name: (FIXTURES_DIR / "golden" / name).read_bytes() for name in GOLDEN_FILES}
+
+
+def overlapping_docs(calls, stage_a, stage_b):
+    """(docs where some stage_a call overlaps some stage_b call, docs having both)."""
+    by_doc = {}
+    for doc_id, stage, start, end in calls:
+        by_doc.setdefault(doc_id, {}).setdefault(stage, []).append((start, end))
+    both = [d for d, stages in by_doc.items() if stage_a in stages and stage_b in stages]
+    overlap = [
+        d for d in both
+        if any(a0 < b1 and b0 < a1
+               for a0, a1 in by_doc[d][stage_a] for b0, b1 in by_doc[d][stage_b])
+    ]
+    return overlap, both
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_live_waves_match_goldens_and_overlap(tmp_path, fixture_docs, catalog, templates,
+                                              goldens, workers):
+    run_dir = seeded_run_dir(tmp_path)
+    backend = LiveReplay(run_dir, max_latency_s=0.01)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often to shake out races
+    try:
+        runner = live_runner(run_dir, backend, catalog, templates)
+        results = runner.run(fixture_docs, workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert golden_outputs(results, run_dir) == goldens
+
+    overlap, both = overlapping_docs(backend.calls, 1, 2)
+    assert len(both) == len(fixture_docs)
+    assert len(overlap) >= 0.9 * len(both), (len(overlap), len(both))
+    overlap, both = overlapping_docs(backend.calls, 4, 5)
+    assert both
+    assert len(overlap) >= 0.9 * len(both), (len(overlap), len(both))
+    # the dependencies hold: each wave's calls end before the next wave's start
+    wave_of = {1: 0, 2: 0, 3: 1, 4: 2, 5: 2}
+    spans = {}
+    for doc_id, stage, start, end in backend.calls:
+        first, last = spans.get((doc_id, wave_of[stage]), (start, end))
+        spans[(doc_id, wave_of[stage])] = (min(first, start), max(last, end))
+    for (doc_id, wave), (_, end) in spans.items():
+        later = [spans[(doc_id, w)][0] for w in range(wave + 1, 3) if (doc_id, w) in spans]
+        assert all(end <= start for start in later), doc_id
+
+
+def test_live_resume_equivalence_at_every_kill_point(tmp_path, fixture_docs, catalog,
+                                                     templates, goldens):
+    boundaries = 0
+    for doc in fixture_docs:
+        for stage in range(1, 6):
+            run_dir = seeded_run_dir(tmp_path / f"kill-{doc.doc_id}-{stage}")
+            store = InterruptingStore(run_dir, doc.doc_id, stage)
+            interrupting = live_runner(run_dir, LiveReplay(run_dir, 0.0002), catalog, templates,
+                                       checkpoints=store)
+            try:
+                interrupting.run(fixture_docs)
+            except KeyboardInterrupt:
+                pass
+            if not store.fired:
+                continue
+            resumed = live_runner(run_dir, LiveReplay(run_dir, 0.0002), catalog, templates)
+            outputs = golden_outputs(resumed.run(fixture_docs), run_dir)
+            assert outputs == goldens, (doc.doc_id, stage)
+            boundaries += 1
+    assert boundaries >= len(fixture_docs) * 3
