@@ -351,18 +351,3 @@ def read_documents(path: str | Path) -> list[CleanDocument]:
                 docs.append(CleanDocument.from_json(json.loads(line)))
     return docs
 
-
-def extract_pdf(pdf_bytes: bytes, service_url: str, session: requests.Session | None = None) -> bytes:
-    """POST a PDF to a Grobid-compatible extraction service, returning TEI bytes."""
-    session = session or requests.Session()
-    try:
-        resp = session.post(
-            f"{service_url.rstrip('/')}/api/processFulltextDocument",
-            files={"input": ("document.pdf", pdf_bytes, "application/pdf")},
-            timeout=300,
-        )
-    except requests.RequestException as exc:
-        raise HttpFailure(f"extraction service unreachable: {exc}") from exc
-    if resp.status_code != 200:
-        raise HttpFailure(f"extraction service returned HTTP {resp.status_code}")
-    return resp.content

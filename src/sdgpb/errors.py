@@ -89,6 +89,10 @@ class TemplateVersionMismatch(SdgPbError):
     pass
 
 
+class CheckpointCorrupt(SdgPbError):
+    """A checkpoint line other than a torn final one does not parse."""
+
+
 # analytics
 class DuplicateRecord(SdgPbError):
     pass

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import random
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .errors import BackendError, RateLimited, ReplayMiss, Timeout, TransientBac
 CACHE_SUBDIR = "llm_cache"
 CACHE_FILE = "cache.jsonl"
 
-_PAIRS_LINE = re.compile(r"^PAIRS: (\[.*\])$", re.MULTILINE)
+_PAIRS_PREFIX = "PAIRS: ["
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class PromptRequest:
         if not 1 <= self.stage <= 5:
             raise ValueError(f"stage must be in [1,5], got {self.stage}")
 
-    @property
-    def payload_digest(self) -> bytes:
-        return record_key(self)
-
 
 @dataclass(frozen=True)
 class RawResponse:
@@ -55,19 +50,41 @@ class RawResponse:
     attempt_count: int
 
 
+def _sort_pairs(line: str) -> str:
+    try:
+        pairs = json.loads(line[len("PAIRS: "):])
+    except ValueError:
+        return line
+    pairs = sorted(tuple(p) for p in pairs)
+    return "PAIRS: " + json.dumps([list(p) for p in pairs], separators=(",", ":"))
+
+
 def canonicalize_user_text(text: str) -> str:
     """Sort the pair list on any 'PAIRS: [...]' line so that listing order
-    never changes the record key."""
+    never changes the record key.
 
-    def _sort(match: re.Match) -> str:
-        try:
-            pairs = json.loads(match.group(1))
-        except ValueError:
-            return match.group(0)
-        pairs = sorted(tuple(p) for p in pairs)
-        return "PAIRS: " + json.dumps([list(p) for p in pairs], separators=(",", ":"))
-
-    return _PAIRS_LINE.sub(_sort, text)
+    A PAIRS line starts at the start of the text or after a "\n" and ends
+    with "]" just before the next "\n" or the end of the text. Only such
+    lines are rewritten; the prompt's article body is skipped by a literal
+    search rather than scanned line by line.
+    """
+    parts = []
+    done = 0
+    start = text.find(_PAIRS_PREFIX)
+    while start != -1:
+        end = text.find("\n", start)
+        if end == -1:
+            end = len(text)
+        if (start == 0 or text[start - 1] == "\n") and text[end - 1] == "]":
+            parts.append(text[done:start])
+            parts.append(_sort_pairs(text[start:end]))
+            done = end
+        # no later match on this line can start it
+        start = text.find(_PAIRS_PREFIX, end)
+    if not parts:
+        return text
+    parts.append(text[done:])
+    return "".join(parts)
 
 
 def record_key(req: PromptRequest) -> bytes:
@@ -284,10 +301,3 @@ class ReplayBackend:
             )
         return self._cache[key]
 
-
-def record_session(run_dir: str | Path, inner: Backend) -> RecordingBackend:
-    return RecordingBackend(inner, run_dir)
-
-
-def replay_session(run_dir: str | Path) -> ReplayBackend:
-    return ReplayBackend(run_dir)

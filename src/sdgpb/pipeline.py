@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -33,6 +34,7 @@ from typing import Callable, Iterable, Sequence
 
 from .corpus import CleanDocument, estimate_tokens
 from .errors import (
+    CheckpointCorrupt,
     IdOutOfRange,
     IllegalRefinement,
     OverContext,
@@ -494,11 +496,25 @@ class CheckpointStore:
     A document's completed stages are the stages its file holds. Stages of
     one wave may complete in any combination, so resume runs whichever are
     missing rather than everything past the last one.
+
+    One store instance is the only writer for its run directory: it keeps
+    each document's completed stages in memory, filled by `load` (or by the
+    first `write` for a document it has not loaded) and updated by `write`,
+    so it never sees stages another writer appends. Worker threads may share
+    the instance.
+
+    A final line with no trailing newline was torn by a kill mid-append:
+    `load` ignores it and truncates the file back to its last whole line, so
+    the next append cannot be glued onto the torn bytes.
     """
 
     def __init__(self, run_dir: str | Path):
         self._dir = Path(run_dir) / "checkpoints"
         self._dir.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        # doc id -> bit mask with bit s set for each completed stage s; a
+        # small int costs nothing beyond its dict slot, a set 216 bytes
+        self._done: dict[str, int] = {}
 
     def _path(self, doc_id: str) -> Path:
         return self._dir / f"{doc_id}.jsonl"
@@ -509,28 +525,50 @@ class CheckpointStore:
         path = self._path(doc_id)
         payloads: dict[int, dict] = {}
         version: str | None = None
-        if not path.exists():
-            return 0, payloads, version
-        for line in path.read_text("utf-8").splitlines():
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            payloads[entry["stage"]] = entry["payload"]
-            version = entry["template_version"]
+        done = 0
+        data = path.read_bytes() if path.exists() else b""
+        *lines, torn = data.split(b"\n")
+        for number, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                entry = json.loads(line)
+                stage = entry["stage"]
+                if stage not in _PAYLOAD_KEYS:
+                    raise ValueError(f"unknown stage {stage!r}")
+                payloads[stage] = entry["payload"]
+                version = entry["template_version"]
+                done |= 1 << stage
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CheckpointCorrupt(
+                    f"{path}: line {number} is not a checkpoint entry: {exc}"
+                ) from exc
+        if torn:
+            os.truncate(path, len(data) - len(torn))
+        with self._lock:
+            self._done[doc_id] = done
         return max(payloads, default=0), payloads, version
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
-        _, payloads, _ = self.load(doc_id)
-        if stage in payloads:
-            raise ValueError(f"{doc_id}: checkpoint for stage {stage} already written")
+        with self._lock:
+            known = doc_id in self._done
+        if not known:
+            self.load(doc_id)
         entry = {
             "doc_id": doc_id,
             "stage": stage,
             "payload": payload,
             "template_version": template_version,
         }
-        with open(self._path(doc_id), "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        with self._lock:
+            done = self._done[doc_id]
+            if done >> stage & 1:
+                raise ValueError(f"{doc_id}: checkpoint for stage {stage} already written")
+            with open(self._path(doc_id), "a", encoding="utf-8") as fh:
+                fh.write(line)
+            self._done[doc_id] = done | 1 << stage
 
 
 def _normalize_ws(text: str) -> str:
@@ -604,7 +642,11 @@ class PipelineRunner:
         )
         return sorted(self._ask(req, lambda t: parse_allocation(t, axis)))
 
-    def _relationship_batch(self, doc: CleanDocument, batch: list[tuple[int, int]]) -> list[dict]:
+    def _relationship_batch(
+        self, doc: CleanDocument, body: str, batch: list[tuple[int, int]]
+    ) -> list[dict]:
+        """`body` is the document's whitespace-normalised body text, which
+        every quote must occur in."""
         req = build_relationship_prompt(
             doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
         )
@@ -613,7 +655,7 @@ class PipelineRunner:
             req, lambda t: parse_relationship(t, batch)
         ):
             if category is not Category.NEUTRAL:
-                if not quote or _normalize_ws(quote) not in _normalize_ws(doc.body_text):
+                if not quote or _normalize_ws(quote) not in body:
                     logger.warning(
                         "%s pair (%d,%d): evidence quote not found verbatim in body; "
                         "downgrading to neutral",
@@ -660,7 +702,10 @@ class PipelineRunner:
         if stage == 3:
             pairs = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
             batches = chunk_pairs(pairs, self.batch_cap)
-            return [partial(self._relationship_batch, doc, b) for b in batches]
+            if not batches:
+                return []
+            body = _normalize_ws(doc.body_text)
+            return [partial(self._relationship_batch, doc, body, b) for b in batches]
         categories = {
             (v["sdg"], v["pb"]): Category(v["category"]) for v in payloads[3]["verdicts"]
         }

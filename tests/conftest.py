@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from sdgpb import corpus, pipeline
-from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, Gateway, replay_session
+from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, Gateway, ReplayBackend
 from sdgpb.taxonomy import load_catalog
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -45,7 +45,7 @@ def replay_run_dir(tmp_path):
 
 def make_replay_runner(run_dir, catalog, templates, **kwargs):
     return pipeline.PipelineRunner(
-        gateway=Gateway(replay_session(run_dir)),
+        gateway=Gateway(ReplayBackend(run_dir)),
         checkpoints=pipeline.CheckpointStore(run_dir),
         catalog=catalog,
         templates=templates,

@@ -16,7 +16,7 @@ import pytest
 from sdgpb import analytics, corpus, pipeline, reporting
 from sdgpb.analytics import build_matrix, cell_proportions, global_proportions, matrix_to_json, ratio_to_global
 from sdgpb.errors import IllegalRefinement
-from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, Gateway, TokenBucket, replay_session
+from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, Gateway, ReplayBackend, TokenBucket
 from sdgpb.pipeline import CheckpointStore, PipelineRunner, chunk_pairs, parse_reasoner
 from sdgpb.taxonomy import Category, ReportBucket, load_catalog
 
@@ -197,7 +197,7 @@ def test_criterion_7_resume_equivalence(tmp_path, fixture_docs, catalog, templat
             run_dir = seeded_run_dir(case_dir)
             store = InterruptingStore(run_dir, doc.doc_id, stage)
             interrupting = PipelineRunner(
-                gateway=Gateway(replay_session(run_dir)),
+                gateway=Gateway(ReplayBackend(run_dir)),
                 checkpoints=store,
                 catalog=catalog,
                 templates=templates,

@@ -90,6 +90,54 @@ def test_resume_with_no_checkpoints_equals_fresh_run(runner, tmp_path):
     assert produced == (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
 
 
+def _finished_run(runner, tmp_path):
+    """A complete replayed run whose outputs are then removed, so that only
+    its checkpoints remain for `resume`."""
+    config = write_config(tmp_path)
+    seed_cache(tmp_path)
+    assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
+    (tmp_path / "run" / "results" / "results.jsonl").unlink()
+    checkpoints = sorted((tmp_path / "run" / "checkpoints").glob("*.jsonl"))
+    five_stages = next(p for p in checkpoints if len(p.read_bytes().splitlines()) == 5)
+    return config, five_stages
+
+
+@pytest.mark.parametrize("kept", ["first byte", "half", "all but the newline"])
+def test_resume_drops_torn_final_checkpoint_line(runner, tmp_path, kept):
+    config, path = _finished_run(runner, tmp_path)
+    whole = path.read_bytes()
+    start = whole.rstrip(b"\n").rfind(b"\n") + 1
+    length = len(whole) - start
+    cut = {"first byte": 1, "half": length // 2, "all but the newline": length - 1}[kept]
+    path.write_bytes(whole[: start + cut])  # a kill mid-append
+
+    for args in (["resume"], ["aggregate"], ["report"]):
+        result = runner.invoke(main, ["--config", str(config)] + args)
+        assert result.exit_code == 0, (args, result.output)
+    produced = {
+        "results.jsonl": tmp_path / "run" / "results" / "results.jsonl",
+        "matrix.json": tmp_path / "run" / "matrix.json",
+        "summary.json": tmp_path / "report" / "summary.json",
+        "matrix.csv": tmp_path / "report" / "matrix.csv",
+        "figure1.svg": tmp_path / "report" / "figure1.svg",
+    }
+    for name, produced_path in produced.items():
+        assert produced_path.read_bytes() == (FIXTURES_DIR / "golden" / name).read_bytes(), name
+    # the torn bytes were cut away and the stage re-appended once
+    assert path.read_bytes() == whole
+
+
+def test_resume_on_corrupt_checkpoint_line_exit_3(runner, tmp_path):
+    config, path = _finished_run(runner, tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = b'{"doc_id": "cut\n'
+    path.write_bytes(b"".join(lines))
+    result = runner.invoke(main, ["--config", str(config), "resume"])
+    assert result.exit_code == 3
+    assert "CheckpointCorrupt" in result.output
+    assert f"{path.name}: line 2" in result.output
+
+
 def test_replay_without_cache_exit_3(runner, tmp_path):
     config = write_config(tmp_path)
     result = runner.invoke(main, ["--config", str(config), "run"])

@@ -1,18 +1,20 @@
 import json
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdgpb.errors import RateLimited, ReplayMiss, TransientBackendError
 from sdgpb.gateway import (
     Gateway,
     PromptRequest,
     RawResponse,
+    RecordingBackend,
     ReplayBackend,
     TokenBucket,
     canonicalize_user_text,
     record_key,
-    record_session,
-    replay_session,
 )
 
 
@@ -56,6 +58,50 @@ def test_record_key_distinguishes_doc():
 def test_canonicalize_leaves_other_text_alone():
     text = "no pairs here"
     assert canonicalize_user_text(text) == text
+
+
+# The line-anchored regex the record key was first defined by; the literal
+# search that replaced it must rewrite exactly what this rewrites.
+_REFERENCE_PAIRS_LINE = re.compile(r"^PAIRS: (\[.*\])$", re.MULTILINE)
+
+
+def _reference_canonicalize(text):
+    def _sort(match):
+        try:
+            pairs = json.loads(match.group(1))
+        except ValueError:
+            return match.group(0)
+        pairs = sorted(tuple(p) for p in pairs)
+        return "PAIRS: " + json.dumps([list(p) for p in pairs], separators=(",", ":"))
+
+    return _REFERENCE_PAIRS_LINE.sub(_sort, text)
+
+
+def _outcome(fn, text):
+    try:
+        return fn(text)
+    except Exception as exc:  # pair lists that do not sort raise in both
+        return type(exc)
+
+
+_PIECES = st.sampled_from([
+    "PAIRS: ", "PAIRS: [", "PAIRS:", "[", "]", "[[2,6],[1,3]]", "[[3,1],[1,[2]]]",
+    "[[1,2],", "\n", "\r\n", "\r", " ", "x", ",", "1", '"a"',
+])
+_TEXTS = st.one_of(st.text(), st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=24).map("".join))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_TEXTS)
+@example("PAIRS: [[2,6],[1,3]]")  # at offset 0, no newline
+@example("body PAIRS: [[2,6],[1,3]]\nPAIRS: [[2,6],[1,3]]")  # mid-line, then a line start
+@example("a\nPAIRS: [[5,1],[2,2]]\nb\nPAIRS: [[9,9],[1,1]]\n")  # several lines
+@example("x\nPAIRS: [[2,6],[1,3]\nPAIRS: [not json]")  # invalid JSON
+@example("x\r\nPAIRS: [[2,6],[1,3]]\r\ny")  # CRLF: the line ends in "\r", not "]"
+@example("PAIRS: [[2,6],[1,3]] trailing\nPAIRS: [[2,6],[1,3]] x]")  # text after "]"
+@example("PAIRS: [[[2],[6]],[[1],[3]]]\nPAIRS: [[1,[2]],[1,3]]")  # nested brackets
+def test_canonicalize_matches_line_anchored_regex(text):
+    assert _outcome(canonicalize_user_text, text) == _outcome(_reference_canonicalize, text)
 
 
 def test_stage_range_enforced():
@@ -180,12 +226,12 @@ class ScriptedOnce:
 
 def test_record_then_replay_zero_live_calls(tmp_path):
     inner = ScriptedOnce()
-    recorder = record_session(tmp_path, inner)
+    recorder = RecordingBackend(inner, tmp_path)
     gw = Gateway(recorder)
     first = gw.complete(req())
     assert inner.calls == 1
 
-    replayer = replay_session(tmp_path)
+    replayer = ReplayBackend(tmp_path)
     gw2 = Gateway(replayer)
     resp = gw2.complete(req())
     assert resp.text == first.text
@@ -194,9 +240,9 @@ def test_record_then_replay_zero_live_calls(tmp_path):
 
 
 def test_replay_miss_on_changed_prompt(tmp_path):
-    recorder = record_session(tmp_path, ScriptedOnce())
+    recorder = RecordingBackend(ScriptedOnce(), tmp_path)
     Gateway(recorder).complete(req())
-    gw = Gateway(replay_session(tmp_path))
+    gw = Gateway(ReplayBackend(tmp_path))
     with pytest.raises(ReplayMiss):
         gw.complete(req(user_text="edited template text"))
 
@@ -216,5 +262,5 @@ def test_replay_performs_no_network(replay_run_dir, monkeypatch):
     monkeypatch.setattr(requests.Session, "request", boom)
     monkeypatch.setattr(requests, "get", boom)
     monkeypatch.setattr(requests, "post", boom)
-    backend = replay_session(replay_run_dir)
+    backend = ReplayBackend(replay_run_dir)
     assert backend._cache  # recorded entries loaded from disk only

@@ -415,6 +415,13 @@ def test_checkpoint_monotonicity(tmp_path):
         store.write("d", 2, {"pbs": [3]}, "v1")
     last, payloads, version = store.load("d")
     assert last == 2 and payloads[1] == {"sdgs": [1]} and version == "v1"
+    # a second store on the same directory, never loaded, reads the file once
+    fresh = CheckpointStore(tmp_path)
+    with pytest.raises(ValueError):
+        fresh.write("d", 2, {"pbs": [3]}, "v1")
+    fresh.write("d", 3, {"verdicts": []}, "v1")
+    last, payloads, _ = CheckpointStore(tmp_path).load("d")
+    assert last == 3 and payloads[2] == {"pbs": [2]}
 
 
 def test_template_version_mismatch(tmp_path, catalog, templates):
