@@ -95,6 +95,26 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
+def normalize_ws(text: str) -> str:
+    """`" ".join(text.split())`: whitespace runs become one space, ends are
+    stripped.
+
+    Text that is already in that form comes back as it is, after a few
+    substring scans instead of a split and a join. Every whitespace
+    character but " " is non-printable, so outside ASCII `isprintable`
+    rules them out.
+    """
+    if "  " in text or text[:1] == " " or text[-1:] == " ":
+        return " ".join(text.split())
+    if text.isascii():
+        # the ASCII characters other than " " that str.split() splits on
+        if ("\t" in text or "\n" in text or "\x0b" in text or "\x0c" in text or "\r" in text
+                or "\x1c" in text or "\x1d" in text or "\x1e" in text or "\x1f" in text):
+            return " ".join(text.split())
+        return text
+    return text if text.isprintable() else " ".join(text.split())
+
+
 # --------------------------------------------------------------------------
 # Scholarly API client
 
@@ -207,7 +227,7 @@ def _local(tag: str) -> str:
 
 
 def _text_of(elem: ElementTree.Element) -> str:
-    return " ".join(" ".join(elem.itertext()).split())
+    return normalize_ws(" ".join(elem.itertext()))
 
 
 def parse_tei(xml_bytes: bytes) -> TeiDocument:

@@ -64,6 +64,10 @@ class ReplayMiss(SdgPbError):
     pass
 
 
+class CacheCorrupt(SdgPbError):
+    """A recorded-cache line other than a torn final one does not parse."""
+
+
 # pipeline
 class SchemaError(SdgPbError):
     pass

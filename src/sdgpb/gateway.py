@@ -14,13 +14,21 @@ import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Iterator, Protocol
 
 import requests
 
-from .errors import BackendError, RateLimited, ReplayMiss, Timeout, TransientBackendError
+from .errors import (
+    BackendError,
+    CacheCorrupt,
+    RateLimited,
+    ReplayMiss,
+    Timeout,
+    TransientBackendError,
+)
 
 CACHE_SUBDIR = "llm_cache"
 CACHE_FILE = "cache.jsonl"
@@ -50,37 +58,43 @@ class RawResponse:
     attempt_count: int
 
 
-def _sort_pairs(line: str) -> str:
+def _sort_pairs(listed: str) -> str:
     try:
-        pairs = json.loads(line[len("PAIRS: "):])
+        pairs = json.loads(listed)
     except ValueError:
-        return line
+        return listed
     pairs = sorted(tuple(p) for p in pairs)
-    return "PAIRS: " + json.dumps([list(p) for p in pairs], separators=(",", ":"))
+    return json.dumps([list(p) for p in pairs], separators=(",", ":"))
 
 
-def canonicalize_user_text(text: str) -> str:
-    """Sort the pair list on any 'PAIRS: [...]' line so that listing order
-    never changes the record key.
+def pair_lists(text: str) -> Iterator[tuple[int, int]]:
+    """The (start, end) offsets of the "[...]" on each 'PAIRS: [...]' line.
 
     A PAIRS line starts at the start of the text or after a "\n" and ends
-    with "]" just before the next "\n" or the end of the text. Only such
-    lines are rewritten; the prompt's article body is skipped by a literal
-    search rather than scanned line by line.
+    with "]" just before the next "\n" or the end of the text. The prompt's
+    article body is skipped by a literal search rather than scanned line by
+    line.
     """
-    parts = []
-    done = 0
     start = text.find(_PAIRS_PREFIX)
     while start != -1:
         end = text.find("\n", start)
         if end == -1:
             end = len(text)
         if (start == 0 or text[start - 1] == "\n") and text[end - 1] == "]":
-            parts.append(text[done:start])
-            parts.append(_sort_pairs(text[start:end]))
-            done = end
+            yield start + len(_PAIRS_PREFIX) - 1, end
         # no later match on this line can start it
         start = text.find(_PAIRS_PREFIX, end)
+
+
+def canonicalize_user_text(text: str) -> str:
+    """Sort the pair list on any PAIRS line (see `pair_lists`) so that
+    listing order never changes the record key."""
+    parts = []
+    done = 0
+    for start, end in pair_lists(text):
+        parts.append(text[done:start])
+        parts.append(_sort_pairs(text[start:end]))
+        done = end
     if not parts:
         return text
     parts.append(text[done:])
@@ -115,18 +129,21 @@ class TokenBucket:
         self.rpm = rpm
         self._clock = clock
         self._sleep = sleep
-        self._stamps: list[float] = []
+        # dispatch times, oldest first: the clock is read under the lock
+        self._stamps: deque[float] = deque()
         self._lock = threading.Lock()
 
     def acquire(self) -> None:
+        stamps = self._stamps
         while True:
             with self._lock:
                 now = self._clock()
-                self._stamps = [t for t in self._stamps if now - t < 60.0]
-                if len(self._stamps) < self.rpm:
-                    self._stamps.append(now)
+                while stamps and now - stamps[0] >= 60.0:
+                    stamps.popleft()
+                if len(stamps) < self.rpm:
+                    stamps.append(now)
                     return
-                wait = 60.0 - (now - self._stamps[0])
+                wait = 60.0 - (now - stamps[0])
             self._sleep(max(wait, 0.001))
 
 
@@ -242,6 +259,32 @@ class LiveBackend:
             raise BackendError("malformed completion response") from exc
 
 
+def _read_cache(path: Path) -> tuple[dict[str, str], int]:
+    """The recorded texts by key in the cache file at `path`, and the byte
+    length of its whole lines.
+
+    A final line with no trailing newline was torn by a kill mid-append and
+    is left out; any other line that does not parse raises CacheCorrupt.
+    """
+    data = path.read_bytes() if path.exists() else b""
+    whole = data.rfind(b"\n") + 1
+    try:
+        text = data[:whole].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = data.count(b"\n", 0, exc.start) + 1
+        raise CacheCorrupt(f"{path}: line {number} is not UTF-8: {exc}") from exc
+    cache: dict[str, str] = {}
+    for number, line in enumerate(text.split("\n")[:-1], start=1):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+            cache[entry["key"]] = entry["text"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CacheCorrupt(f"{path}: line {number} is not a cache entry: {exc}") from exc
+    return cache, whole
+
+
 class RecordingBackend:
     """Wraps another backend and persists every (key, response) pair."""
 
@@ -253,11 +296,11 @@ class RecordingBackend:
         cache_dir.mkdir(parents=True, exist_ok=True)
         self._path = cache_dir / CACHE_FILE
         self._lock = threading.Lock()
-        self._seen: set[str] = set()
-        if self._path.exists():
-            for line in self._path.read_text("utf-8").splitlines():
-                if line.strip():
-                    self._seen.add(json.loads(line)["key"])
+        cache, whole = _read_cache(self._path)
+        self._seen: set[str] = set(cache)
+        if self._path.exists() and self._path.stat().st_size > whole:
+            # cut a torn final line away, so the next entry starts a line
+            os.truncate(self._path, whole)
 
     def send(self, req: PromptRequest) -> str:
         text = self.inner.send(req)
@@ -285,12 +328,7 @@ class ReplayBackend:
 
     def __init__(self, run_dir: str | Path):
         self._path = Path(run_dir) / CACHE_SUBDIR / CACHE_FILE
-        self._cache: dict[str, str] = {}
-        if self._path.exists():
-            for line in self._path.read_text("utf-8").splitlines():
-                if line.strip():
-                    entry = json.loads(line)
-                    self._cache[entry["key"]] = entry["text"]
+        self._cache, _ = _read_cache(self._path)
 
     def send(self, req: PromptRequest) -> str:
         key = record_key(req).hex()

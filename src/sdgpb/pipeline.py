@@ -32,7 +32,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .corpus import CleanDocument, estimate_tokens
+from .corpus import CleanDocument, estimate_tokens, normalize_ws
 from .errors import (
     CheckpointCorrupt,
     IdOutOfRange,
@@ -571,8 +571,32 @@ class CheckpointStore:
             self._done[doc_id] = done | 1 << stage
 
 
-def _normalize_ws(text: str) -> str:
-    return " ".join(text.split())
+class _EvidenceCheck:
+    """Whether an evidence quote occurs in a document's body, whitespace
+    normalised on both sides.
+
+    A normalised, non-empty quote has each of its spaces between two
+    non-spaces, so if it occurs in the raw body it also occurs in the
+    normalised body. The body is therefore normalised only when that test
+    misses, at most once, under a lock: the stage-3 batches of a live wave
+    share one check.
+    """
+
+    def __init__(self, body_text: str):
+        self._raw = body_text
+        self._normalized: str | None = None
+        self._lock = threading.Lock()
+
+    def holds(self, quote: str) -> bool:
+        quote = normalize_ws(quote)
+        if not quote:
+            return False
+        if quote in self._raw:
+            return True
+        with self._lock:
+            if self._normalized is None:
+                self._normalized = normalize_ws(self._raw)
+        return quote in self._normalized
 
 
 # --------------------------------------------------------------------------
@@ -643,10 +667,8 @@ class PipelineRunner:
         return sorted(self._ask(req, lambda t: parse_allocation(t, axis)))
 
     def _relationship_batch(
-        self, doc: CleanDocument, body: str, batch: list[tuple[int, int]]
+        self, doc: CleanDocument, evidence: _EvidenceCheck, batch: list[tuple[int, int]]
     ) -> list[dict]:
-        """`body` is the document's whitespace-normalised body text, which
-        every quote must occur in."""
         req = build_relationship_prompt(
             doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
         )
@@ -655,7 +677,7 @@ class PipelineRunner:
             req, lambda t: parse_relationship(t, batch)
         ):
             if category is not Category.NEUTRAL:
-                if not quote or _normalize_ws(quote) not in body:
+                if not evidence.holds(quote):
                     logger.warning(
                         "%s pair (%d,%d): evidence quote not found verbatim in body; "
                         "downgrading to neutral",
@@ -702,10 +724,8 @@ class PipelineRunner:
         if stage == 3:
             pairs = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
             batches = chunk_pairs(pairs, self.batch_cap)
-            if not batches:
-                return []
-            body = _normalize_ws(doc.body_text)
-            return [partial(self._relationship_batch, doc, body, b) for b in batches]
+            evidence = _EvidenceCheck(doc.body_text)
+            return [partial(self._relationship_batch, doc, evidence, b) for b in batches]
         categories = {
             (v["sdg"], v["pb"]): Category(v["category"]) for v in payloads[3]["verdicts"]
         }

@@ -14,9 +14,8 @@ import json
 import random
 import re
 
-from .gateway import PromptRequest, record_key
+from .gateway import PromptRequest, pair_lists, record_key
 
-_PAIRS_LINE = re.compile(r"^PAIRS: (\[.*\])$", re.MULTILINE)
 _BODY_BLOCK = re.compile(
     r"=== ARTICLE TEXT ===\n(.*)\n=== END ARTICLE TEXT ===", re.DOTALL
 )
@@ -54,11 +53,12 @@ class ScriptedBackend:
             k = 0 if rng.random() < 0.08 else rng.randint(1, 3)
             return json.dumps({"pbs": sorted(rng.sample(range(1, 10), k))})
 
-        pairs = [tuple(p) for p in json.loads(_PAIRS_LINE.search(req.user_text).group(1))]
+        start, end = next(pair_lists(req.user_text))
+        pairs = [tuple(p) for p in json.loads(req.user_text[start:end])]
 
         if req.stage == 3:
             body = _BODY_BLOCK.search(req.user_text).group(1)
-            sentences = [s.strip() for s in body.split(".") if len(s.strip()) > 20]
+            sentences = [s for s in (piece.strip() for piece in body.split(".")) if len(s) > 20]
             verdicts = []
             for s, p in pairs:
                 category = rng.choices(_CATEGORIES, weights=_CATEGORY_WEIGHTS)[0]

@@ -204,3 +204,46 @@ def test_fetch_writes_manifest(runner, tmp_path, monkeypatch):
     manifest = tmp_path / "corpus" / "manifest.jsonl"
     assert manifest.exists()
     assert json.loads(manifest.read_text().splitlines()[0])["work_id"] == "w1"
+
+
+def test_record_reproduces_fixture_cache(runner, tmp_path):
+    # the scripted backend's replies, keyed as recorded, are the fixture cache
+    config = write_config(tmp_path, backend="record")
+    assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
+    cache = FIXTURES_DIR / "llm_cache" / "cache.jsonl"
+    assert (tmp_path / "run" / "llm_cache" / "cache.jsonl").read_bytes() == cache.read_bytes()
+
+
+@pytest.mark.parametrize("kept", ["first byte", "all but 40 bytes", "all but the newline"])
+def test_record_after_torn_cache_line_restores_cache(runner, tmp_path, kept):
+    seed_cache(tmp_path)
+    path = tmp_path / "run" / "llm_cache" / "cache.jsonl"
+    whole = path.read_bytes()
+    start = whole.rstrip(b"\n").rfind(b"\n") + 1
+    length = len(whole) - start
+    cut = {"first byte": 1, "all but 40 bytes": length - 40, "all but the newline": length - 1}[kept]
+    path.write_bytes(whole[: start + cut])  # a kill mid-append
+
+    # replay misses the torn entry; recording then re-sends it and nothing else
+    config = write_config(tmp_path)
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 4 and "ReplayMiss" in result.output
+    config = write_config(tmp_path, backend="record")
+    assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
+    assert path.read_bytes() == whole
+    results = (tmp_path / "run" / "results" / "results.jsonl").read_bytes()
+    assert results == (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
+
+
+def test_run_on_corrupt_cache_line_exit_3(runner, tmp_path):
+    seed_cache(tmp_path)
+    path = tmp_path / "run" / "llm_cache" / "cache.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4] = b'{"key": "cut\n'
+    path.write_bytes(b"".join(lines))
+    for backend in ("replay", "record"):
+        config = write_config(tmp_path, backend=backend)
+        result = runner.invoke(main, ["--config", str(config), "run"])
+        assert result.exit_code == 3, (backend, result.output)
+        assert "CacheCorrupt" in result.output
+        assert "cache.jsonl: line 5" in result.output

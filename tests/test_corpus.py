@@ -1,11 +1,19 @@
 import json
 import math
+from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdgpb import corpus
-from sdgpb.corpus import SectionKind, WorksClient, estimate_tokens, parse_tei, prune
+from sdgpb.corpus import (
+    SectionKind,
+    WorksClient,
+    estimate_tokens,
+    normalize_ws,
+    parse_tei,
+    prune,
+)
 from sdgpb.errors import (
     EmptyDocument,
     HttpFailure,
@@ -46,6 +54,91 @@ def test_estimate_tokens_400_chars():
 @given(st.text(max_size=2000))
 def test_estimate_tokens_is_ceil_quarter(text):
     assert estimate_tokens(text) == math.ceil(len(text) / 4)
+
+
+# -- whitespace normalisation ----------------------------------------------
+
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()]
+
+
+def test_every_space_but_blank_is_non_printable():
+    # the premise normalize_ws rests on outside ASCII
+    assert len(SPACES) == 29
+    assert [c for c in SPACES if c.isprintable()] == [" "]
+
+
+_WS_ALPHABET = st.sampled_from(SPACES + list("abcXYZ.") + ["\x00", "\xad", "\u200b"])
+
+
+@settings(max_examples=1000)
+@given(st.one_of(st.text(_WS_ALPHABET), st.text()))
+@example("")
+@example("a b")
+@example(" a")
+@example("a ")
+@example("a  b")
+@example("a\x1fb")
+@example("a\xa0b")
+@example("\u3000")
+@example("a\u200bb\xad")
+def test_normalize_ws_equals_split_join(text):
+    assert normalize_ws(text) == " ".join(text.split())
+
+
+def _old_text_of(elem):
+    return " ".join(" ".join(elem.itertext()).split())
+
+
+def _parse_with_old_text_of(xml):
+    current, corpus._text_of = corpus._text_of, _old_text_of
+    try:
+        return parse_tei(xml)
+    finally:
+        corpus._text_of = current
+
+
+def _tei(body):
+    return (
+        '<TEI xmlns="http://www.tei-c.org/ns/1.0"><teiHeader><fileDesc><titleStmt>'
+        "<title>  A\ttitle\n </title></titleStmt></fileDesc></teiHeader>"
+        f"<text><body>{body}</body></text></TEI>"
+    ).encode()
+
+
+@pytest.mark.parametrize("body", [
+    "<div><p>Plain paragraph.</p></div>",
+    "<div><p>Cited by <ref>[3]</ref>, then a tail.</p></div>",
+    "<div><p>Line one\nline two\n\n\tindented</p>\n  <p>  padded  </p></div>",
+    "<div><p>non\u00a0breaking and\u2003em space</p></div>",
+    "<div><head>H</head><p>a<hi>b<ref>c</ref>d</hi>e <hi> </hi> f</p>tail text</div>",
+    "<div><p><ref>only inline</ref></p><p></p><p> </p></div>",
+    "<div><p>x</p><figure><figDesc>fig\ntext</figDesc></figure>after</div>",
+])
+def test_parse_tei_matches_old_text_of(body):
+    xml = _tei(body)
+    assert parse_tei(xml) == _parse_with_old_text_of(xml)
+
+
+_XML_TEXT = st.text(
+    st.sampled_from(list("ab. \t\n\r\u00a0\u2009\u3000\x85")), max_size=12
+).map(escape)
+
+
+@st.composite
+def _inline(draw, depth=0):
+    """Mixed content: text, then inline elements, each followed by a tail."""
+    parts = [draw(_XML_TEXT)]
+    for _ in range(draw(st.integers(0, 3 if depth < 2 else 0))):
+        tag = draw(st.sampled_from(["ref", "hi", "p"]))
+        parts.append(f"<{tag}>{draw(_inline(depth + 1))}</{tag}>{draw(_XML_TEXT)}")
+    return "".join(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_inline(), min_size=1, max_size=4))
+def test_parse_tei_matches_old_text_of_on_mixed_content(paragraphs):
+    xml = _tei("<div>" + "".join(f"<p>{p}</p>" for p in paragraphs) + "</div>")
+    assert parse_tei(xml) == _parse_with_old_text_of(xml)
 
 
 # -- TEI parsing ------------------------------------------------------------

@@ -1,12 +1,16 @@
 import json
 import re
+import shutil
+import threading
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdgpb.errors import RateLimited, ReplayMiss, TransientBackendError
+from sdgpb.errors import CacheCorrupt, RateLimited, ReplayMiss, TransientBackendError
 from sdgpb.gateway import (
+    CACHE_FILE,
+    CACHE_SUBDIR,
     Gateway,
     PromptRequest,
     RawResponse,
@@ -16,6 +20,9 @@ from sdgpb.gateway import (
     canonicalize_user_text,
     record_key,
 )
+from sdgpb.testing import ScriptedBackend
+
+from conftest import FIXTURES_DIR
 
 
 def req(stage=3, doc_id="d1", user_text="hello\nPAIRS: [[2,6],[1,3]]\nworld"):
@@ -209,6 +216,60 @@ def test_token_bucket_caps_any_60s_window():
         assert len(in_window) <= 5
 
 
+class ListTokenBucket:
+    """The limiter before its stamps moved to a deque: every acquire rebuilt
+    the stamp list."""
+
+    def __init__(self, rpm, clock, sleep):
+        self.rpm = rpm
+        self._clock = clock
+        self._sleep = sleep
+        self._stamps = []
+        self._lock = threading.Lock()
+
+    def acquire(self):
+        while True:
+            with self._lock:
+                now = self._clock()
+                self._stamps = [t for t in self._stamps if now - t < 60.0]
+                if len(self._stamps) < self.rpm:
+                    self._stamps.append(now)
+                    return
+                wait = 60.0 - (now - self._stamps[0])
+            self._sleep(max(wait, 0.001))
+
+
+def _limiter_waits(bucket_type, rpm, gaps):
+    """The sleeps a limiter asks for, and the times it grants, when acquires
+    come `gaps` seconds apart on a fake clock its own sleeps also advance."""
+    clock = SimClock()
+    events = []
+
+    def sleep(seconds):
+        events.append(seconds)
+        clock.sleep(seconds)
+
+    bucket = bucket_type(rpm, clock, sleep)
+    for gap in gaps:
+        clock.now += gap
+        bucket.acquire()
+        events.append(("granted", clock.now))
+    return events
+
+
+_GAPS = st.one_of(
+    st.sampled_from([0.0, 0.001, 0.5, 30.0, 59.999, 60.0, 60.001, 120.0]),
+    st.floats(min_value=0.0, max_value=90.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.lists(_GAPS, max_size=40))
+@example(2, [0.0, 0.0, 0.0, 60.0, 0.0])  # a stamp expiring exactly at 60 s
+def test_token_bucket_waits_match_list_limiter(rpm, gaps):
+    assert _limiter_waits(TokenBucket, rpm, gaps) == _limiter_waits(ListTokenBucket, rpm, gaps)
+
+
 # -- record / replay ----------------------------------------------------------
 
 
@@ -264,3 +325,55 @@ def test_replay_performs_no_network(replay_run_dir, monkeypatch):
     monkeypatch.setattr(requests, "post", boom)
     backend = ReplayBackend(replay_run_dir)
     assert backend._cache  # recorded entries loaded from disk only
+
+
+# -- a torn or corrupt cache file ---------------------------------------------
+
+
+def _fixture_cache(tmp_path):
+    """A run dir holding a copy of the fixture cache, and the copy's path."""
+    path = tmp_path / CACHE_SUBDIR / CACHE_FILE
+    path.parent.mkdir(parents=True)
+    shutil.copy(FIXTURES_DIR / CACHE_SUBDIR / CACHE_FILE, path)
+    return path
+
+
+def test_torn_final_cache_line_is_dropped(tmp_path):
+    path = _fixture_cache(tmp_path)
+    whole = path.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    path.write_bytes(whole[:-40])  # a kill mid-append
+    last = json.loads(lines[-1])
+
+    replay = ReplayBackend(tmp_path)
+    assert len(replay._cache) == len(lines) - 1
+    assert last["key"] not in replay._cache
+    assert path.read_bytes() == whole[:-40]  # replay only reads
+
+    recorder = RecordingBackend(ScriptedBackend(), tmp_path)
+    assert last["key"] not in recorder._seen
+    # the torn bytes are cut away before anything is appended
+    assert path.read_bytes() == b"".join(lines[:-1])
+
+
+def test_recording_after_torn_line_appends_whole_lines(tmp_path):
+    path = _fixture_cache(tmp_path)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-1])  # all but the newline of the last line
+    recorder = RecordingBackend(ScriptedOnce(), tmp_path)
+    Gateway(recorder).complete(req(doc_id="new-doc"))
+    lines = path.read_bytes().splitlines()
+    assert b"\n".join(lines[:-1]) + b"\n" == b"".join(whole.splitlines(keepends=True)[:-1])
+    assert json.loads(lines[-1])["doc_id"] == "new-doc"
+    assert ReplayBackend(tmp_path).send(req(doc_id="new-doc")) == json.dumps({"echo": "new-doc"})
+
+
+@pytest.mark.parametrize("bad", [b'{"key": "cut\n', b"[1, 2]\n", b'{"key": "k"}\n', b"\xff\xfe\n"])
+@pytest.mark.parametrize("backend", [ReplayBackend, lambda d: RecordingBackend(ScriptedBackend(), d)])
+def test_corrupt_cache_line_raises_with_file_and_line(tmp_path, bad, backend):
+    path = _fixture_cache(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = bad
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CacheCorrupt, match=rf"{CACHE_FILE}: line 3 "):
+        backend(tmp_path)

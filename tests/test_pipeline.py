@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -347,6 +348,52 @@ def test_bad_evidence_quote_downgrades_to_neutral(tmp_path, catalog, templates):
     assert res.status == "complete"
     assert all(p.category is Category.NEUTRAL for p in res.pairs)
     assert all(p.direction is None and p.refined is None for p in res.pairs)
+
+
+TWO_DIVISIONS = (
+    "Irrigation programs improved water access.\n\n"
+    "Groundwater  recharge\tschemes followed the drought."
+)
+
+
+@pytest.mark.parametrize("quote, kept", [
+    ("water access. Groundwater recharge", True),  # crosses the division break
+    ("Irrigation  programs   improved", True),  # doubled spaces in the quote
+    ("Groundwater recharge schemes", True),  # doubled space and a tab in the body
+    ("irrigation programs", False),  # absent: the body capitalises it
+    ("   ", False),  # whitespace only
+    ("\n\t", False),
+])
+def test_evidence_quote_check(tmp_path, catalog, templates, quote, kept):
+    runner = make_runner(StageBackend(happy_replies(quote)), tmp_path, catalog, templates)
+    res = runner.process_document(make_doc(body=TWO_DIVISIONS))
+    assert res.status == "complete" and len(res.pairs) == 6
+    for p in res.pairs:
+        assert p.category is (Category.SYNERGY if kept else Category.NEUTRAL)
+        assert p.evidence_quote == (quote if kept else "")
+
+
+def test_body_normalised_at_most_once_across_live_batches(tmp_path, catalog, templates, monkeypatch):
+    class LiveStageBackend(StageBackend):
+        live = True
+
+    body_normalisations = []
+    real = pipeline.normalize_ws
+
+    def slow_on_body(text):
+        if text == TWO_DIVISIONS:
+            body_normalisations.append(threading.get_ident())
+            time.sleep(0.02)  # widen the window in which batches could race
+        return real(text)
+
+    monkeypatch.setattr(pipeline, "normalize_ws", slow_on_body)
+    # one pair per batch: six stage-3 batches overlap in the wave pool
+    backend = LiveStageBackend(happy_replies("water access. Groundwater recharge"))
+    runner = make_runner(backend, tmp_path, catalog, templates, batch_cap=1)
+    [res] = runner.run([make_doc(body=TWO_DIVISIONS)])
+    assert backend.calls_by_stage[3] == 6
+    assert all(p.category is Category.SYNERGY for p in res.pairs)
+    assert len(body_normalisations) == 1
 
 
 def test_schema_repair_then_success(tmp_path, catalog, templates):
