@@ -226,17 +226,15 @@ def presence_share(m: InteractionMatrix, axis: str, goal_id: int) -> float:
     return presence.get(goal_id, 0) / m.total_docs
 
 
-def directionality_share(records: Iterable[InteractionRecord]) -> float:
-    """Fraction of directed records driven PB-to-SDG."""
+def directionality(m: InteractionMatrix) -> tuple[int, float]:
+    """(directed records, fraction of them driven PB-to-SDG)."""
     directed = pb_driven = 0
-    for rec in records:
-        if rec.direction is not None:
-            directed += 1
-            if rec.direction is Direction.PB_TO_SDG:
-                pb_driven += 1
+    for cell in m.direction_counts.values():
+        directed += sum(cell.values())
+        pb_driven += cell.get(Direction.PB_TO_SDG, 0)
     if directed == 0:
         raise NoDirectedRecords("no records carry a direction")
-    return pb_driven / directed
+    return directed, pb_driven / directed
 
 
 def normalize_bars(m: InteractionMatrix, sdg: int) -> list[float]:

@@ -19,6 +19,7 @@ stages.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -180,7 +181,10 @@ class DocumentResult:
 # Prompt construction
 
 
-def _definition_block(catalog: Catalog, axis: str, ids: Sequence[int] | None = None) -> str:
+# Documents share definition blocks: the allocation stages always list the
+# whole catalog, and pair batches repeat id sets across documents.
+@functools.lru_cache(maxsize=1024)
+def _definition_block(catalog: Catalog, axis: str, ids: tuple[int, ...] | None = None) -> str:
     lines = []
     if axis == "SDG":
         chosen = ids if ids is not None else catalog.sdg_ids
@@ -243,8 +247,8 @@ def build_relationship_prompt(
 ) -> PromptRequest:
     if not batch:
         raise ValueError("batch must be non-empty")
-    sdg_ids = sorted({s for s, _ in batch})
-    pb_ids = sorted({p for _, p in batch})
+    sdg_ids = tuple(sorted({s for s, _ in batch}))
+    pb_ids = tuple(sorted({p for _, p in batch}))
     rendered = templates.text("relationship.txt").format(
         sdg_definitions=_definition_block(catalog, "SDG", sdg_ids),
         pb_definitions=_definition_block(catalog, "PB", pb_ids),
@@ -335,11 +339,17 @@ _FENCE = re.compile(r"^```(?:json)?\s*|\s*```$", re.MULTILINE)
 
 
 def _parse_json_object(text: str) -> dict:
-    cleaned = _FENCE.sub("", text.strip()).strip()
+    cleaned = text.strip()
+    # both alternatives of _FENCE match a literal ```, so without one the
+    # substitution, and the strip after it, change nothing
+    if "```" in cleaned:
+        cleaned = _FENCE.sub("", cleaned).strip()
     try:
         obj = json.loads(cleaned)
     except ValueError as exc:
         raise SchemaError(f"response is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("response nests too deeply to parse") from exc
     if not isinstance(obj, dict):
         raise SchemaError("response is not a JSON object")
     return obj
@@ -373,7 +383,8 @@ def _pair_of(entry: dict) -> tuple[int, int]:
         s, p = entry["sdg"], entry["pb"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"entry missing sdg/pb: {entry!r}") from exc
-    if not isinstance(s, int) or not isinstance(p, int):
+    # json.loads gives exactly int for an integer; this also rejects true/false
+    if type(s) is not int or type(p) is not int:
         raise SchemaError(f"non-integer pair ids in {entry!r}")
     return (s, p)
 
@@ -509,15 +520,16 @@ class CheckpointStore:
     """
 
     def __init__(self, run_dir: str | Path):
-        self._dir = Path(run_dir) / "checkpoints"
-        self._dir.mkdir(parents=True, exist_ok=True)
+        directory = Path(run_dir) / "checkpoints"
+        directory.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(directory, "")
         self._lock = threading.Lock()
         # doc id -> bit mask with bit s set for each completed stage s; a
         # small int costs nothing beyond its dict slot, a set 216 bytes
         self._done: dict[str, int] = {}
 
-    def _path(self, doc_id: str) -> Path:
-        return self._dir / f"{doc_id}.jsonl"
+    def _path(self, doc_id: str) -> str:
+        return f"{self._prefix}{doc_id}.jsonl"
 
     def load(self, doc_id: str) -> tuple[int, dict[int, dict], str | None]:
         """Returns (highest completed stage or 0, payloads by completed stage,
@@ -526,7 +538,11 @@ class CheckpointStore:
         payloads: dict[int, dict] = {}
         version: str | None = None
         done = 0
-        data = path.read_bytes() if path.exists() else b""
+        try:
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            data = b""
         *lines, torn = data.split(b"\n")
         for number, raw in enumerate(lines, start=1):
             try:
@@ -551,6 +567,8 @@ class CheckpointStore:
         return max(payloads, default=0), payloads, version
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
+        """Appends the stage's line. When this returns the line has reached
+        the kernel: one `write(2)`, repeated only for the rest of a short one."""
         with self._lock:
             known = doc_id in self._done
         if not known:
@@ -561,13 +579,18 @@ class CheckpointStore:
             "payload": payload,
             "template_version": template_version,
         }
-        line = json.dumps(entry, sort_keys=True) + "\n"
+        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             done = self._done[doc_id]
             if done >> stage & 1:
                 raise ValueError(f"{doc_id}: checkpoint for stage {stage} already written")
-            with open(self._path(doc_id), "a", encoding="utf-8") as fh:
-                fh.write(line)
+            fd = os.open(self._path(doc_id), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                written = os.write(fd, line)
+                while written < len(line):
+                    written += os.write(fd, line[written:])
+            finally:
+                os.close(fd)
             self._done[doc_id] = done | 1 << stage
 
 

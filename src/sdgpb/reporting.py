@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from .analytics import (
     InteractionMatrix,
     cell_proportions,
+    directionality,
     global_proportions,
     goal_tradeoff_shares,
     normalize_bars,
     presence_share,
 )
-from .errors import EmptyMatrix, EmptyPanel
+from .errors import EmptyMatrix, EmptyPanel, NoDirectedRecords
 from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT
 
 STYLE = {
@@ -272,12 +273,11 @@ def emit_summary_json(m: InteractionMatrix) -> str:
             "bucket_shares": {b.value: bucket_shares[b] for b in ReportBucket},
             "bucket_display": {b.value: _display(bucket_shares[b]) for b in ReportBucket},
         }
-    directed = sum(sum(d.values()) for d in m.direction_counts.values())
-    if directed > 0:
-        pb_driven = sum(
-            d.get(Direction.PB_TO_SDG, 0) for d in m.direction_counts.values()
-        )
-        share = pb_driven / directed
+    try:
+        directed, share = directionality(m)
+    except NoDirectedRecords:
+        pass
+    else:
         summary["directionality"] = {
             "directed_records": directed,
             "pb_to_sdg_share": share,

@@ -9,7 +9,7 @@ from sdgpb.analytics import (
     InteractionRecord,
     build_matrix,
     cell_proportions,
-    directionality_share,
+    directionality,
     global_proportions,
     goal_tradeoff_shares,
     matrix_from_json,
@@ -90,6 +90,7 @@ def naive_stats(records, total_docs):
         "bucket_shares": {b: buckets[b] / n for b in ReportBucket} if n else None,
         "presence_sdg": {s: len(d) / total_docs for s, d in docs_sdg.items()} if total_docs else None,
         "presence_pb": {p: len(d) / total_docs for p, d in docs_pb.items()} if total_docs else None,
+        "directed": directed,
         "pb_to_sdg": pb_driven / directed if directed else None,
     }
 
@@ -128,7 +129,9 @@ def assert_matches_oracle(records, total_docs):
         expected = oracle["presence_pb"].get(p, 0.0)
         assert abs(presence_share(m, "PB", p) - expected) <= 1e-12
     if oracle["pb_to_sdg"] is not None:
-        assert abs(directionality_share(records) - oracle["pb_to_sdg"]) <= 1e-12
+        directed, share = directionality(m)
+        assert directed == oracle["directed"]
+        assert abs(share - oracle["pb_to_sdg"]) <= 1e-12
     # per-cell shares against naive per-cell recount
     for (s, p), cell in m.counts.items():
         shares = cell_proportions(m, s, p)
@@ -290,12 +293,12 @@ def test_directionality_share():
         records.append(rec(f"a{i}", 1, 1, ReportBucket.TS, Direction.PB_TO_SDG))
     for i in range(306):
         records.append(rec(f"b{i}", 1, 2, ReportBucket.TS, Direction.SDG_TO_PB))
-    assert directionality_share(records) == pytest.approx(0.694, abs=1e-12)
+    assert directionality(build_matrix(records, 1000)) == (1000, pytest.approx(0.694, abs=1e-12))
     only_sdg = [rec(f"c{i}", 1, 1, ReportBucket.TT, Direction.SDG_TO_PB) for i in range(5)]
-    assert directionality_share(only_sdg) == 0.0
+    assert directionality(build_matrix(only_sdg, 5)) == (5, 0.0)
     neutral = [rec("n", 1, 1, ReportBucket.NEUTRAL)]
     with pytest.raises(NoDirectedRecords):
-        directionality_share(neutral)
+        directionality(build_matrix(neutral, 1))
 
 
 def test_normalize_bars_examples():

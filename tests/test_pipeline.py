@@ -1,10 +1,12 @@
 import json
+import os
+import re
 import threading
 import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdgpb import pipeline
 from sdgpb.corpus import CleanDocument, estimate_tokens
@@ -37,6 +39,7 @@ from sdgpb.pipeline import (
 from sdgpb.taxonomy import Category, Direction, RefinedLabel
 
 from conftest import make_replay_runner
+from test_acceptance import InterruptingStore
 
 BODY = (
     "Agricultural expansion for food security measurably increased pressure on "
@@ -184,6 +187,153 @@ def test_parse_reasoner_cross_category_rejected():
     reply = json.dumps({"refinements": [{"sdg": 1, "pb": 1, "label": "Actual Trade-off"}]})
     with pytest.raises(IllegalRefinement):
         parse_reasoner(reply, [(1, 1)], cats)
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+# each parser, keyed by the list key of its reply, called as (text, batch, categories)
+_PARSERS = {
+    "sdgs": lambda text, batch, cats: parse_allocation(text, "SDG"),
+    "pbs": lambda text, batch, cats: parse_allocation(text, "PB"),
+    "verdicts": lambda text, batch, cats: parse_relationship(text, batch),
+    "directions": lambda text, batch, cats: parse_causality(text, batch),
+    "refinements": lambda text, batch, cats: parse_reasoner(text, batch, cats),
+}
+
+# the fields that complete a valid entry of each pair stage
+_PAIR_FIELDS = {
+    "verdicts": {"category": "synergy", "justification": "j", "evidence_quote": "q"},
+    "directions": {"direction": "sdg_to_pb"},
+    "refinements": {"label": "Actual Synergy"},
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PAIR_FIELDS))
+@pytest.mark.parametrize("ids", [{"sdg": True, "pb": 1}, {"sdg": 1, "pb": True}, {"sdg": True, "pb": True}])
+def test_pair_parsers_reject_bool_ids(key, ids):
+    reply = json.dumps({key: [{**ids, **_PAIR_FIELDS[key]}]})
+    with pytest.raises(SchemaError):
+        _PARSERS[key](reply, [(1, 1)], {(1, 1): Category.SYNERGY})
+
+
+@pytest.mark.parametrize("key", sorted(_PARSERS))
+def test_parsers_reject_deep_nesting(key):
+    with pytest.raises(SchemaError):
+        _PARSERS[key](f'{{"{key}": {_DEEP}}}', [(1, 1)], {(1, 1): Category.SYNERGY})
+
+
+_WORDS = st.sampled_from([
+    "synergy", "Trade-off", "neutral", "sdg_to_pb", "PB_to_SDG", "both",
+    "Actual Synergy", "Actual Trade-off", "Double Negative", "", "```",
+])
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 20), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6), _WORDS,
+)
+_VALUE = st.recursive(
+    _LEAF,
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=8,
+)
+_FIELD_NAMES = ("category", "justification", "evidence_quote", "direction", "label")
+_FIELDS = st.fixed_dictionaries({}, optional={name: st.one_of(_WORDS, _VALUE) for name in _FIELD_NAMES})
+_ENTRY = st.fixed_dictionaries(
+    {}, optional={"sdg": st.one_of(st.integers(1, 3), _LEAF), "pb": st.one_of(st.integers(1, 3), _LEAF),
+                  **{name: st.one_of(_WORDS, _VALUE) for name in _FIELD_NAMES}},
+)
+
+
+@st.composite
+def _parser_inputs(draw):
+    """(reply text, batch, categories): a JSON reply whose lists mix entries on
+    the batch's pairs with missing, duplicate, bool-, float- and NaN-keyed,
+    nested and non-object entries, sometimes fenced."""
+    batch = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4, unique=True))
+    cats = {pair: draw(st.sampled_from(list(Category))) for pair in batch}
+    on_batch = [{"sdg": s, "pb": p, **draw(_FIELDS)} for s, p in draw(st.permutations(batch))]
+    entries = on_batch[: draw(st.integers(0, len(on_batch)))] + draw(
+        st.lists(st.one_of(st.sampled_from(on_batch), _ENTRY, _VALUE), max_size=3)
+    )
+    obj = {}
+    for key in draw(st.lists(st.sampled_from(sorted(_PARSERS)), max_size=3)):
+        obj[key] = draw(st.one_of(st.just(entries), st.lists(_LEAF, max_size=4), _VALUE))
+    top = draw(st.one_of(st.just(obj), st.just(obj), _VALUE))
+    text = json.dumps(top)
+    opening = draw(st.sampled_from(["", "```", "```json\n", " \n```json\r\n"]))
+    closing = draw(st.sampled_from(["", "```", "\n```", "\r\n``` \n"]))
+    return opening + text + closing, batch, cats
+
+
+def _assert_only_schema_errors(text, batch, cats):
+    for parse in _PARSERS.values():
+        try:
+            parse(text, batch, cats)
+        except (SchemaError, IllegalRefinement):
+            pass
+
+
+@settings(max_examples=400)
+@given(_parser_inputs())
+def test_parsers_raise_only_schema_errors_on_json(case):
+    _assert_only_schema_errors(*case)
+
+
+@given(st.text())
+@example('{"sdgs": %s}' % _DEEP)
+@example('{"verdicts": [{"sdg": true, "pb": 1}]}')
+def test_parsers_raise_only_schema_errors_on_text(text):
+    _assert_only_schema_errors(text, [(1, 1)], {(1, 1): Category.TRADEOFF})
+
+
+_ALWAYS_FENCE = re.compile(r"^```(?:json)?\s*|\s*```$", re.MULTILINE)
+
+
+def _parse_json_object_always_regex(text):
+    """The reference: `_parse_json_object` running the fence regex on every reply."""
+    cleaned = _ALWAYS_FENCE.sub("", text.strip()).strip()
+    try:
+        obj = json.loads(cleaned)
+    except ValueError as exc:
+        raise SchemaError(f"response is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError("response is not a JSON object")
+    return obj
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))  # repr: NaN != NaN
+    except Exception as exc:
+        return type(exc)
+
+
+_FENCE_PIECES = st.sampled_from(
+    ["```", "```json", "json", "`", "\n", "\r\n", "\r", " ", "\t", "\xa0", '"', "{", "}", ":",
+     '{"a": 1}', '"```"', '"a\\n```"', "[1]", "x"]
+)
+_FENCE_ALPHABET = st.sampled_from(["`", "```", "a", "json", " ", "\n", "\r\n", "{", "}"])
+_JSON_WITH_FENCES = st.dictionaries(
+    st.lists(_FENCE_ALPHABET, max_size=4).map("".join),
+    st.one_of(st.integers(), st.lists(_FENCE_ALPHABET, max_size=6).map("".join)),
+    max_size=3,
+).flatmap(lambda d: st.sampled_from([json.dumps(d), json.dumps(d, indent=0), json.dumps(d, indent=1)]))
+_FENCED_JSON = st.tuples(
+    st.sampled_from(["", "```", "```json", "```json\n", "```\r\n", " ```json\r\n", "\n```\n", "x\n```\n"]),
+    _JSON_WITH_FENCES,
+    st.sampled_from(["", "```", "\n```", "\r\n```", "``` ", "```\n", "\n```\nx"]),
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(), st.lists(_FENCE_PIECES, max_size=12).map("".join), _FENCED_JSON))
+@example('```json\n{"a": 1}\n```')
+@example('```\r\n{"a": "```"}\r\n```')
+@example('{"a": "```"}')
+@example('{\n"```": 1}')
+@example("  {}  ")
+@example('{"a": 1}\xa0\n```json')
+def test_fence_test_matches_always_regex_parse(text):
+    assert _outcome(pipeline._parse_json_object, text) == _outcome(_parse_json_object_always_regex, text)
 
 
 # -- prompt construction ------------------------------------------------------
@@ -414,6 +564,17 @@ def test_persistent_schema_error_fails_stage(tmp_path, catalog, templates):
     assert backend.calls_by_stage[1] == 3  # original, repair, full retry
 
 
+def test_deeply_nested_reply_fails_only_its_document(tmp_path, catalog, templates):
+    replies = happy_replies("Irrigation programs improved water access")
+    sdgs = replies[1]
+    replies[1] = lambda req: f'{{"sdgs": {_DEEP}}}' if req.doc_id == "doc-deep" else sdgs
+    runner = make_runner(StageBackend(replies), tmp_path, catalog, templates)
+    results = runner.run([make_doc("doc-deep"), make_doc("doc-ok")])
+    assert [(r.doc_id, r.status, r.failed_stage) for r in results] == [
+        ("doc-deep", "failed", 1), ("doc-ok", "complete", None),
+    ]
+
+
 def test_stage3_failure_reported(tmp_path, catalog, templates):
     replies = happy_replies("q")
     replies[3] = json.dumps({"verdicts": []})  # misses every pair
@@ -469,6 +630,59 @@ def test_checkpoint_monotonicity(tmp_path):
     fresh.write("d", 3, {"verdicts": []}, "v1")
     last, payloads, _ = CheckpointStore(tmp_path).load("d")
     assert last == 3 and payloads[2] == {"pbs": [2]}
+
+
+def _checkpoint_line(doc_id, stage, payload, version):
+    entry = {"doc_id": doc_id, "stage": stage, "payload": payload, "template_version": version}
+    return (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
+
+
+def test_checkpoint_line_is_whole_when_write_returns(tmp_path):
+    store = CheckpointStore(tmp_path)
+    expected = b""
+    for stage, payload in ((1, {"sdgs": [1]}), (3, {"verdicts": []}), (2, {"pbs": [9]})):
+        store.write("d", stage, payload, "v1")
+        expected += _checkpoint_line("d", stage, payload, "v1")
+        with open(tmp_path / "checkpoints" / "d.jsonl", "rb") as fh:
+            assert fh.read() == expected
+
+
+def test_checkpoint_write_completes_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(pipeline.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    CheckpointStore(tmp_path).write("d", 1, {"sdgs": [1, 2, 3]}, "v1")
+    monkeypatch.undo()
+    assert (tmp_path / "checkpoints" / "d.jsonl").read_bytes() == _checkpoint_line("d", 1, {"sdgs": [1, 2, 3]}, "v1")
+
+
+def test_megabyte_checkpoint_payload_round_trips(tmp_path):
+    payload = {"verdicts": [{
+        "sdg": 1, "pb": 1, "category": "synergy", "justification": "j" * 1_000_000,
+        "evidence_quote": "caf\u00e9 \u2014 \U0001f30d\n",
+    }]}
+    CheckpointStore(tmp_path).write("d", 3, payload, "v1")
+    assert CheckpointStore(tmp_path).load("d") == (3, {3: payload}, "v1")
+
+
+def _open_descriptors():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to count descriptors")
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("interrupt", [False, True])
+def test_run_leaves_no_descriptor_open(replay_run_dir, fixture_docs, catalog, templates, workers, interrupt):
+    runner = make_replay_runner(replay_run_dir, catalog, templates)
+    if interrupt:
+        runner.checkpoints = InterruptingStore(replay_run_dir, fixture_docs[len(fixture_docs) // 2].doc_id, 3)
+    before = _open_descriptors()
+    try:
+        runner.run(fixture_docs, workers=workers)
+    except KeyboardInterrupt:
+        assert interrupt
+    else:
+        assert not interrupt
+    assert _open_descriptors() <= before
 
 
 def test_template_version_mismatch(tmp_path, catalog, templates):
