@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
 from xml.etree import ElementTree
-
-import requests
 
 from .errors import EmptyDocument, HttpFailure, InvalidCursor, MalformedXml, NotTei, QuotaExceeded
 
+if TYPE_CHECKING:
+    import requests
+
 TEI_NS = "http://www.tei-c.org/ns/1.0"
+
+# a 429 is retried after 1, 2, 4 ... times this many seconds
+RATE_LIMIT_BACKOFF_S = 1.0
+# the longest Retry-After wait honoured
+MAX_RETRY_AFTER_S = 60.0
 
 
 class SectionKind(Enum):
@@ -129,12 +136,18 @@ class WorksClient:
         page_size: int = 200,
         retry_budget: int = 3,
         session: requests.Session | None = None,
+        sleep: Callable[[float], None] = time.sleep,
     ):
         self.base_url = base_url.rstrip("/")
         self.mailto = mailto
         self.page_size = page_size
         self.retry_budget = retry_budget
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
+        self._sleep = sleep
 
     def fetch_works(
         self,
@@ -188,6 +201,8 @@ class WorksClient:
                 return
 
     def _get_with_retry(self, url: str, params: dict) -> dict:
+        import requests
+
         attempts = 0
         while True:
             attempts += 1
@@ -200,6 +215,11 @@ class WorksClient:
             if resp.status_code == 429:
                 if attempts > self.retry_budget:
                     raise QuotaExceeded(f"rate limited after {attempts} attempts")
+                wait = RATE_LIMIT_BACKOFF_S * 2 ** (attempts - 1)
+                asked = _retry_after_s(resp.headers)
+                if asked is not None:
+                    wait = max(wait, min(asked, MAX_RETRY_AFTER_S))
+                self._sleep(wait)
                 continue
             if resp.status_code != 200:
                 raise HttpFailure(f"HTTP {resp.status_code} from {url}")
@@ -207,6 +227,13 @@ class WorksClient:
                 return resp.json()
             except ValueError as exc:
                 raise HttpFailure(f"non-JSON response from {url}") from exc
+
+
+def _retry_after_s(headers: Mapping[str, str]) -> float | None:
+    """The delay-seconds value of a Retry-After header (RFC 9110 10.2.3);
+    an HTTP-date or any other value counts as absent."""
+    value = headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 # --------------------------------------------------------------------------

@@ -17,9 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
 from .errors import (
     BackendError,
@@ -29,6 +27,9 @@ from .errors import (
     Timeout,
     TransientBackendError,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 CACHE_SUBDIR = "llm_cache"
 CACHE_FILE = "cache.jsonl"
@@ -224,10 +225,16 @@ class LiveBackend:
         self.model = model
         self.backend_id = model
         self.api_key_env = api_key_env
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self.timeout_s = timeout_s
 
     def send(self, req: PromptRequest) -> str:
+        import requests
+
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise BackendError(f"API key environment variable {self.api_key_env} not set")

@@ -667,7 +667,8 @@ class PipelineRunner:
     # -- single stage call with repair + retry ---------------------------
 
     def _ask(self, req: PromptRequest, parse):
-        """One schema-repair reprompt, then one full retry, then give up."""
+        """One schema-repair reprompt, then one full retry (live backends
+        only), then give up."""
         raw = self.gateway.complete(req)
         try:
             return parse(raw.text)
@@ -677,7 +678,9 @@ class PipelineRunner:
             try:
                 return parse(self.gateway.complete(repair).text)
             except SchemaError:
-                pass
+                if not self.gateway.live:
+                    # an offline backend answers the same request with the same text
+                    raise first from None
             raw = self.gateway.complete(req)  # one full retry
             return parse(raw.text)
 
@@ -864,7 +867,7 @@ class PipelineRunner:
                 sdgs=frozenset(payloads[1]["sdgs"]) if 1 in payloads else frozenset(),
                 pbs=frozenset(payloads[2]["pbs"]) if 2 in payloads else frozenset(),
                 pairs=(), status="failed", template_version=self.templates.version,
-                failed_stage=stage, reason=type(error).__name__,
+                failed_stage=stage, reason=f"{type(error).__name__}: {error}",
             )
         raise error
 

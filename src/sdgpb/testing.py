@@ -106,17 +106,3 @@ class ScriptedBackend:
             return json.dumps({"refinements": refinements})
 
         raise ValueError(f"unexpected stage {req.stage}")
-
-
-class NetworkStubError(AssertionError):
-    pass
-
-
-class FailingNetworkBackend:
-    """Asserts that nothing reaches the network; any send() call fails."""
-
-    live = True
-    backend_id = "network-stub"
-
-    def send(self, req: PromptRequest) -> str:
-        raise NetworkStubError("network was touched; replay must be fully offline")

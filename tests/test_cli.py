@@ -1,10 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import sdgpb
 from sdgpb.cli import main
 from conftest import FIXTURES_DIR
 
@@ -247,3 +251,33 @@ def test_run_on_corrupt_cache_line_exit_3(runner, tmp_path):
         assert result.exit_code == 3, (backend, result.output)
         assert "CacheCorrupt" in result.output
         assert "cache.jsonl: line 5" in result.output
+
+
+_OFFLINE_IMPORTS = """
+import importlib, json, pkgutil, sys
+import sdgpb
+for info in pkgutil.walk_packages(sdgpb.__path__, "sdgpb."):
+    importlib.import_module(info.name)
+from sdgpb.cli import main
+code = 0
+try:
+    main(["validate-fixtures", "--fixtures-dir", sys.argv[1]])
+except SystemExit as exc:
+    code = exc.code
+http = [m for m in ("requests", "urllib3", "ssl", "http.client") if m in sys.modules]
+print(json.dumps({"code": code, "http": http}))
+"""
+
+
+def test_offline_run_loads_no_http_stack():
+    # a fresh interpreter: this test session may already hold requests
+    src = str(Path(sdgpb.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_IMPORTS, str(FIXTURES_DIR)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    outcome = json.loads(proc.stdout.splitlines()[-1])
+    assert outcome == {"code": 0, "http": []}

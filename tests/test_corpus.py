@@ -225,10 +225,11 @@ def test_fixture_corpus_has_no_sentinels(fixture_docs):
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or json.dumps(payload or {})
+        self.headers = dict(headers or {})
 
     def json(self):
         if self._payload is None:
@@ -291,13 +292,63 @@ def test_fetch_works_invalid_cursor():
 def test_fetch_works_quota_exceeded_after_retries():
     session = FakeSession([FakeResponse(429)] * 4)
     with pytest.raises(QuotaExceeded):
-        WorksClient(session=session, retry_budget=3).fetch_works("climate")
+        WorksClient(session=session, retry_budget=3, sleep=lambda s: None).fetch_works("climate")
 
 
 def test_fetch_works_retries_past_429():
     session = FakeSession([FakeResponse(429), FakeResponse(200, _page(["w9"], None))])
-    records, _ = WorksClient(session=session, retry_budget=2).fetch_works("climate")
+    client = WorksClient(session=session, retry_budget=2, sleep=lambda s: None)
+    records, _ = client.fetch_works("climate")
     assert [r.work_id for r in records] == ["w9"]
+
+
+def test_429_backoff_doubles_and_never_sleeps_after_final_attempt():
+    waits = []
+    session = FakeSession([FakeResponse(429)] * 4)
+    with pytest.raises(QuotaExceeded):
+        WorksClient(session=session, retry_budget=3, sleep=waits.append).fetch_works("climate")
+    assert len(session.calls) == 4
+    assert waits == [1.0, 2.0, 4.0]
+
+
+def test_429_retry_after_seconds_lengthens_the_wait():
+    waits = []
+    session = FakeSession([
+        FakeResponse(429, headers={"Retry-After": "7"}),
+        FakeResponse(429, headers={"Retry-After": "1"}),
+        FakeResponse(200, _page(["w9"], None)),
+    ])
+    records, _ = WorksClient(session=session, sleep=waits.append).fetch_works("climate")
+    assert [r.work_id for r in records] == ["w9"]
+    assert waits == [7.0, 2.0]  # a shorter Retry-After never cuts the backoff
+
+
+def test_429_retry_after_is_capped():
+    waits = []
+    session = FakeSession([
+        FakeResponse(429, headers={"Retry-After": "86400"}),
+        FakeResponse(200, _page(["w9"], None)),
+    ])
+    WorksClient(session=session, sleep=waits.append).fetch_works("climate")
+    assert waits == [corpus.MAX_RETRY_AFTER_S]
+
+
+def test_429_retry_after_http_date_counts_as_absent():
+    waits = []
+    session = FakeSession([
+        FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        FakeResponse(200, _page(["w9"], None)),
+    ])
+    WorksClient(session=session, sleep=waits.append).fetch_works("climate")
+    assert waits == [1.0]
+
+
+def test_works_client_without_session_builds_requests_session():
+    import requests
+
+    client = WorksClient()
+    assert isinstance(client.session, requests.Session)
+    client.session.close()
 
 
 def test_fetch_works_http_failure():

@@ -12,6 +12,7 @@ from sdgpb.gateway import (
     CACHE_FILE,
     CACHE_SUBDIR,
     Gateway,
+    LiveBackend,
     PromptRequest,
     RawResponse,
     RecordingBackend,
@@ -325,6 +326,14 @@ def test_replay_performs_no_network(replay_run_dir, monkeypatch):
     monkeypatch.setattr(requests, "post", boom)
     backend = ReplayBackend(replay_run_dir)
     assert backend._cache  # recorded entries loaded from disk only
+
+
+def test_live_backend_without_session_builds_requests_session():
+    import requests
+
+    backend = LiveBackend("https://llm.invalid/v1/complete", "model-x")
+    assert isinstance(backend.session, requests.Session)
+    backend.session.close()
 
 
 # -- a torn or corrupt cache file ---------------------------------------------

@@ -559,8 +559,21 @@ def test_persistent_schema_error_fails_stage(tmp_path, catalog, templates):
     runner = make_runner(backend, tmp_path, catalog, templates)
     res = runner.process_document(make_doc())
     assert res.status == "failed" and res.failed_stage == 1
-    assert res.reason == "SchemaError"
-    # stage 2 runs alongside stage 1, so only stage 1's sends are fixed
+    assert res.reason.startswith("SchemaError: response is not valid JSON: ")
+    # stage 2 runs alongside stage 1, so only stage 1's sends are fixed; an
+    # offline backend would answer a full retry with the same text
+    assert backend.calls_by_stage[1] == 2  # original, repair
+
+
+def test_persistent_schema_error_live_sends_full_retry(tmp_path, catalog, templates):
+    class LiveStageBackend(StageBackend):
+        live = True
+
+    backend = LiveStageBackend({}, bad_first=10**6)
+    runner = make_runner(backend, tmp_path, catalog, templates)
+    res = runner.process_document(make_doc())
+    assert res.status == "failed" and res.failed_stage == 1
+    assert res.reason.startswith("SchemaError: response is not valid JSON: ")
     assert backend.calls_by_stage[1] == 3  # original, repair, full retry
 
 
@@ -573,6 +586,7 @@ def test_deeply_nested_reply_fails_only_its_document(tmp_path, catalog, template
     assert [(r.doc_id, r.status, r.failed_stage) for r in results] == [
         ("doc-deep", "failed", 1), ("doc-ok", "complete", None),
     ]
+    assert results[0].reason == "SchemaError: response nests too deeply to parse"
 
 
 def test_stage3_failure_reported(tmp_path, catalog, templates):
@@ -581,7 +595,7 @@ def test_stage3_failure_reported(tmp_path, catalog, templates):
     runner = make_runner(StageBackend(replies), tmp_path, catalog, templates)
     res = runner.process_document(make_doc())
     assert res.status == "failed" and res.failed_stage == 3
-    assert res.reason == "PairSetMismatch"
+    assert res.reason.startswith("PairSetMismatch: response covers pairs [], expected [")
 
 
 def test_over_context_skips_document(tmp_path, catalog, templates):
