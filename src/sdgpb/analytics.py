@@ -108,27 +108,6 @@ def build_matrix(records: Iterable[InteractionRecord], total_docs: int) -> Inter
     return m
 
 
-def merge(a: InteractionMatrix, b: InteractionMatrix) -> InteractionMatrix:
-    """Combine partial counts. Presence tallies require disjoint doc sets,
-    which holds when partials split the record stream by document."""
-    m = InteractionMatrix(total_docs=a.total_docs + b.total_docs)
-    for src in (a, b):
-        for cell_key, cell in src.counts.items():
-            dst = m.counts.setdefault(cell_key, {})
-            for bk, n in cell.items():
-                dst[bk] = dst.get(bk, 0) + n
-        for cell_key, dcell in src.direction_counts.items():
-            dst = m.direction_counts.setdefault(cell_key, {})
-            for d, n in dcell.items():
-                dst[d] = dst.get(d, 0) + n
-        for s, n in src.doc_presence_sdg.items():
-            m.doc_presence_sdg[s] = m.doc_presence_sdg.get(s, 0) + n
-        for p, n in src.doc_presence_pb.items():
-            m.doc_presence_pb[p] = m.doc_presence_pb.get(p, 0) + n
-        m.total_records += src.total_records
-    return m
-
-
 def matrix_to_json(m: InteractionMatrix) -> dict:
     return {
         "total_docs": m.total_docs,

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import analytics, corpus, pipeline, reporting
-from .config import RunConfig, load_config
+from .config import BACKEND_MODES, RunConfig, load_config
 from .errors import (
     BackendError,
     ConfigError,
@@ -88,20 +88,16 @@ def handles_errors(fn):
     return wrapper
 
 
-def _make_gateway(cfg: RunConfig, backend_mode: str | None = None) -> Gateway:
-    mode = backend_mode or cfg.backend
-    if mode == "replay":
+def _make_gateway(cfg: RunConfig) -> Gateway:
+    if cfg.backend == "replay":
         cache = Path(cfg.run_dir) / CACHE_SUBDIR / CACHE_FILE
         if not cache.exists():
             raise MissingInput(f"replay mode requires a recorded cache at {cache}")
         backend = ReplayBackend(cfg.run_dir)
-    elif mode == "scripted":
+    elif cfg.backend == "scripted":
         backend = ScriptedBackend(seed=cfg.scripted_seed)
-    elif mode == "record":
+    elif cfg.backend == "record":
         backend = RecordingBackend(ScriptedBackend(seed=cfg.scripted_seed), cfg.run_dir)
-    elif mode == "record-live":
-        inner = LiveBackend(cfg.endpoint_url, cfg.models["1"], cfg.api_key_env)
-        backend = RecordingBackend(inner, cfg.run_dir)
     else:
         backend = LiveBackend(cfg.endpoint_url, cfg.models["1"], cfg.api_key_env)
     return Gateway(
@@ -136,10 +132,10 @@ def _load_corpus(cfg: RunConfig) -> list[corpus.CleanDocument]:
     return docs
 
 
-def _run_and_report(cfg: RunConfig, backend_mode: str | None = None) -> Path:
+def _run_and_report(cfg: RunConfig) -> Path:
     """Shared body of `run` and `resume`: process corpus, write results."""
     docs = _load_corpus(cfg)
-    gateway = _make_gateway(cfg, backend_mode)
+    gateway = _make_gateway(cfg)
     runner = _make_runner(cfg, gateway)
     results = runner.run(docs, workers=cfg.worker_count)
     results_path = Path(cfg.run_dir) / "results" / "results.jsonl"
@@ -239,7 +235,7 @@ def ingest(ctx, corpus_dir):
 
 
 @main.command()
-@click.option("--backend", default=None, type=click.Choice(["live", "record", "replay", "scripted"]))
+@click.option("--backend", default=None, type=click.Choice(BACKEND_MODES))
 @click.option("--batch-cap", default=None, type=int)
 @click.option("--workers", "worker_count", default=None, type=int,
               help="Documents processed at once; a live backend also overlaps "

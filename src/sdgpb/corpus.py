@@ -295,12 +295,7 @@ def parse_tei(xml_bytes: bytes) -> TeiDocument:
             div_type = (elem.get("type") or "").lower()
             kind = _KIND_BY_DIV_TYPE.get(div_type)
             if kind is None:
-                if context == "body":
-                    kind = SectionKind.BODY
-                elif context == "back":
-                    kind = SectionKind.OTHER
-                else:
-                    kind = SectionKind.OTHER
+                kind = SectionKind.BODY if context == "body" else SectionKind.OTHER
             # figures nested inside a div are extracted separately
             parts: list[str] = []
             for child in elem:

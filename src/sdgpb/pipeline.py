@@ -61,16 +61,26 @@ logger = logging.getLogger(__name__)
 DEFAULT_BATCH_CAP = 20
 DEFAULT_CONTEXT_BUDGET = 1_000_000
 
-# generous output budgets; pair stages reason at length per pair
-DEFAULT_OUTPUT_BUDGETS = {1: 4096, 2: 4096, 3: 65536, 4: 16384, 5: 65536}
 
-_TEMPLATE_NAMES = (
-    "sdg_allocation.txt",
-    "pb_allocation.txt",
-    "relationship.txt",
-    "causality.txt",
-    "reasoner.txt",
-)
+@dataclass(frozen=True)
+class StageSpec:
+    """What one stage asks for: its reply's list (also the key of its
+    checkpoint payload), its template and its output budget."""
+
+    payload_key: str
+    template: str
+    output_budget: int
+
+
+# generous output budgets; pair stages reason at length per pair. The
+# template version hashes the templates in this order.
+STAGES = {
+    1: StageSpec("sdgs", "sdg_allocation.txt", 4096),
+    2: StageSpec("pbs", "pb_allocation.txt", 4096),
+    3: StageSpec("verdicts", "relationship.txt", 65536),
+    4: StageSpec("directions", "causality.txt", 16384),
+    5: StageSpec("refinements", "reasoner.txt", 65536),
+}
 
 _SYSTEM_TEXT = (
     "You classify interactions between Sustainable Development Goals and "
@@ -88,18 +98,15 @@ class PromptTemplates:
     """Versioned stage templates; the version hash keys replay and resume."""
 
     def __init__(self, template_dir: str | Path | None = None):
+        source = resources.files("sdgpb.templates") if template_dir is None else Path(template_dir)
         self._texts: dict[str, str] = {}
-        if template_dir is None:
-            for name in _TEMPLATE_NAMES:
-                self._texts[name] = resources.files("sdgpb.templates").joinpath(name).read_text("utf-8")
-        else:
-            for name in _TEMPLATE_NAMES:
-                self._texts[name] = (Path(template_dir) / name).read_text("utf-8")
         h = hashlib.sha256()
-        for name in _TEMPLATE_NAMES:
-            h.update(name.encode())
+        for spec in STAGES.values():
+            text = source.joinpath(spec.template).read_text("utf-8")
+            self._texts[spec.template] = text
+            h.update(spec.template.encode())
             h.update(b"\x00")
-            h.update(self._texts[name].encode())
+            h.update(text.encode())
         self.version = h.hexdigest()[:16]
 
     def text(self, name: str) -> str:
@@ -185,30 +192,55 @@ class DocumentResult:
 # whole catalog, and pair batches repeat id sets across documents.
 @functools.lru_cache(maxsize=1024)
 def _definition_block(catalog: Catalog, axis: str, ids: tuple[int, ...] | None = None) -> str:
-    lines = []
     if axis == "SDG":
-        chosen = ids if ids is not None else catalog.sdg_ids
-        for i in chosen:
-            d = catalog.sdg_descriptor(i)
-            lines.append(f"SDG {d.id} ({d.short_name}): {d.definition}")
+        chosen, describe = catalog.sdg_ids, catalog.sdg_descriptor
     else:
-        chosen = ids if ids is not None else catalog.pb_ids
-        for i in chosen:
-            d = catalog.pb_descriptor(i)
-            lines.append(f"PB {d.id} ({d.short_name}): {d.definition}")
+        chosen, describe = catalog.pb_ids, catalog.pb_descriptor
+    lines = []
+    for i in chosen if ids is None else ids:
+        d = describe(i)
+        lines.append(f"{axis} {d.id} ({d.short_name}): {d.definition}")
     return "\n".join(lines)
 
 
-def _guard_context(doc: CleanDocument, rendered: str, budget: int) -> None:
-    if estimate_tokens(rendered) > budget:
+def _pair_lines(catalog: Catalog, batch: Sequence[tuple[int, int]]) -> list[str]:
+    lines = []
+    for s, p in batch:
+        sd = catalog.sdg_descriptor(s)
+        pd = catalog.pb_descriptor(p)
+        lines.append(f"- SDG {s} ({sd.short_name}) and PB {p} ({pd.short_name})")
+    return lines
+
+
+def _render(
+    stage: int,
+    doc: CleanDocument,
+    templates: PromptTemplates,
+    context_budget: int,
+    batch: Sequence[tuple[int, int]] | None = None,
+    **fields: str,
+) -> PromptRequest:
+    """The stage's template filled with the body, the batch's PAIRS list
+    (pair stages) and the stage's own fields, within the context budget."""
+    spec = STAGES[stage]
+    if batch is not None:
+        if not batch:
+            raise ValueError("batch must be non-empty")
+        fields["pairs_json"] = json.dumps([list(p) for p in batch], separators=(",", ":"))
+    rendered = templates.text(spec.template).format(body_text=doc.body_text, **fields)
+    tokens = estimate_tokens(rendered)
+    if tokens > context_budget:
         raise OverContext(
-            f"{doc.doc_id}: prompt estimate {estimate_tokens(rendered)} tokens "
-            f"exceeds context budget {budget}"
+            f"{doc.doc_id}: prompt estimate {tokens} tokens "
+            f"exceeds context budget {context_budget}"
         )
-
-
-def _pairs_json(batch: Sequence[tuple[int, int]]) -> str:
-    return json.dumps([list(p) for p in batch], separators=(",", ":"))
+    return PromptRequest(
+        stage=stage,
+        doc_id=doc.doc_id,
+        system_text=_SYSTEM_TEXT,
+        user_text=rendered,
+        max_output_tokens=spec.output_budget,
+    )
 
 
 def build_allocation_prompt(
@@ -217,23 +249,12 @@ def build_allocation_prompt(
     catalog: Catalog,
     templates: PromptTemplates,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    output_budgets: dict[int, int] = DEFAULT_OUTPUT_BUDGETS,
 ) -> PromptRequest:
     if axis not in ("SDG", "PB"):
         raise ValueError(f"axis must be 'SDG' or 'PB', got {axis!r}")
-    stage = 1 if axis == "SDG" else 2
-    name = "sdg_allocation.txt" if axis == "SDG" else "pb_allocation.txt"
-    rendered = templates.text(name).format(
+    return _render(
+        1 if axis == "SDG" else 2, doc, templates, context_budget,
         definitions=_definition_block(catalog, axis),
-        body_text=doc.body_text,
-    )
-    _guard_context(doc, rendered, context_budget)
-    return PromptRequest(
-        stage=stage,
-        doc_id=doc.doc_id,
-        system_text=_SYSTEM_TEXT,
-        user_text=rendered,
-        max_output_tokens=output_budgets[stage],
     )
 
 
@@ -243,25 +264,13 @@ def build_relationship_prompt(
     catalog: Catalog,
     templates: PromptTemplates,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    output_budgets: dict[int, int] = DEFAULT_OUTPUT_BUDGETS,
 ) -> PromptRequest:
-    if not batch:
-        raise ValueError("batch must be non-empty")
     sdg_ids = tuple(sorted({s for s, _ in batch}))
     pb_ids = tuple(sorted({p for _, p in batch}))
-    rendered = templates.text("relationship.txt").format(
+    return _render(
+        3, doc, templates, context_budget, batch,
         sdg_definitions=_definition_block(catalog, "SDG", sdg_ids),
         pb_definitions=_definition_block(catalog, "PB", pb_ids),
-        pairs_json=_pairs_json(batch),
-        body_text=doc.body_text,
-    )
-    _guard_context(doc, rendered, context_budget)
-    return PromptRequest(
-        stage=3,
-        doc_id=doc.doc_id,
-        system_text=_SYSTEM_TEXT,
-        user_text=rendered,
-        max_output_tokens=output_budgets[3],
     )
 
 
@@ -271,27 +280,10 @@ def build_causality_prompt(
     catalog: Catalog,
     templates: PromptTemplates,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    output_budgets: dict[int, int] = DEFAULT_OUTPUT_BUDGETS,
 ) -> PromptRequest:
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    lines = []
-    for s, p in batch:
-        sd = catalog.sdg_descriptor(s)
-        pd = catalog.pb_descriptor(p)
-        lines.append(f"- SDG {s} ({sd.short_name}) and PB {p} ({pd.short_name})")
-    rendered = templates.text("causality.txt").format(
-        pair_block="\n".join(lines),
-        pairs_json=_pairs_json(batch),
-        body_text=doc.body_text,
-    )
-    _guard_context(doc, rendered, context_budget)
-    return PromptRequest(
-        stage=4,
-        doc_id=doc.doc_id,
-        system_text=_SYSTEM_TEXT,
-        user_text=rendered,
-        max_output_tokens=output_budgets[4],
+    return _render(
+        4, doc, templates, context_budget, batch,
+        pair_block="\n".join(_pair_lines(catalog, batch)),
     )
 
 
@@ -302,34 +294,14 @@ def build_reasoner_prompt(
     catalog: Catalog,
     templates: PromptTemplates,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
-    output_budgets: dict[int, int] = DEFAULT_OUTPUT_BUDGETS,
 ) -> PromptRequest:
-    if not batch:
-        raise ValueError("batch must be non-empty")
     lines = []
-    for s, p in batch:
+    for (s, p), line in zip(batch, _pair_lines(catalog, batch)):
         cat = categories[(s, p)]
         if cat is Category.NEUTRAL:
             raise ValueError(f"pair ({s},{p}) is neutral; reasoner takes only synergies/trade-offs")
-        sd = catalog.sdg_descriptor(s)
-        pd = catalog.pb_descriptor(p)
-        lines.append(
-            f"- SDG {s} ({sd.short_name}) and PB {p} ({pd.short_name}): "
-            f"currently classified as {cat.value}"
-        )
-    rendered = templates.text("reasoner.txt").format(
-        pair_block="\n".join(lines),
-        pairs_json=_pairs_json(batch),
-        body_text=doc.body_text,
-    )
-    _guard_context(doc, rendered, context_budget)
-    return PromptRequest(
-        stage=5,
-        doc_id=doc.doc_id,
-        system_text=_SYSTEM_TEXT,
-        user_text=rendered,
-        max_output_tokens=output_budgets[5],
-    )
+        lines.append(f"{line}: currently classified as {cat.value}")
+    return _render(5, doc, templates, context_budget, batch, pair_block="\n".join(lines))
 
 
 # --------------------------------------------------------------------------
@@ -355,38 +327,46 @@ def _parse_json_object(text: str) -> dict:
     return obj
 
 
-def parse_allocation(text: str, axis: str) -> frozenset[int]:
-    key = "sdgs" if axis == "SDG" else "pbs"
-    upper = SDG_COUNT if axis == "SDG" else PB_COUNT
-    obj = _parse_json_object(text)
-    if key not in obj or not isinstance(obj[key], list):
+def _read_reply(text: str, stage: int, batch: Sequence[tuple[int, int]] | None = None) -> list:
+    """The list a stage's reply holds under its payload key. Given the batch
+    it answers, (pair, entry) for each pair of the batch, in batch order:
+    duplicates are dropped, conflicting ones poison the batch, and the
+    entries must cover exactly the batch's pairs."""
+    key = STAGES[stage].payload_key
+    entries = _parse_json_object(text).get(key)
+    if not isinstance(entries, list):
         raise SchemaError(f"expected key {key!r} holding a list")
+    if batch is None:
+        return entries
+    by_pair: dict[tuple[int, int], dict] = {}
+    for entry in entries:
+        try:
+            pair = (entry["sdg"], entry["pb"])
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"entry missing sdg/pb: {entry!r}") from exc
+        # json.loads gives exactly int for an integer; this also rejects true/false
+        if type(pair[0]) is not int or type(pair[1]) is not int:
+            raise SchemaError(f"non-integer pair ids in {entry!r}")
+        if pair in by_pair and by_pair[pair] != entry:
+            raise SchemaError(f"conflicting duplicate {key} for pair {pair}")
+        by_pair[pair] = entry
+    if by_pair.keys() != set(batch):
+        raise PairSetMismatch(
+            f"response covers pairs {sorted(by_pair)}, expected {sorted(set(batch))}"
+        )
+    return [(pair, by_pair[pair]) for pair in batch]
+
+
+def parse_allocation(text: str, axis: str) -> frozenset[int]:
+    stage, upper = (1, SDG_COUNT) if axis == "SDG" else (2, PB_COUNT)
     ids = set()
-    for v in obj[key]:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise SchemaError(f"non-integer id {v!r} in {key!r}")
+    for v in _read_reply(text, stage):
+        if type(v) is not int:
+            raise SchemaError(f"non-integer id {v!r} in {STAGES[stage].payload_key!r}")
         if not 1 <= v <= upper:
             raise IdOutOfRange(f"{axis} id {v} outside [1,{upper}]")
         ids.add(v)
     return frozenset(ids)
-
-
-def _check_pair_set(got: Iterable[tuple[int, int]], batch: Sequence[tuple[int, int]]) -> None:
-    if set(got) != set(batch):
-        raise PairSetMismatch(
-            f"response covers pairs {sorted(set(got))}, expected {sorted(set(batch))}"
-        )
-
-
-def _pair_of(entry: dict) -> tuple[int, int]:
-    try:
-        s, p = entry["sdg"], entry["pb"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"entry missing sdg/pb: {entry!r}") from exc
-    # json.loads gives exactly int for an integer; this also rejects true/false
-    if type(s) is not int or type(p) is not int:
-        raise SchemaError(f"non-integer pair ids in {entry!r}")
-    return (s, p)
 
 
 _CATEGORY_ALIASES = {
@@ -405,29 +385,11 @@ _LABEL_BY_TEXT = {label.value.lower(): label for label in RefinedLabel}
 _LABEL_BY_TEXT["double negative"] = RefinedLabel.DOUBLE_NEGATIVE
 
 
-def _collect_unique(entries: list, batch: Sequence[tuple[int, int]], what: str) -> dict[tuple[int, int], dict]:
-    """Deduplicate entries by pair; conflicting duplicates poison the batch."""
-    by_pair: dict[tuple[int, int], dict] = {}
-    for entry in entries:
-        pair = _pair_of(entry)
-        if pair in by_pair and by_pair[pair] != entry:
-            raise SchemaError(f"conflicting duplicate {what} for pair {pair}")
-        by_pair[pair] = entry
-    _check_pair_set(by_pair.keys(), batch)
-    return by_pair
-
-
 def parse_relationship(
     text: str, batch: Sequence[tuple[int, int]]
 ) -> list[tuple[tuple[int, int], Category, str, str]]:
-    obj = _parse_json_object(text)
-    entries = obj.get("verdicts")
-    if not isinstance(entries, list):
-        raise SchemaError("expected key 'verdicts' holding a list")
-    by_pair = _collect_unique(entries, batch, "verdicts")
     out = []
-    for pair in batch:
-        entry = by_pair[pair]
+    for pair, entry in _read_reply(text, 3, batch):
         raw_cat = str(entry.get("category", "")).strip().lower()
         if raw_cat not in _CATEGORY_ALIASES:
             raise UnknownCategory(f"unknown category {entry.get('category')!r} for pair {pair}")
@@ -443,16 +405,11 @@ def parse_relationship(
 def parse_causality(
     text: str, batch: Sequence[tuple[int, int]]
 ) -> list[tuple[tuple[int, int], Direction]]:
-    obj = _parse_json_object(text)
-    entries = obj.get("directions")
-    if not isinstance(entries, list):
-        raise SchemaError("expected key 'directions' holding a list")
-    by_pair = _collect_unique(entries, batch, "directions")
     out = []
-    for pair in batch:
-        raw = str(by_pair[pair].get("direction", "")).strip().lower()
+    for pair, entry in _read_reply(text, 4, batch):
+        raw = str(entry.get("direction", "")).strip().lower()
         if raw not in _DIRECTION_ALIASES:
-            raise UnknownDirection(f"unknown direction {by_pair[pair].get('direction')!r} for pair {pair}")
+            raise UnknownDirection(f"unknown direction {entry.get('direction')!r} for pair {pair}")
         out.append((pair, _DIRECTION_ALIASES[raw]))
     return out
 
@@ -462,16 +419,11 @@ def parse_reasoner(
     batch: Sequence[tuple[int, int]],
     categories: dict[tuple[int, int], Category],
 ) -> list[tuple[tuple[int, int], RefinedLabel]]:
-    obj = _parse_json_object(text)
-    entries = obj.get("refinements")
-    if not isinstance(entries, list):
-        raise SchemaError("expected key 'refinements' holding a list")
-    by_pair = _collect_unique(entries, batch, "refinements")
     out = []
-    for pair in batch:
-        raw = str(by_pair[pair].get("label", "")).strip().lower()
+    for pair, entry in _read_reply(text, 5, batch):
+        raw = str(entry.get("label", "")).strip().lower()
         if raw not in _LABEL_BY_TEXT:
-            raise SchemaError(f"unknown refinement label {by_pair[pair].get('label')!r} for pair {pair}")
+            raise SchemaError(f"unknown refinement label {entry.get('label')!r} for pair {pair}")
         label = _LABEL_BY_TEXT[raw]
         if label not in refined_labels_for(categories[pair]):
             raise IllegalRefinement(
@@ -551,7 +503,7 @@ class CheckpointStore:
                     continue
                 entry = json.loads(line)
                 stage = entry["stage"]
-                if stage not in _PAYLOAD_KEYS:
+                if stage not in STAGES:
                     raise ValueError(f"unknown stage {stage!r}")
                 payloads[stage] = entry["payload"]
                 version = entry["template_version"]
@@ -595,7 +547,8 @@ class CheckpointStore:
 
 
 class _EvidenceCheck:
-    """Whether an evidence quote occurs in a document's body, whitespace
+    """Stage 3's verdicts for one document: a non-neutral verdict keeps its
+    category only if its evidence quote occurs in the body, whitespace
     normalised on both sides.
 
     A normalised, non-empty quote has each of its spaces between two
@@ -605,8 +558,8 @@ class _EvidenceCheck:
     share one check.
     """
 
-    def __init__(self, body_text: str):
-        self._raw = body_text
+    def __init__(self, doc: CleanDocument):
+        self._doc = doc
         self._normalized: str | None = None
         self._lock = threading.Lock()
 
@@ -614,12 +567,41 @@ class _EvidenceCheck:
         quote = normalize_ws(quote)
         if not quote:
             return False
-        if quote in self._raw:
+        if quote in self._doc.body_text:
             return True
         with self._lock:
             if self._normalized is None:
-                self._normalized = normalize_ws(self._raw)
+                self._normalized = normalize_ws(self._doc.body_text)
         return quote in self._normalized
+
+    def verdicts(self, parsed: list[tuple[tuple[int, int], Category, str, str]]) -> list[dict]:
+        """Stage 3's payload entries, each unsupported quote downgraded to neutral."""
+        verdicts = []
+        for (s, p), category, justification, quote in parsed:
+            if category is not Category.NEUTRAL and not self.holds(quote):
+                logger.warning(
+                    "%s pair (%d,%d): evidence quote not found verbatim in body; "
+                    "downgrading to neutral",
+                    self._doc.doc_id, s, p,
+                )
+                category, quote = Category.NEUTRAL, ""
+            verdicts.append(
+                {
+                    "sdg": s,
+                    "pb": p,
+                    "category": category.value,
+                    "justification": justification,
+                    "evidence_quote": quote,
+                }
+            )
+        return verdicts
+
+
+def _pair_entries(
+    field: str, parsed: list[tuple[tuple[int, int], Direction | RefinedLabel]]
+) -> list[dict]:
+    """Stage 4's or 5's payload entries: each pair with its parsed value."""
+    return [{"sdg": s, "pb": p, field: value.value} for (s, p), value in parsed]
 
 
 # --------------------------------------------------------------------------
@@ -629,8 +611,6 @@ class _EvidenceCheck:
 # 4 and 5 need only stage 3's categories: each wave holds what the waves
 # before it unblock.
 _WAVES = ((1, 2), (3,), (4, 5))
-
-_PAYLOAD_KEYS = {1: "sdgs", 2: "pbs", 3: "verdicts", 4: "directions", 5: "refinements"}
 
 
 def _attempt(call: Callable[[], list]) -> tuple[list | None, Exception | None]:
@@ -651,7 +631,6 @@ class PipelineRunner:
         templates: PromptTemplates,
         batch_cap: int = DEFAULT_BATCH_CAP,
         context_budget: int = DEFAULT_CONTEXT_BUDGET,
-        output_budgets: dict[int, int] | None = None,
     ):
         self.gateway = gateway
         self.checkpoints = checkpoints
@@ -659,107 +638,62 @@ class PipelineRunner:
         self.templates = templates
         self.batch_cap = batch_cap
         self.context_budget = context_budget
-        self.output_budgets = dict(output_budgets or DEFAULT_OUTPUT_BUDGETS)
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._docs_in_flight = 1
 
-    # -- single stage call with repair + retry ---------------------------
+    # -- one stage call with repair + retry -------------------------------
 
-    def _ask(self, req: PromptRequest, parse):
-        """One schema-repair reprompt, then one full retry (live backends
-        only), then give up."""
-        raw = self.gateway.complete(req)
+    def _call(self, build: Callable, parse: Callable, entries: Callable, doc: CleanDocument,
+              *args) -> list:
+        """One call of a stage, returning its payload entries: one
+        schema-repair reprompt, then one full retry (live backends only),
+        then give up. `args` follow the document in the builder's call and
+        the reply text in the parser's: an axis or a batch, and stage 5's
+        categories."""
+        req = build(doc, *args, self.catalog, self.templates, self.context_budget)
         try:
-            return parse(raw.text)
+            parsed = parse(self.gateway.complete(req).text, *args)
         except SchemaError as first:
             logger.warning("%s stage %d: %s; sending repair prompt", req.doc_id, req.stage, first)
             repair = replace(req, user_text=req.user_text + _REPAIR_SUFFIX)
             try:
-                return parse(self.gateway.complete(repair).text)
+                parsed = parse(self.gateway.complete(repair).text, *args)
             except SchemaError:
                 if not self.gateway.live:
                     # an offline backend answers the same request with the same text
                     raise first from None
-            raw = self.gateway.complete(req)  # one full retry
-            return parse(raw.text)
-
-    # -- one call per stage or batch, each returning its payload entries ----
-
-    def _allocation(self, doc: CleanDocument, axis: str) -> list[int]:
-        req = build_allocation_prompt(
-            doc, axis, self.catalog, self.templates, self.context_budget, self.output_budgets
-        )
-        return sorted(self._ask(req, lambda t: parse_allocation(t, axis)))
-
-    def _relationship_batch(
-        self, doc: CleanDocument, evidence: _EvidenceCheck, batch: list[tuple[int, int]]
-    ) -> list[dict]:
-        req = build_relationship_prompt(
-            doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
-        )
-        verdicts = []
-        for (s, p), category, justification, quote in self._ask(
-            req, lambda t: parse_relationship(t, batch)
-        ):
-            if category is not Category.NEUTRAL:
-                if not evidence.holds(quote):
-                    logger.warning(
-                        "%s pair (%d,%d): evidence quote not found verbatim in body; "
-                        "downgrading to neutral",
-                        doc.doc_id, s, p,
-                    )
-                    category, quote = Category.NEUTRAL, ""
-            verdicts.append(
-                {
-                    "sdg": s,
-                    "pb": p,
-                    "category": category.value,
-                    "justification": justification,
-                    "evidence_quote": quote,
-                }
-            )
-        return verdicts
-
-    def _causality_batch(self, doc: CleanDocument, batch: list[tuple[int, int]]) -> list[dict]:
-        req = build_causality_prompt(
-            doc, batch, self.catalog, self.templates, self.context_budget, self.output_budgets
-        )
-        parsed = self._ask(req, lambda t: parse_causality(t, batch))
-        return [{"sdg": s, "pb": p, "direction": direction.value} for (s, p), direction in parsed]
-
-    def _reasoner_batch(
-        self,
-        doc: CleanDocument,
-        batch: list[tuple[int, int]],
-        categories: dict[tuple[int, int], Category],
-    ) -> list[dict]:
-        req = build_reasoner_prompt(
-            doc, batch, categories, self.catalog, self.templates,
-            self.context_budget, self.output_budgets,
-        )
-        parsed = self._ask(req, lambda t: parse_reasoner(t, batch, categories))
-        return [{"sdg": s, "pb": p, "label": label.value} for (s, p), label in parsed]
+                parsed = parse(self.gateway.complete(req).text, *args)  # one full retry
+        return entries(parsed)
 
     def _stage_calls(
         self, doc: CleanDocument, stage: int, payloads: dict[int, dict]
     ) -> list[Callable[[], list]]:
-        """One stage's calls in batch order, built from the payloads it needs."""
+        """One stage's calls in batch order, built from the payloads it needs.
+
+        The builders and parsers are looked up in this module's globals as
+        each document runs, so a wrapper set on the module sees every call.
+        """
         if stage in (1, 2):
-            return [partial(self._allocation, doc, "SDG" if stage == 1 else "PB")]
+            axis = "SDG" if stage == 1 else "PB"
+            return [partial(self._call, build_allocation_prompt, parse_allocation, sorted, doc, axis)]
         if stage == 3:
             pairs = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
-            batches = chunk_pairs(pairs, self.batch_cap)
-            evidence = _EvidenceCheck(doc.body_text)
-            return [partial(self._relationship_batch, doc, evidence, b) for b in batches]
+            call = partial(self._call, build_relationship_prompt, parse_relationship,
+                           _EvidenceCheck(doc).verdicts, doc)
+            return [partial(call, batch) for batch in chunk_pairs(pairs, self.batch_cap)]
         categories = {
             (v["sdg"], v["pb"]): Category(v["category"]) for v in payloads[3]["verdicts"]
         }
         active = [pair for pair, cat in categories.items() if cat is not Category.NEUTRAL]
         batches = chunk_pairs(active, self.batch_cap)
         if stage == 4:
-            return [partial(self._causality_batch, doc, b) for b in batches]
-        return [partial(self._reasoner_batch, doc, b, categories) for b in batches]
+            call = partial(self._call, build_causality_prompt, parse_causality,
+                           partial(_pair_entries, "direction"), doc)
+            return [partial(call, batch) for batch in batches]
+        call = partial(self._call, build_reasoner_prompt, parse_reasoner,
+                       partial(_pair_entries, "label"), doc)
+        return [partial(call, batch, categories) for batch in batches]
 
     # -- wave dispatch ----------------------------------------------------
 
@@ -818,7 +752,7 @@ class PipelineRunner:
                 if error is not None:
                     return self._stopped(doc, stage, error, payloads)
                 entries = [entry for part, _ in mine for entry in part]
-                payloads[stage] = {_PAYLOAD_KEYS[stage]: entries}
+                payloads[stage] = {STAGES[stage].payload_key: entries}
                 self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
 
         direction_by_pair = {

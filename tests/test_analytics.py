@@ -14,7 +14,6 @@ from sdgpb.analytics import (
     goal_tradeoff_shares,
     matrix_from_json,
     matrix_to_json,
-    merge,
     normalize_bars,
     presence_share,
     ratio_to_global,
@@ -172,21 +171,6 @@ def test_order_invariance():
     rng.shuffle(shuffled)
     m2 = build_matrix(shuffled, 200)
     assert matrix_to_json(m1) == matrix_to_json(m2)
-
-
-def test_merge_equals_whole():
-    rng = random.Random(7)
-    records = random_records(rng, 500)
-    by_doc = {}
-    for r in records:
-        by_doc.setdefault(r.doc_id, []).append(r)
-    docs = sorted(by_doc)
-    half = len(docs) // 2
-    a = [r for d in docs[:half] for r in by_doc[d]]
-    b = [r for d in docs[half:] for r in by_doc[d]]
-    merged = merge(build_matrix(a, len(docs[:half])), build_matrix(b, len(docs[half:])))
-    whole = build_matrix(records, len(docs))
-    assert matrix_to_json(merged) == matrix_to_json(whole)
 
 
 # -- basic counting ----------------------------------------------------------

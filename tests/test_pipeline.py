@@ -37,6 +37,7 @@ from sdgpb.pipeline import (
     parse_relationship,
 )
 from sdgpb.taxonomy import Category, Direction, RefinedLabel
+from sdgpb.testing import ScriptedBackend
 
 from conftest import make_replay_runner
 from test_acceptance import InterruptingStore
@@ -391,6 +392,21 @@ def test_reasoner_prompt_rejects_neutral_pairs(catalog, templates):
         )
 
 
+def test_builders_set_each_stage_output_budget(catalog, templates):
+    # neither the goldens nor the record key hold max_output_tokens
+    doc = make_doc()
+    requests = [
+        build_allocation_prompt(doc, "SDG", catalog, templates),
+        build_allocation_prompt(doc, "PB", catalog, templates),
+        build_relationship_prompt(doc, [(2, 6)], catalog, templates),
+        build_causality_prompt(doc, [(2, 6)], catalog, templates),
+        build_reasoner_prompt(doc, [(2, 6)], {(2, 6): Category.SYNERGY}, catalog, templates),
+    ]
+    assert [(req.stage, req.max_output_tokens) for req in requests] == [
+        (1, 4096), (2, 4096), (3, 65536), (4, 16384), (5, 65536),
+    ]
+
+
 # -- document state machine ---------------------------------------------------
 
 
@@ -469,6 +485,31 @@ def test_process_document_complete(tmp_path, catalog, templates):
         assert p.category is Category.SYNERGY
         assert p.direction is Direction.PB_TO_SDG
         assert p.refined is RefinedLabel.ACTUAL_SYNERGY
+
+
+_PUBLIC_STEPS = [
+    "build_allocation_prompt", "build_relationship_prompt", "build_causality_prompt",
+    "build_reasoner_prompt", "parse_allocation", "parse_relationship", "parse_causality",
+    "parse_reasoner",
+]
+
+
+def test_runner_calls_public_builders_and_parsers_through_the_module(
+    tmp_path, catalog, templates, monkeypatch
+):
+    # the benchmark times prompt building and parsing by patching these
+    # module names; a runner holding its own references would read 0 ms
+    calls = Counter()
+    for name in _PUBLIC_STEPS:
+        def counting(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    # seed 0 gives this document non-neutral pairs, so every stage runs
+    runner = make_runner(ScriptedBackend(seed=0), tmp_path, catalog, templates)
+    assert runner.process_document(make_doc()).status == "complete"
+    assert set(calls) == set(_PUBLIC_STEPS)
 
 
 def test_empty_allocation_completes_with_zero_pairs(tmp_path, catalog, templates):
@@ -612,7 +653,7 @@ def test_pair_stage_over_context_skips_document(tmp_path, catalog, templates, te
     # pad one pair-stage template past a budget that stages 1 and 2 fit in
     template_dir = tmp_path / "templates"
     template_dir.mkdir()
-    for name in pipeline._TEMPLATE_NAMES:
+    for name in [spec.template for spec in pipeline.STAGES.values()]:
         (template_dir / name).write_text(templates.text(name), "utf-8")
     doc = make_doc()
     budget = max(
