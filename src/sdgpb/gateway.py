@@ -17,7 +17,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .errors import (
     BackendError,
@@ -33,8 +33,6 @@ if TYPE_CHECKING:
 
 CACHE_SUBDIR = "llm_cache"
 CACHE_FILE = "cache.jsonl"
-
-_PAIRS_PREFIX = "PAIRS: ["
 
 
 @dataclass(frozen=True)
@@ -59,57 +57,14 @@ class RawResponse:
     attempt_count: int
 
 
-def _sort_pairs(listed: str) -> str:
-    try:
-        pairs = json.loads(listed)
-    except ValueError:
-        return listed
-    pairs = sorted(tuple(p) for p in pairs)
-    return json.dumps([list(p) for p in pairs], separators=(",", ":"))
-
-
-def pair_lists(text: str) -> Iterator[tuple[int, int]]:
-    """The (start, end) offsets of the "[...]" on each 'PAIRS: [...]' line.
-
-    A PAIRS line starts at the start of the text or after a "\n" and ends
-    with "]" just before the next "\n" or the end of the text. The prompt's
-    article body is skipped by a literal search rather than scanned line by
-    line.
-    """
-    start = text.find(_PAIRS_PREFIX)
-    while start != -1:
-        end = text.find("\n", start)
-        if end == -1:
-            end = len(text)
-        if (start == 0 or text[start - 1] == "\n") and text[end - 1] == "]":
-            yield start + len(_PAIRS_PREFIX) - 1, end
-        # no later match on this line can start it
-        start = text.find(_PAIRS_PREFIX, end)
-
-
-def canonicalize_user_text(text: str) -> str:
-    """Sort the pair list on any PAIRS line (see `pair_lists`) so that
-    listing order never changes the record key."""
-    parts = []
-    done = 0
-    for start, end in pair_lists(text):
-        parts.append(text[done:start])
-        parts.append(_sort_pairs(text[start:end]))
-        done = end
-    if not parts:
-        return text
-    parts.append(text[done:])
-    return "".join(parts)
-
-
 def record_key(req: PromptRequest) -> bytes:
-    """32-byte key over stage, doc id, and canonicalized user text."""
+    """32-byte key over stage, doc id, and the user text as sent."""
     h = hashlib.sha256()
     h.update(str(req.stage).encode())
     h.update(b"\x00")
     h.update(req.doc_id.encode())
     h.update(b"\x00")
-    h.update(canonicalize_user_text(req.user_text).encode())
+    h.update(req.user_text.encode())
     return h.digest()
 
 
@@ -261,9 +216,12 @@ class LiveBackend:
         if resp.status_code != 200:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()["text"]
-        except (ValueError, KeyError) as exc:
+            text = resp.json()["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"text is {type(text).__name__}, not str")
+        except (ValueError, KeyError, TypeError) as exc:
             raise BackendError("malformed completion response") from exc
+        return text
 
 
 def _read_cache(path: Path) -> tuple[dict[str, str], int]:
@@ -286,9 +244,12 @@ def _read_cache(path: Path) -> tuple[dict[str, str], int]:
             continue
         try:
             entry = json.loads(line)
-            cache[entry["key"]] = entry["text"]
+            key, recorded = entry["key"], entry["text"]
+            if not (isinstance(key, str) and isinstance(recorded, str)):
+                raise TypeError("key and text must be strings")
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheCorrupt(f"{path}: line {number} is not a cache entry: {exc}") from exc
+        cache[key] = recorded
     return cache, whole
 
 

@@ -243,6 +243,13 @@ def _render(
     )
 
 
+def _allocation_axis(axis: str) -> tuple[int, int]:
+    """The allocation stage of an axis and the largest id it allows."""
+    if axis not in ("SDG", "PB"):
+        raise ValueError(f"axis must be 'SDG' or 'PB', got {axis!r}")
+    return (1, SDG_COUNT) if axis == "SDG" else (2, PB_COUNT)
+
+
 def build_allocation_prompt(
     doc: CleanDocument,
     axis: str,
@@ -250,11 +257,9 @@ def build_allocation_prompt(
     templates: PromptTemplates,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> PromptRequest:
-    if axis not in ("SDG", "PB"):
-        raise ValueError(f"axis must be 'SDG' or 'PB', got {axis!r}")
+    stage, _ = _allocation_axis(axis)
     return _render(
-        1 if axis == "SDG" else 2, doc, templates, context_budget,
-        definitions=_definition_block(catalog, axis),
+        stage, doc, templates, context_budget, definitions=_definition_block(catalog, axis)
     )
 
 
@@ -358,7 +363,7 @@ def _read_reply(text: str, stage: int, batch: Sequence[tuple[int, int]] | None =
 
 
 def parse_allocation(text: str, axis: str) -> frozenset[int]:
-    stage, upper = (1, SDG_COUNT) if axis == "SDG" else (2, PB_COUNT)
+    stage, upper = _allocation_axis(axis)
     ids = set()
     for v in _read_reply(text, stage):
         if type(v) is not int:
@@ -677,6 +682,9 @@ class PipelineRunner:
         if stage in (1, 2):
             axis = "SDG" if stage == 1 else "PB"
             return [partial(self._call, build_allocation_prompt, parse_allocation, sorted, doc, axis)]
+        # Record keys hash each PAIRS line as sent, so recorded replies rely on
+        # this order: stage 3 batches the sorted candidates, and stages 4 and 5
+        # batch the non-neutral pairs in stage-3 verdict order.
         if stage == 3:
             pairs = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
             call = partial(self._call, build_relationship_prompt, parse_relationship,

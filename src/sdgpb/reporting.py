@@ -283,39 +283,21 @@ def emit_summary_json(m: InteractionMatrix) -> str:
             "pb_to_sdg_share": share,
             "pb_to_sdg_display": _display(share),
         }
-    if m.total_docs > 0:
-        summary["presence"] = {
-            "sdg": {
-                str(i): {
-                    "share": presence_share(m, "SDG", i),
-                    "display": _display(presence_share(m, "SDG", i)),
+    for axis, count in (("SDG", SDG_COUNT), ("PB", PB_COUNT)):
+        name = axis.lower()
+        if m.total_docs > 0:
+            present = {i: presence_share(m, axis, i) for i in range(1, count + 1)}
+            summary.setdefault("presence", {})[name] = {
+                str(i): {"share": s, "display": _display(s)} for i, s in present.items()
+            }
+        per_goal = {}
+        for i in range(1, count + 1):
+            shares = goal_tradeoff_shares(m, axis, i)
+            if shares is not None:
+                per_goal[str(i)] = {
+                    **shares,
+                    "tradeoff_display_incl_dn": _display(shares["tradeoff_share_incl_dn"]),
+                    "tradeoff_display_excl_dn": _display(shares["tradeoff_share_excl_dn"]),
                 }
-                for i in range(1, SDG_COUNT + 1)
-            },
-            "pb": {
-                str(i): {
-                    "share": presence_share(m, "PB", i),
-                    "display": _display(presence_share(m, "PB", i)),
-                }
-                for i in range(1, PB_COUNT + 1)
-            },
-        }
-    per_sdg = {}
-    for i in range(1, SDG_COUNT + 1):
-        shares = goal_tradeoff_shares(m, "SDG", i)
-        if shares is not None:
-            shares = dict(shares)
-            shares["tradeoff_display_incl_dn"] = _display(shares["tradeoff_share_incl_dn"])
-            shares["tradeoff_display_excl_dn"] = _display(shares["tradeoff_share_excl_dn"])
-            per_sdg[str(i)] = shares
-    per_pb = {}
-    for i in range(1, PB_COUNT + 1):
-        shares = goal_tradeoff_shares(m, "PB", i)
-        if shares is not None:
-            shares = dict(shares)
-            shares["tradeoff_display_incl_dn"] = _display(shares["tradeoff_share_incl_dn"])
-            shares["tradeoff_display_excl_dn"] = _display(shares["tradeoff_share_excl_dn"])
-            per_pb[str(i)] = shares
-    summary["per_sdg"] = per_sdg
-    summary["per_pb"] = per_pb
+        summary[f"per_{name}"] = per_goal
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"

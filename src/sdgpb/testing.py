@@ -14,7 +14,7 @@ import json
 import random
 import re
 
-from .gateway import PromptRequest, pair_lists, record_key
+from .gateway import PromptRequest, record_key
 
 _BODY_BLOCK = re.compile(
     r"=== ARTICLE TEXT ===\n(.*)\n=== END ARTICLE TEXT ===", re.DOTALL
@@ -53,7 +53,9 @@ class ScriptedBackend:
             k = 0 if rng.random() < 0.08 else rng.randint(1, 3)
             return json.dumps({"pbs": sorted(rng.sample(range(1, 10), k))})
 
-        start, end = next(pair_lists(req.user_text))
+        # the template's PAIRS line comes before the article text
+        start = req.user_text.index("\nPAIRS: ") + len("\nPAIRS: ")
+        end = req.user_text.index("\n", start)
         pairs = [tuple(p) for p in json.loads(req.user_text[start:end])]
 
         if req.stage == 3:

@@ -253,6 +253,19 @@ def test_run_on_corrupt_cache_line_exit_3(runner, tmp_path):
         assert "cache.jsonl: line 5" in result.output
 
 
+def test_replay_of_cache_line_with_non_string_text_exit_3(runner, tmp_path):
+    seed_cache(tmp_path)
+    path = tmp_path / "run" / "llm_cache" / "cache.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    entry = json.loads(lines[4])
+    entry["text"] = 5
+    lines[4] = json.dumps(entry).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    result = runner.invoke(main, ["--config", str(write_config(tmp_path)), "run"])
+    assert result.exit_code == 3, result.output
+    assert "CacheCorrupt" in result.output and "cache.jsonl: line 5" in result.output
+
+
 _OFFLINE_IMPORTS = """
 import importlib, json, pkgutil, sys
 import sdgpb

@@ -1,5 +1,4 @@
 import json
-import re
 import shutil
 import threading
 
@@ -7,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sdgpb.errors import CacheCorrupt, RateLimited, ReplayMiss, TransientBackendError
+from sdgpb.errors import (
+    BackendError,
+    CacheCorrupt,
+    RateLimited,
+    ReplayMiss,
+    TransientBackendError,
+)
 from sdgpb.gateway import (
     CACHE_FILE,
     CACHE_SUBDIR,
@@ -18,7 +23,6 @@ from sdgpb.gateway import (
     RecordingBackend,
     ReplayBackend,
     TokenBucket,
-    canonicalize_user_text,
     record_key,
 )
 from sdgpb.testing import ScriptedBackend
@@ -49,10 +53,11 @@ def test_record_key_deterministic():
     assert len(record_key(req())) == 32
 
 
-def test_record_key_pair_order_invariant():
+def test_record_key_distinguishes_pair_order():
+    # the key hashes the user text as sent, PAIRS lines included
     a = req(user_text="x\nPAIRS: [[2,6],[1,3]]\ny")
     b = req(user_text="x\nPAIRS: [[1,3],[2,6]]\ny")
-    assert record_key(a) == record_key(b)
+    assert record_key(a) != record_key(b)
 
 
 def test_record_key_distinguishes_stage():
@@ -61,55 +66,6 @@ def test_record_key_distinguishes_stage():
 
 def test_record_key_distinguishes_doc():
     assert record_key(req(doc_id="a")) != record_key(req(doc_id="b"))
-
-
-def test_canonicalize_leaves_other_text_alone():
-    text = "no pairs here"
-    assert canonicalize_user_text(text) == text
-
-
-# The line-anchored regex the record key was first defined by; the literal
-# search that replaced it must rewrite exactly what this rewrites.
-_REFERENCE_PAIRS_LINE = re.compile(r"^PAIRS: (\[.*\])$", re.MULTILINE)
-
-
-def _reference_canonicalize(text):
-    def _sort(match):
-        try:
-            pairs = json.loads(match.group(1))
-        except ValueError:
-            return match.group(0)
-        pairs = sorted(tuple(p) for p in pairs)
-        return "PAIRS: " + json.dumps([list(p) for p in pairs], separators=(",", ":"))
-
-    return _REFERENCE_PAIRS_LINE.sub(_sort, text)
-
-
-def _outcome(fn, text):
-    try:
-        return fn(text)
-    except Exception as exc:  # pair lists that do not sort raise in both
-        return type(exc)
-
-
-_PIECES = st.sampled_from([
-    "PAIRS: ", "PAIRS: [", "PAIRS:", "[", "]", "[[2,6],[1,3]]", "[[3,1],[1,[2]]]",
-    "[[1,2],", "\n", "\r\n", "\r", " ", "x", ",", "1", '"a"',
-])
-_TEXTS = st.one_of(st.text(), st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=24).map("".join))
-
-
-@settings(max_examples=500, deadline=None)
-@given(_TEXTS)
-@example("PAIRS: [[2,6],[1,3]]")  # at offset 0, no newline
-@example("body PAIRS: [[2,6],[1,3]]\nPAIRS: [[2,6],[1,3]]")  # mid-line, then a line start
-@example("a\nPAIRS: [[5,1],[2,2]]\nb\nPAIRS: [[9,9],[1,1]]\n")  # several lines
-@example("x\nPAIRS: [[2,6],[1,3]\nPAIRS: [not json]")  # invalid JSON
-@example("x\r\nPAIRS: [[2,6],[1,3]]\r\ny")  # CRLF: the line ends in "\r", not "]"
-@example("PAIRS: [[2,6],[1,3]] trailing\nPAIRS: [[2,6],[1,3]] x]")  # text after "]"
-@example("PAIRS: [[[2],[6]],[[1],[3]]]\nPAIRS: [[1,[2]],[1,3]]")  # nested brackets
-def test_canonicalize_matches_line_anchored_regex(text):
-    assert _outcome(canonicalize_user_text, text) == _outcome(_reference_canonicalize, text)
 
 
 def test_stage_range_enforced():
@@ -328,6 +284,34 @@ def test_replay_performs_no_network(replay_run_dir, monkeypatch):
     assert backend._cache  # recorded entries loaded from disk only
 
 
+class _OneReplySession:
+    """A session whose every POST gets HTTP 200 with `payload` as its JSON."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+    def post(self, *args, **kwargs):
+        reply = type("Reply", (), {"status_code": 200, "text": ""})()
+        reply.json = lambda: self.payload
+        return reply
+
+
+def test_live_backend_returns_reply_text(monkeypatch):
+    monkeypatch.setenv("SDGPB_API_KEY", "k")
+    backend = LiveBackend("https://llm.invalid/v1/complete", "model-x",
+                          session=_OneReplySession({"text": "ok"}))
+    assert backend.send(req()) == "ok"
+
+
+@pytest.mark.parametrize("payload", [[], "x", None, {"text": 5}, {"text": None}, {"text": ["a"]}])
+def test_live_backend_rejects_reply_without_string_text(monkeypatch, payload):
+    monkeypatch.setenv("SDGPB_API_KEY", "k")
+    backend = LiveBackend("https://llm.invalid/v1/complete", "model-x",
+                          session=_OneReplySession(payload))
+    with pytest.raises(BackendError, match="malformed completion response"):
+        backend.send(req())
+
+
 def test_live_backend_without_session_builds_requests_session():
     import requests
 
@@ -377,7 +361,10 @@ def test_recording_after_torn_line_appends_whole_lines(tmp_path):
     assert ReplayBackend(tmp_path).send(req(doc_id="new-doc")) == json.dumps({"echo": "new-doc"})
 
 
-@pytest.mark.parametrize("bad", [b'{"key": "cut\n', b"[1, 2]\n", b'{"key": "k"}\n', b"\xff\xfe\n"])
+@pytest.mark.parametrize("bad", [
+    b'{"key": "cut\n', b"[1, 2]\n", b'{"key": "k"}\n', b"\xff\xfe\n",
+    b'{"key": "k", "text": 5}\n', b'{"key": "k", "text": null}\n', b'{"key": 7, "text": "t"}\n',
+])
 @pytest.mark.parametrize("backend", [ReplayBackend, lambda d: RecordingBackend(ScriptedBackend(), d)])
 def test_corrupt_cache_line_raises_with_file_and_line(tmp_path, bad, backend):
     path = _fixture_cache(tmp_path)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import threading
 import time
 from collections import Counter
@@ -8,7 +9,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdgpb import pipeline
+from sdgpb import corpus, pipeline
 from sdgpb.corpus import CleanDocument, estimate_tokens
 from sdgpb.errors import (
     IdOutOfRange,
@@ -20,7 +21,7 @@ from sdgpb.errors import (
     UnknownCategory,
     UnknownDirection,
 )
-from sdgpb.gateway import Gateway
+from sdgpb.gateway import Gateway, RecordingBackend, ReplayBackend
 from sdgpb.pipeline import (
     CheckpointStore,
     PipelineRunner,
@@ -39,7 +40,7 @@ from sdgpb.pipeline import (
 from sdgpb.taxonomy import Category, Direction, RefinedLabel
 from sdgpb.testing import ScriptedBackend
 
-from conftest import make_replay_runner
+from conftest import FIXTURES_DIR, make_replay_runner
 from test_acceptance import InterruptingStore
 
 BODY = (
@@ -122,6 +123,14 @@ def test_parse_allocation_schema_errors():
         parse_allocation('{"pbs": [1]}', "SDG")
     with pytest.raises(SchemaError):
         parse_allocation('{"sdgs": ["two"]}', "SDG")
+
+
+@pytest.mark.parametrize("axis", ["sdg", "pb", "", "SDGs"])
+def test_allocation_rejects_unknown_axis(catalog, templates, axis):
+    with pytest.raises(ValueError, match="axis must be 'SDG' or 'PB'"):
+        parse_allocation('{"pbs": [3]}', axis)
+    with pytest.raises(ValueError, match="axis must be 'SDG' or 'PB'"):
+        build_allocation_prompt(make_doc(), axis, catalog, templates)
 
 
 def _verdict(s, p, category="synergy"):
@@ -793,3 +802,72 @@ def test_fixture_corpus_replay_integrity(replay_run_dir, fixture_docs, catalog, 
             else:
                 assert p.direction is not None and p.refined is not None
                 assert p.justification
+
+
+class _PromptLog:
+    """The fixtures' scripted backend, keeping every prompt it answers."""
+
+    live = False
+    backend_id = "log"
+
+    def __init__(self):
+        self.inner = ScriptedBackend(0)
+        self.requests = []
+
+    def send(self, req):
+        self.requests.append(req)
+        return self.inner.send(req)
+
+
+@pytest.mark.parametrize("cap", [1, 4, 20])
+def test_every_pairs_line_sent_is_sorted(tmp_path, fixture_docs, catalog, templates, cap):
+    # record keys hash each prompt as sent, so recorded replies rely on the
+    # runner listing every batch's pairs in ascending (sdg, pb) order
+    log = _PromptLog()
+    make_runner(log, tmp_path, catalog, templates, batch_cap=cap).run(fixture_docs)
+    seen = Counter()
+    for req in log.requests:
+        lines = [line for line in req.user_text.splitlines() if line.startswith("PAIRS: ")]
+        assert len(lines) == (req.stage >= 3)
+        for line in lines:
+            pairs = json.loads(line[len("PAIRS: "):])
+            assert pairs and all(
+                isinstance(pair, list) and len(pair) == 2 and all(type(i) is int for i in pair)
+                for pair in pairs
+            )
+            assert pairs == sorted(pairs) and len(set(map(tuple, pairs))) == len(pairs)
+            assert len(pairs) <= cap
+            seen[req.stage] += 1
+    assert all(seen[stage] for stage in (3, 4, 5))
+
+
+def _corpus_with_article_pairs_line(tmp_path):
+    """The fixture corpus plus doc-032: doc-000 with one more body paragraph
+    that looks like a PAIRS line but lists no pairs."""
+    corpus_dir = tmp_path / "corpus"
+    shutil.copytree(FIXTURES_DIR / "corpus", corpus_dir)
+    tei = (corpus_dir / "doc-000.tei.xml").read_text("utf-8")
+    tei = tei.replace("</body>", "<div><p>PAIRS: [1]</p></div>\n  </body>", 1)
+    (corpus_dir / "doc-032.tei.xml").write_text(tei, "utf-8")
+    return corpus.ingest_directory(corpus_dir)
+
+
+def test_article_pairs_line_does_not_stop_the_run(tmp_path, catalog, templates):
+    docs = _corpus_with_article_pairs_line(tmp_path)
+    assert len(docs) == 33 and "\n\nPAIRS: [1]" in docs[-1].body_text
+    record_dir = tmp_path / "record"
+    backends = {
+        "scripted": lambda: ScriptedBackend(0),
+        "record": lambda: RecordingBackend(ScriptedBackend(0), record_dir),
+        "replay": lambda: ReplayBackend(record_dir),  # the cache "record" wrote
+    }
+    golden = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes().splitlines(keepends=True)
+    outputs = []
+    for name, backend in backends.items():
+        results = make_runner(backend(), tmp_path / name, catalog, templates).run(docs)
+        assert [r.status for r in results] == ["complete"] * 33, name
+        pipeline.write_results(results, tmp_path / name / "results.jsonl")
+        lines = (tmp_path / name / "results.jsonl").read_bytes().splitlines(keepends=True)
+        assert lines[:32] == golden, name
+        outputs.append(lines)
+    assert outputs[0] == outputs[1] == outputs[2]
