@@ -1,37 +1,29 @@
 """Aggregation of pipeline results into the 17x9 interaction matrix.
 
-All statistics are pure functions of the record stream: per-cell and
-global category proportions, refined-bucket proportions, document-presence
-shares, directionality shares, and per-SDG bar normalization for the
-figure.
+All statistics are pure functions of the record stream. Each share is
+read from `cell_row`, one cell's counts, or from a sum of such rows over
+one goal or the whole matrix: per-cell and global category and
+refined-bucket proportions, per-goal trade-off shares, and per-SDG bar
+normalization for the figure. Document-presence and directionality
+shares read their own counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import (
     DuplicateRecord,
     EmptyMatrix,
     EmptyPanel,
     NoDirectedRecords,
+    OutOfRange,
     ZeroCorpus,
     ZeroGlobal,
 )
 from .pipeline import DocumentResult
 from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT, bucket
-
-CATEGORY_BY_BUCKET = {
-    ReportBucket.TS: Category.SYNERGY,
-    ReportBucket.DP: Category.SYNERGY,
-    ReportBucket.GENERIC_POSITIVE: Category.SYNERGY,
-    ReportBucket.TT: Category.TRADEOFF,
-    ReportBucket.DN: Category.TRADEOFF,
-    ReportBucket.GENERIC_NEGATIVE: Category.TRADEOFF,
-    ReportBucket.NEUTRAL: Category.NEUTRAL,
-}
-
 
 @dataclass(frozen=True)
 class InteractionRecord:
@@ -71,18 +63,6 @@ class InteractionMatrix:
     doc_presence_pb: dict[int, int] = field(default_factory=dict)
     total_docs: int = 0
     total_records: int = 0
-
-    def cell_total(self, sdg: int, pb: int) -> int:
-        return sum(self.counts.get((sdg, pb), {}).values())
-
-    def cell_count(self, sdg: int, pb: int, b: ReportBucket) -> int:
-        return self.counts.get((sdg, pb), {}).get(b, 0)
-
-    def category_count(self, sdg: int, pb: int, category: Category) -> int:
-        return sum(
-            n for b, n in self.counts.get((sdg, pb), {}).items()
-            if CATEGORY_BY_BUCKET[b] is category
-        )
 
 
 def build_matrix(records: Iterable[InteractionRecord], total_docs: int) -> InteractionMatrix:
@@ -143,66 +123,109 @@ def matrix_from_json(obj: dict) -> InteractionMatrix:
     return m
 
 
+class CellRow(NamedTuple):
+    """One cell's counts: the count columns of matrix.csv, in order."""
+
+    total: int
+    synergy: int
+    neutral: int
+    tradeoff: int
+    ts: int
+    dp: int
+    generic_positive: int
+    tt: int
+    dn: int
+    generic_negative: int
+
+
+_EMPTY_ROW = CellRow(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def cell_row(m: InteractionMatrix, sdg: int, pb: int) -> CellRow:
+    """The counts of one cell; every statistic and output reads cells here."""
+    cell = m.counts.get((sdg, pb))
+    if cell is None:
+        return _EMPTY_ROW
+    ts = cell.get(ReportBucket.TS, 0)
+    dp = cell.get(ReportBucket.DP, 0)
+    generic_positive = cell.get(ReportBucket.GENERIC_POSITIVE, 0)
+    tt = cell.get(ReportBucket.TT, 0)
+    dn = cell.get(ReportBucket.DN, 0)
+    generic_negative = cell.get(ReportBucket.GENERIC_NEGATIVE, 0)
+    neutral = cell.get(ReportBucket.NEUTRAL, 0)
+    synergy = ts + dp + generic_positive
+    tradeoff = tt + dn + generic_negative
+    return CellRow(
+        synergy + neutral + tradeoff, synergy, neutral, tradeoff,
+        ts, dp, generic_positive, tt, dn, generic_negative,
+    )
+
+
+def _sum_rows(rows: Iterable[CellRow]) -> CellRow:
+    return CellRow(*map(sum, zip(_EMPTY_ROW, *rows)))
+
+
+def _shares(row: CellRow, members: Iterable[Category | ReportBucket], n: int) -> dict:
+    """Each member's count over `n`; a row's fields are named after the
+    Category and ReportBucket members."""
+    return {x: getattr(row, x.name.lower()) / n for x in members}
+
+
 @dataclass(frozen=True)
 class CellShares:
     synergy: float
     neutral: float
     tradeoff: float
     bucket_shares: dict[ReportBucket, float]
-    synergy_bucket_shares: dict[ReportBucket, float]
     tradeoff_bucket_shares: dict[ReportBucket, float]
     total: int
 
 
 def cell_proportions(m: InteractionMatrix, sdg: int, pb: int) -> CellShares | None:
-    total = m.cell_total(sdg, pb)
-    if total == 0:
+    row = cell_row(m, sdg, pb)
+    if row.total == 0:
         return None
-    syn = m.category_count(sdg, pb, Category.SYNERGY)
-    neu = m.category_count(sdg, pb, Category.NEUTRAL)
-    trd = m.category_count(sdg, pb, Category.TRADEOFF)
-    bucket_shares = {b: m.cell_count(sdg, pb, b) / total for b in ReportBucket}
-    syn_buckets = (ReportBucket.TS, ReportBucket.DP, ReportBucket.GENERIC_POSITIVE)
-    trd_buckets = (ReportBucket.TT, ReportBucket.DN, ReportBucket.GENERIC_NEGATIVE)
-    synergy_bucket_shares = (
-        {b: m.cell_count(sdg, pb, b) / syn for b in syn_buckets} if syn else {}
-    )
-    tradeoff_bucket_shares = (
-        {b: m.cell_count(sdg, pb, b) / trd for b in trd_buckets} if trd else {}
-    )
+    tradeoff_buckets = (ReportBucket.TT, ReportBucket.DN, ReportBucket.GENERIC_NEGATIVE)
     return CellShares(
-        synergy=syn / total,
-        neutral=neu / total,
-        tradeoff=trd / total,
-        bucket_shares=bucket_shares,
-        synergy_bucket_shares=synergy_bucket_shares,
-        tradeoff_bucket_shares=tradeoff_bucket_shares,
-        total=total,
+        synergy=row.synergy / row.total,
+        neutral=row.neutral / row.total,
+        tradeoff=row.tradeoff / row.total,
+        bucket_shares=_shares(row, ReportBucket, row.total),
+        tradeoff_bucket_shares=(
+            _shares(row, tradeoff_buckets, row.tradeoff) if row.tradeoff else {}
+        ),
+        total=row.total,
     )
 
 
 def global_proportions(m: InteractionMatrix) -> tuple[dict[Category, float], dict[ReportBucket, float]]:
     if m.total_records == 0:
         raise EmptyMatrix("no records to aggregate")
-    bucket_totals = {b: 0 for b in ReportBucket}
-    for cell in m.counts.values():
-        for b, n in cell.items():
-            bucket_totals[b] += n
-    category_totals = {c: 0 for c in Category}
-    for b, n in bucket_totals.items():
-        category_totals[CATEGORY_BY_BUCKET[b]] += n
-    n = m.total_records
-    return (
-        {c: category_totals[c] / n for c in Category},
-        {b: bucket_totals[b] / n for b in ReportBucket},
-    )
+    row = _sum_rows(cell_row(m, sdg, pb) for sdg, pb in m.counts)
+    return _shares(row, Category, m.total_records), _shares(row, ReportBucket, m.total_records)
+
+
+def _goal(m: InteractionMatrix, axis: str, goal_id: int) -> tuple[int, list[tuple[int, int]]]:
+    """The number of documents naming one goal, and the cells of its row
+    (an SDG) or column (a PB) of the matrix."""
+    if axis == "SDG":
+        count, presence = SDG_COUNT, m.doc_presence_sdg
+        cells = [(goal_id, pb) for pb in range(1, PB_COUNT + 1)]
+    elif axis == "PB":
+        count, presence = PB_COUNT, m.doc_presence_pb
+        cells = [(sdg, goal_id) for sdg in range(1, SDG_COUNT + 1)]
+    else:
+        raise ValueError(f"axis must be 'SDG' or 'PB', got {axis!r}")
+    if not (isinstance(goal_id, int) and 1 <= goal_id <= count):
+        raise OutOfRange(f"{axis} id must be in [1, {count}], got {goal_id!r}")
+    return presence.get(goal_id, 0), cells
 
 
 def presence_share(m: InteractionMatrix, axis: str, goal_id: int) -> float:
+    docs, _ = _goal(m, axis, goal_id)
     if m.total_docs == 0:
         raise ZeroCorpus("total_docs is zero")
-    presence = m.doc_presence_sdg if axis == "SDG" else m.doc_presence_pb
-    return presence.get(goal_id, 0) / m.total_docs
+    return docs / m.total_docs
 
 
 def directionality(m: InteractionMatrix) -> tuple[int, float]:
@@ -218,7 +241,7 @@ def directionality(m: InteractionMatrix) -> tuple[int, float]:
 
 def normalize_bars(m: InteractionMatrix, sdg: int) -> list[float]:
     """Nine bar lengths for one SDG panel, scaled so the busiest cell is 1."""
-    counts = [m.cell_total(sdg, pb) for pb in range(1, PB_COUNT + 1)]
+    counts = [cell_row(m, sdg, pb).total for pb in range(1, PB_COUNT + 1)]
     peak = max(counts)
     if peak == 0:
         raise EmptyPanel(f"SDG {sdg} has no records")
@@ -234,21 +257,14 @@ def ratio_to_global(cell_share: float, global_share: float) -> float:
 def goal_tradeoff_shares(m: InteractionMatrix, axis: str, goal_id: int) -> dict[str, float] | None:
     """Per-goal link-share summary, with trade-offs both including and
     excluding co-degradation (DN)."""
-    if axis == "SDG":
-        cells = [(goal_id, pb) for pb in range(1, PB_COUNT + 1)]
-    else:
-        cells = [(sdg, goal_id) for sdg in range(1, SDG_COUNT + 1)]
-    total = sum(m.cell_total(s, p) for s, p in cells)
-    if total == 0:
+    _, cells = _goal(m, axis, goal_id)
+    row = _sum_rows(cell_row(m, sdg, pb) for sdg, pb in cells)
+    if row.total == 0:
         return None
-    syn = sum(m.category_count(s, p, Category.SYNERGY) for s, p in cells)
-    neu = sum(m.category_count(s, p, Category.NEUTRAL) for s, p in cells)
-    trd = sum(m.category_count(s, p, Category.TRADEOFF) for s, p in cells)
-    dn = sum(m.cell_count(s, p, ReportBucket.DN) for s, p in cells)
     return {
-        "links": total,
-        "synergy_share": syn / total,
-        "neutral_share": neu / total,
-        "tradeoff_share_incl_dn": trd / total,
-        "tradeoff_share_excl_dn": (trd - dn) / total,
+        "links": row.total,
+        "synergy_share": row.synergy / row.total,
+        "neutral_share": row.neutral / row.total,
+        "tradeoff_share_incl_dn": row.tradeoff / row.total,
+        "tradeoff_share_excl_dn": (row.tradeoff - row.dn) / row.total,
     }

@@ -28,7 +28,6 @@ from .errors import (
     RateLimited,
     ReplayMiss,
     SdgPbError,
-    TemplateVersionMismatch,
     Timeout,
 )
 from .gateway import Gateway, LiveBackend, RecordingBackend, ReplayBackend, CACHE_SUBDIR, CACHE_FILE
@@ -41,7 +40,6 @@ EXIT_BACKEND = 4
 EXIT_GOLDEN = 5
 
 _BACKEND_ERRORS = (BackendError, RateLimited, Timeout, ReplayMiss, HttpFailure, QuotaExceeded)
-_INPUT_ERRORS = (MissingInput, EmptyMatrix, TemplateVersionMismatch, FileNotFoundError)
 
 
 class JsonEventFormatter(logging.Formatter):
@@ -80,9 +78,7 @@ def handles_errors(fn):
             _fail(EXIT_GOLDEN, "GoldenMismatch", str(exc))
         except _BACKEND_ERRORS as exc:
             _fail(EXIT_BACKEND, type(exc).__name__, str(exc))
-        except _INPUT_ERRORS as exc:
-            _fail(EXIT_INPUT, type(exc).__name__, str(exc))
-        except SdgPbError as exc:
+        except (SdgPbError, FileNotFoundError) as exc:
             _fail(EXIT_INPUT, type(exc).__name__, str(exc))
 
     return wrapper
@@ -119,10 +115,7 @@ def _make_runner(cfg: RunConfig, gateway: Gateway) -> pipeline.PipelineRunner:
     )
 
 
-def _load_corpus(cfg: RunConfig) -> list[corpus.CleanDocument]:
-    docs_path = Path(cfg.run_dir) / "documents.jsonl"
-    if docs_path.exists():
-        return corpus.read_documents(docs_path)
+def _ingest(cfg: RunConfig) -> list[corpus.CleanDocument]:
     corpus_dir = Path(cfg.corpus_dir)
     if not corpus_dir.is_dir():
         raise MissingInput(f"corpus directory not found: {corpus_dir}")
@@ -130,6 +123,13 @@ def _load_corpus(cfg: RunConfig) -> list[corpus.CleanDocument]:
     if not docs:
         raise MissingInput(f"no .tei.xml documents found in {corpus_dir}")
     return docs
+
+
+def _load_corpus(cfg: RunConfig) -> list[corpus.CleanDocument]:
+    docs_path = Path(cfg.run_dir) / "documents.jsonl"
+    if docs_path.exists():
+        return corpus.read_documents(docs_path)
+    return _ingest(cfg)
 
 
 def _run_and_report(cfg: RunConfig) -> Path:
@@ -222,12 +222,7 @@ def fetch(ctx, query, out_path):
 def ingest(ctx, corpus_dir):
     """Parse and prune TEI files into the clean document store."""
     cfg = _cfg(ctx, corpus_dir=corpus_dir)
-    corpus_path = Path(cfg.corpus_dir)
-    if not corpus_path.is_dir():
-        raise MissingInput(f"corpus directory not found: {corpus_path}")
-    docs = corpus.ingest_directory(corpus_path)
-    if not docs:
-        raise MissingInput(f"no .tei.xml documents found in {corpus_path}")
+    docs = _ingest(cfg)
     out = Path(cfg.run_dir) / "documents.jsonl"
     out.parent.mkdir(parents=True, exist_ok=True)
     corpus.write_documents(docs, out)

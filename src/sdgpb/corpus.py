@@ -14,13 +14,23 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TypeVar
 from xml.etree import ElementTree
 
-from .errors import EmptyDocument, HttpFailure, InvalidCursor, MalformedXml, NotTei, QuotaExceeded
+from .errors import (
+    EmptyDocument,
+    HttpFailure,
+    InvalidCursor,
+    MalformedXml,
+    NotTei,
+    QuotaExceeded,
+    StoreCorrupt,
+)
 
 if TYPE_CHECKING:
     import requests
+
+T = TypeVar("T")
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 
@@ -351,14 +361,27 @@ def write_manifest(records: Iterable[WorkRecord], path: str | Path) -> None:
             fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
 
 
+def read_jsonl(path: str | Path, from_json: Callable[[dict], T]) -> list[T]:
+    """`from_json` of each non-blank line of a JSONL store.
+
+    A line that is not JSON, or lacks a field `from_json` reads, raises
+    StoreCorrupt naming the file and line.
+    """
+    items = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                items.append(from_json(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                message = f"{path}: line {number} is not a valid record: {exc!r}"
+                raise StoreCorrupt(message) from exc
+    return items
+
+
 def read_manifest(path: str | Path) -> list[WorkRecord]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(WorkRecord.from_json(json.loads(line)))
-    return records
+    return read_jsonl(path, WorkRecord.from_json)
 
 
 def ingest_directory(corpus_dir: str | Path) -> list[CleanDocument]:
@@ -385,11 +408,5 @@ def write_documents(docs: Iterable[CleanDocument], path: str | Path) -> None:
 
 
 def read_documents(path: str | Path) -> list[CleanDocument]:
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                docs.append(CleanDocument.from_json(json.loads(line)))
-    return docs
+    return read_jsonl(path, CleanDocument.from_json)
 

@@ -43,6 +43,11 @@ class OverContext(SdgPbError):
     pass
 
 
+class StoreCorrupt(SdgPbError):
+    """A line of a JSONL store (manifest, documents, results) is not JSON or
+    lacks a field."""
+
+
 # gateway
 class RateLimited(SdgPbError):
     pass

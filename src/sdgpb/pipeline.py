@@ -33,7 +33,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .corpus import CleanDocument, estimate_tokens, normalize_ws
+from .corpus import CleanDocument, estimate_tokens, normalize_ws, read_jsonl
 from .errors import (
     CheckpointCorrupt,
     IdOutOfRange,
@@ -847,10 +847,4 @@ def write_results(results: Sequence[DocumentResult], path: str | Path) -> None:
 
 
 def read_results(path: str | Path) -> list[DocumentResult]:
-    results = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                results.append(DocumentResult.from_json(json.loads(line)))
-    return results
+    return read_jsonl(path, DocumentResult.from_json)

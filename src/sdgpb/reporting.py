@@ -16,8 +16,9 @@ import json
 from dataclasses import dataclass
 
 from .analytics import (
+    CellRow,
     InteractionMatrix,
-    cell_proportions,
+    cell_row,
     directionality,
     global_proportions,
     goal_tradeoff_shares,
@@ -48,13 +49,8 @@ STYLE = {
     "text": "#222222",
 }
 
-CSV_HEADER = [
-    "sdg", "pb", "total",
-    "synergy", "neutral", "tradeoff",
-    "ts", "dp", "generic_positive",
-    "tt", "dn", "generic_negative",
-    "sdg_to_pb", "pb_to_sdg",
-]
+# the direction columns are `sdg_to_pb`, `pb_to_sdg`
+CSV_HEADER = ["sdg", "pb", *CellRow._fields, *(d.value for d in Direction)]
 
 
 @dataclass(frozen=True)
@@ -93,23 +89,24 @@ def figure_spec(m: InteractionMatrix) -> FigureSpec:
         except EmptyPanel:
             lengths = [0.0] * PB_COUNT
         bars = []
-        for pb in range(1, PB_COUNT + 1):
-            shares = cell_proportions(m, sdg, pb)
-            if shares is None:
+        for pb, length in enumerate(lengths, start=1):
+            row = cell_row(m, sdg, pb)
+            n = row.total
+            if n == 0:
                 bars.append(BarSpec(pb, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
             bars.append(
                 BarSpec(
                     pb=pb,
-                    length=lengths[pb - 1],
-                    link_count=shares.total,
-                    synergy_share=shares.synergy,
-                    neutral_share=shares.neutral,
-                    tradeoff_share=shares.tradeoff,
-                    ts_share=shares.bucket_shares[ReportBucket.TS],
-                    dp_share=shares.bucket_shares[ReportBucket.DP],
-                    tt_share=shares.bucket_shares[ReportBucket.TT],
-                    dn_share=shares.bucket_shares[ReportBucket.DN],
+                    length=length,
+                    link_count=n,
+                    synergy_share=row.synergy / n,
+                    neutral_share=row.neutral / n,
+                    tradeoff_share=row.tradeoff / n,
+                    ts_share=row.ts / n,
+                    dp_share=row.dp / n,
+                    tt_share=row.tt / n,
+                    dn_share=row.dn / n,
                 )
             )
         panels.append(
@@ -172,52 +169,29 @@ def render_svg(spec: FigureSpec) -> bytes:
                 f'fill="{s["text"]}" text-anchor="start">{bar.link_count}</text>\n'
             )
             total_w = bar.length * bar_w
-            if total_w > 0:
-                x = s["label_w"]
-                syn_w = bar.synergy_share * total_w
-                neu_w = bar.neutral_share * total_w
-                trd_w = bar.tradeoff_share * total_w
-                ts_w = bar.ts_share * total_w
-                dp_w = bar.dp_share * total_w
-                tt_w = bar.tt_share * total_w
-                dn_w = bar.dn_share * total_w
-                h = s["bar_h"]
-                if syn_w > 0:
+            x = s["label_w"]
+            syn_w = bar.synergy_share * total_w
+            neu_w = bar.neutral_share * total_w
+            ts_w = bar.ts_share * total_w
+            tt_w = bar.tt_share * total_w
+            tx = x + syn_w + neu_w
+            # overlays sit inside their segment, so a zero-width segment
+            # has zero-width overlays and draws nothing
+            segments = (
+                ("seg-synergy", x, syn_w, s["synergy_light"]),
+                ("overlay-ts", x, ts_w, s["synergy_dark"]),
+                ("overlay-dp", x + ts_w, bar.dp_share * total_w, s["synergy_mid"]),
+                ("seg-neutral", x + syn_w, neu_w, s["neutral"]),
+                ("seg-tradeoff", tx, bar.tradeoff_share * total_w, s["tradeoff_light"]),
+                ("overlay-tt", tx, tt_w, s["tradeoff_dark"]),
+                ("overlay-dn", tx + tt_w, bar.dn_share * total_w, s["tradeoff_mid"]),
+            )
+            for cls, seg_x, seg_w, fill in segments:
+                if seg_w > 0:
                     out.write(
-                        f'<rect class="seg-synergy" x="{_f(x)}" y="{y}" width="{_f(syn_w)}" '
-                        f'height="{h}" fill="{s["synergy_light"]}"/>\n'
+                        f'<rect class="{cls}" x="{_f(seg_x)}" y="{y}" width="{_f(seg_w)}" '
+                        f'height="{s["bar_h"]}" fill="{fill}"/>\n'
                     )
-                    if ts_w > 0:
-                        out.write(
-                            f'<rect class="overlay-ts" x="{_f(x)}" y="{y}" width="{_f(ts_w)}" '
-                            f'height="{h}" fill="{s["synergy_dark"]}"/>\n'
-                        )
-                    if dp_w > 0:
-                        out.write(
-                            f'<rect class="overlay-dp" x="{_f(x + ts_w)}" y="{y}" '
-                            f'width="{_f(dp_w)}" height="{h}" fill="{s["synergy_mid"]}"/>\n'
-                        )
-                if neu_w > 0:
-                    out.write(
-                        f'<rect class="seg-neutral" x="{_f(x + syn_w)}" y="{y}" '
-                        f'width="{_f(neu_w)}" height="{h}" fill="{s["neutral"]}"/>\n'
-                    )
-                if trd_w > 0:
-                    tx = x + syn_w + neu_w
-                    out.write(
-                        f'<rect class="seg-tradeoff" x="{_f(tx)}" y="{y}" width="{_f(trd_w)}" '
-                        f'height="{h}" fill="{s["tradeoff_light"]}"/>\n'
-                    )
-                    if tt_w > 0:
-                        out.write(
-                            f'<rect class="overlay-tt" x="{_f(tx)}" y="{y}" width="{_f(tt_w)}" '
-                            f'height="{h}" fill="{s["tradeoff_dark"]}"/>\n'
-                        )
-                    if dn_w > 0:
-                        out.write(
-                            f'<rect class="overlay-dn" x="{_f(tx + tt_w)}" y="{y}" '
-                            f'width="{_f(dn_w)}" height="{h}" fill="{s["tradeoff_mid"]}"/>\n'
-                        )
             out.write("</g>\n")
             y += s["bar_h"] + s["bar_gap"]
         out.write("</g>\n")
@@ -234,24 +208,8 @@ def emit_matrix_csv(m: InteractionMatrix) -> str:
     for sdg in range(1, SDG_COUNT + 1):
         for pb in range(1, PB_COUNT + 1):
             dcell = m.direction_counts.get((sdg, pb), {})
-            writer.writerow(
-                [
-                    sdg,
-                    pb,
-                    m.cell_total(sdg, pb),
-                    m.category_count(sdg, pb, Category.SYNERGY),
-                    m.category_count(sdg, pb, Category.NEUTRAL),
-                    m.category_count(sdg, pb, Category.TRADEOFF),
-                    m.cell_count(sdg, pb, ReportBucket.TS),
-                    m.cell_count(sdg, pb, ReportBucket.DP),
-                    m.cell_count(sdg, pb, ReportBucket.GENERIC_POSITIVE),
-                    m.cell_count(sdg, pb, ReportBucket.TT),
-                    m.cell_count(sdg, pb, ReportBucket.DN),
-                    m.cell_count(sdg, pb, ReportBucket.GENERIC_NEGATIVE),
-                    dcell.get(Direction.SDG_TO_PB, 0),
-                    dcell.get(Direction.PB_TO_SDG, 0),
-                ]
-            )
+            directed = [dcell.get(d, 0) for d in Direction]
+            writer.writerow([sdg, pb, *cell_row(m, sdg, pb), *directed])
     return buf.getvalue()
 
 

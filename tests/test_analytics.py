@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 from collections import Counter
 
@@ -6,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from sdgpb import analytics
 from sdgpb.analytics import (
+    CellRow,
     InteractionRecord,
     build_matrix,
     cell_proportions,
+    cell_row,
     directionality,
     global_proportions,
     goal_tradeoff_shares,
@@ -23,9 +27,11 @@ from sdgpb.errors import (
     EmptyMatrix,
     EmptyPanel,
     NoDirectedRecords,
+    OutOfRange,
     ZeroCorpus,
     ZeroGlobal,
 )
+from sdgpb.reporting import emit_matrix_csv
 from sdgpb.taxonomy import Category, Direction, ReportBucket
 
 BUCKET_CATEGORY = {
@@ -64,6 +70,7 @@ def naive_stats(records, total_docs):
     """Independent recount used as the oracle; no matrix machinery."""
     cells = Counter()
     cat_cells = Counter()
+    dir_cells = Counter()
     docs_sdg = {}
     docs_pb = {}
     buckets = Counter()
@@ -78,6 +85,7 @@ def naive_stats(records, total_docs):
         docs_sdg.setdefault(r.sdg, set()).add(r.doc_id)
         docs_pb.setdefault(r.pb, set()).add(r.doc_id)
         if r.direction is not None:
+            dir_cells[(r.sdg, r.pb, r.direction)] += 1
             directed += 1
             if r.direction is Direction.PB_TO_SDG:
                 pb_driven += 1
@@ -85,6 +93,7 @@ def naive_stats(records, total_docs):
     return {
         "cells": cells,
         "cat_cells": cat_cells,
+        "dir_cells": dir_cells,
         "category_shares": {c: cats[c] / n for c in Category} if n else None,
         "bucket_shares": {b: buckets[b] / n for b in ReportBucket} if n else None,
         "presence_sdg": {s: len(d) / total_docs for s, d in docs_sdg.items()} if total_docs else None,
@@ -92,6 +101,38 @@ def naive_stats(records, total_docs):
         "directed": directed,
         "pb_to_sdg": pb_driven / directed if directed else None,
     }
+
+
+def naive_goal_shares(oracle, axis, goal):
+    """goal_tradeoff_shares recounted over the goal's cells."""
+    if axis == "SDG":
+        cells = [(goal, p) for p in range(1, 10)]
+    else:
+        cells = [(s, goal) for s in range(1, 18)]
+    cat = {c: sum(oracle["cat_cells"][(s, p, c)] for s, p in cells) for c in Category}
+    dn = sum(oracle["cells"][(s, p, ReportBucket.DN)] for s, p in cells)
+    total = sum(cat.values())
+    if total == 0:
+        return None
+    return {
+        "links": total,
+        "synergy_share": cat[Category.SYNERGY] / total,
+        "neutral_share": cat[Category.NEUTRAL] / total,
+        "tradeoff_share_incl_dn": cat[Category.TRADEOFF] / total,
+        "tradeoff_share_excl_dn": (cat[Category.TRADEOFF] - dn) / total,
+    }
+
+
+def naive_csv_row(oracle, s, p):
+    """One matrix.csv row recounted, in the pinned column order."""
+    buckets = (ReportBucket.TS, ReportBucket.DP, ReportBucket.GENERIC_POSITIVE,
+               ReportBucket.TT, ReportBucket.DN, ReportBucket.GENERIC_NEGATIVE)
+    cats = (Category.SYNERGY, Category.NEUTRAL, Category.TRADEOFF)
+    row = [s, p, sum(oracle["cells"][(s, p, b)] for b in ReportBucket)]
+    row += [oracle["cat_cells"][(s, p, c)] for c in cats]
+    row += [oracle["cells"][(s, p, b)] for b in buckets]
+    row += [oracle["dir_cells"][(s, p, d)] for d in (Direction.SDG_TO_PB, Direction.PB_TO_SDG)]
+    return [str(x) for x in row]
 
 
 def random_records(rng, n):
@@ -153,6 +194,13 @@ def assert_matches_oracle(records, total_docs):
             assert max(bars) == 1.0
             for p in range(1, 10):
                 assert abs(bars[p - 1] - counts[p - 1] / max(counts)) <= 1e-12
+    # per-goal shares for all 17 SDGs and 9 PBs
+    for axis, count in (("SDG", 17), ("PB", 9)):
+        for goal in range(1, count + 1):
+            assert goal_tradeoff_shares(m, axis, goal) == naive_goal_shares(oracle, axis, goal)
+    # every column of every CSV row
+    rows = list(csv.reader(io.StringIO(emit_matrix_csv(m))))[1:]
+    assert rows == [naive_csv_row(oracle, s, p) for s in range(1, 18) for p in range(1, 10)]
 
 
 def test_randomized_oracle_equivalence():
@@ -317,6 +365,43 @@ def test_goal_tradeoff_shares_incl_and_excl_dn():
     assert shares["tradeoff_share_incl_dn"] == pytest.approx(0.5, abs=1e-12)
     assert shares["tradeoff_share_excl_dn"] == pytest.approx(0.3, abs=1e-12)
     assert goal_tradeoff_shares(m, "SDG", 17) is None
+
+
+def test_goal_shares_reject_unknown_axis():
+    m = build_matrix(cell_records(1, 1, {ReportBucket.TS: 4}), 10)
+    for axis in ("sdg", "pb", "xyz", ""):
+        with pytest.raises(ValueError):
+            presence_share(m, axis, 1)
+        with pytest.raises(ValueError):
+            goal_tradeoff_shares(m, axis, 1)
+    with pytest.raises(ValueError):
+        goal_tradeoff_shares(m, "xyz", 99)
+
+
+@pytest.mark.parametrize("axis, goal", [("SDG", 0), ("SDG", 18), ("PB", 0), ("PB", 10)])
+def test_goal_shares_reject_out_of_range_goal(axis, goal):
+    m = build_matrix(cell_records(1, 1, {ReportBucket.TS: 4}), 10)
+    with pytest.raises(OutOfRange):
+        presence_share(m, axis, goal)
+    with pytest.raises(OutOfRange):
+        goal_tradeoff_shares(m, axis, goal)
+
+
+def test_cell_row_counts():
+    records = cell_records(2, 6, {ReportBucket.TT: 3, ReportBucket.DN: 2, ReportBucket.TS: 5,
+                                  ReportBucket.DP: 1, ReportBucket.NEUTRAL: 4})
+    m = build_matrix(records, 20)
+    assert cell_row(m, 2, 6) == CellRow(
+        total=15, synergy=6, neutral=4, tradeoff=5,
+        ts=5, dp=1, generic_positive=0, tt=3, dn=2, generic_negative=0,
+    )
+    assert cell_row(m, 6, 2) == CellRow(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+
+
+def test_cell_row_fields_name_every_category_and_bucket():
+    # shares look each Category and ReportBucket member up by its lower-cased name
+    for member in (*Category, *ReportBucket):
+        assert member.name.lower() in CellRow._fields
 
 
 def test_matrix_json_round_trip():

@@ -165,6 +165,33 @@ def test_aggregate_missing_results_exit_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
+    config = write_config(tmp_path)
+    results_path = tmp_path / "run" / "results" / "results.jsonl"
+    results_path.parent.mkdir(parents=True)
+    golden = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
+    results_path.write_bytes(golden[:-40])
+    lines = golden[:-40].count(b"\n") + 1
+    result = runner.invoke(main, ["--config", str(config), "aggregate"])
+    assert result.exit_code == 3, result.output
+    assert "StoreCorrupt" in result.output
+    assert f"results.jsonl: line {lines}" in result.output
+
+
+@pytest.mark.parametrize("bad_line", [b'{"doc_id": "cut\n', b'{"doc_id": "no-body"}\n'])
+def test_run_on_corrupt_document_store_exit_3(runner, tmp_path, bad_line):
+    config = write_config(tmp_path)
+    docs_path = tmp_path / "run" / "documents.jsonl"
+    assert runner.invoke(main, ["--config", str(config), "ingest"]).exit_code == 0
+    lines = docs_path.read_bytes().splitlines(keepends=True)
+    lines[1] = bad_line
+    docs_path.write_bytes(b"".join(lines))
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 3, result.output
+    assert "StoreCorrupt" in result.output
+    assert "documents.jsonl: line 2" in result.output
+
+
 def test_validate_fixtures_ok(runner):
     result = runner.invoke(main, ["validate-fixtures", "--fixtures-dir", str(FIXTURES_DIR)])
     assert result.exit_code == 0

@@ -21,6 +21,7 @@ from sdgpb.errors import (
     MalformedXml,
     NotTei,
     QuotaExceeded,
+    StoreCorrupt,
 )
 
 TEI = """<?xml version="1.0"?>
@@ -362,3 +363,23 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.jsonl"
     corpus.write_manifest(records, path)
     assert corpus.read_manifest(path) == records
+
+
+_MANIFEST_LINE = json.dumps(corpus.WorkRecord("w1", "title one", 2020, None).to_json())
+_DOCUMENT_LINE = json.dumps(corpus.CleanDocument("d1", "title", "body", 1).to_json())
+
+
+@pytest.mark.parametrize("reader, good_line, bad_line", [
+    (corpus.read_manifest, _MANIFEST_LINE, "not json"),
+    (corpus.read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": "t"}'),
+    (corpus.read_documents, _DOCUMENT_LINE, "[1, 2]"),
+    (corpus.read_documents, _DOCUMENT_LINE, '{"doc_id": "d2", "title": "t", "body_text": "b"'),
+], ids=["manifest-not-json", "manifest-missing-field", "documents-not-object",
+        "documents-truncated"])
+def test_jsonl_reader_names_file_and_line_of_a_bad_record(tmp_path, reader, good_line, bad_line):
+    path = tmp_path / "store.jsonl"
+    path.write_text(f"{good_line}\n\n{bad_line}\n{good_line}\n")
+    with pytest.raises(StoreCorrupt, match=r"store\.jsonl: line 3 "):
+        reader(path)
+    path.write_text(f"{good_line}\n\n{good_line}\n")
+    assert len(reader(path)) == 2

@@ -8,6 +8,7 @@ import pytest
 from sdgpb.analytics import build_matrix, matrix_from_json, matrix_to_json
 from sdgpb.errors import EmptyMatrix
 from sdgpb.reporting import (
+    CSV_HEADER,
     FigureSpec,
     emit_matrix_csv,
     emit_summary_json,
@@ -17,6 +18,15 @@ from sdgpb.reporting import (
 from sdgpb.taxonomy import Direction, ReportBucket
 
 from test_analytics import cell_records, rec
+
+# matrix.csv's columns, written out: the header is derived from CellRow
+CSV_COLUMNS = [
+    "sdg", "pb", "total",
+    "synergy", "neutral", "tradeoff",
+    "ts", "dp", "generic_positive",
+    "tt", "dn", "generic_negative",
+    "sdg_to_pb", "pb_to_sdg",
+]
 
 
 def sample_matrix():
@@ -127,6 +137,13 @@ def test_csv_row_count_and_header():
     assert len(rows) == 154  # header + 17*9
 
 
+def test_csv_header_is_pinned():
+    assert CSV_HEADER == CSV_COLUMNS
+    rows = list(csv.reader(io.StringIO(emit_matrix_csv(sample_matrix()))))
+    assert rows[0] == CSV_COLUMNS
+    assert all(len(row) == len(CSV_COLUMNS) for row in rows)
+
+
 def test_csv_empty_matrix_zeros():
     text = emit_matrix_csv(build_matrix([], 0))
     rows = list(csv.reader(io.StringIO(text)))
@@ -138,10 +155,7 @@ def test_csv_cell_values():
     text = emit_matrix_csv(sample_matrix())
     rows = {(r[0], r[1]): r for r in list(csv.reader(io.StringIO(text)))[1:]}
     row = rows[("2", "6")]
-    header_idx = {name: i for i, name in enumerate(
-        ["sdg", "pb", "total", "synergy", "neutral", "tradeoff",
-         "ts", "dp", "generic_positive", "tt", "dn", "generic_negative",
-         "sdg_to_pb", "pb_to_sdg"])}
+    header_idx = {name: i for i, name in enumerate(CSV_COLUMNS)}
     assert row[header_idx["total"]] == "60"
     assert row[header_idx["tt"]] == "30"
     assert row[header_idx["dn"]] == "10"
