@@ -22,7 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sdgpb import analytics, corpus, pipeline, reporting
+from sdgpb import analytics, corpus, pipeline, reporting, store
 from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, Gateway, RecordingBackend
 from sdgpb.taxonomy import load_catalog
 from sdgpb.testing import ScriptedBackend
@@ -103,7 +103,7 @@ def make_corpus(fixtures: Path) -> None:
                                   discussion=discussion, i=i)
         (corpus_dir / f"doc-{i:03d}.tei.xml").write_text(xml, "utf-8")
         manifest.append(corpus.WorkRecord(f"doc-{i:03d}", title, 2020 + (i % 5)))
-    corpus.write_manifest(manifest, fixtures / "manifest.jsonl")
+    store.write(fixtures / "manifest.jsonl", (rec.to_json() for rec in manifest))
 
 
 def record_and_golden(fixtures: Path) -> None:

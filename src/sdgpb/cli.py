@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import analytics, corpus, pipeline, reporting
+from . import analytics, corpus, pipeline, reporting, store
 from .config import BACKEND_MODES, RunConfig, load_config
 from .errors import (
     BackendError,
@@ -128,7 +128,7 @@ def _ingest(cfg: RunConfig) -> list[corpus.CleanDocument]:
 def _load_corpus(cfg: RunConfig) -> list[corpus.CleanDocument]:
     docs_path = Path(cfg.run_dir) / "documents.jsonl"
     if docs_path.exists():
-        return corpus.read_documents(docs_path)
+        return store.read(docs_path, corpus.CleanDocument.from_json)
     return _ingest(cfg)
 
 
@@ -210,8 +210,7 @@ def fetch(ctx, query, out_path):
                                 retry_budget=cfg.retry_budget)
     records = list(client.fetch_all(query, cfg.api_filters))
     out = Path(out_path or Path(cfg.corpus_dir) / "manifest.jsonl")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    corpus.write_manifest(records, out)
+    store.write(out, (rec.to_json() for rec in records))
     click.echo(f"wrote {len(records)} work records to {out}")
 
 
@@ -224,8 +223,7 @@ def ingest(ctx, corpus_dir):
     cfg = _cfg(ctx, corpus_dir=corpus_dir)
     docs = _ingest(cfg)
     out = Path(cfg.run_dir) / "documents.jsonl"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    corpus.write_documents(docs, out)
+    store.write(out, (doc.to_json() for doc in docs))
     click.echo(f"ingested {len(docs)} documents into {out}")
 
 

@@ -8,13 +8,12 @@ chars/4 token estimate.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 from xml.etree import ElementTree
 
 from .errors import (
@@ -24,13 +23,10 @@ from .errors import (
     MalformedXml,
     NotTei,
     QuotaExceeded,
-    StoreCorrupt,
 )
 
 if TYPE_CHECKING:
     import requests
-
-T = TypeVar("T")
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 
@@ -352,36 +348,7 @@ def prune(doc: TeiDocument, doc_id: str, source_path: str = "") -> CleanDocument
 
 
 # --------------------------------------------------------------------------
-# Corpus directory and manifest I/O
-
-
-def write_manifest(records: Iterable[WorkRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-
-
-def read_jsonl(path: str | Path, from_json: Callable[[dict], T]) -> list[T]:
-    """`from_json` of each non-blank line of a JSONL store.
-
-    A line that is not JSON, or lacks a field `from_json` reads, raises
-    StoreCorrupt naming the file and line.
-    """
-    items = []
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                items.append(from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                message = f"{path}: line {number} is not a valid record: {exc!r}"
-                raise StoreCorrupt(message) from exc
-    return items
-
-
-def read_manifest(path: str | Path) -> list[WorkRecord]:
-    return read_jsonl(path, WorkRecord.from_json)
+# Corpus directory
 
 
 def ingest_directory(corpus_dir: str | Path) -> list[CleanDocument]:
@@ -399,14 +366,3 @@ def ingest_directory(corpus_dir: str | Path) -> list[CleanDocument]:
         except EmptyDocument:
             continue
     return docs
-
-
-def write_documents(docs: Iterable[CleanDocument], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc.to_json(), sort_keys=True) + "\n")
-
-
-def read_documents(path: str | Path) -> list[CleanDocument]:
-    return read_jsonl(path, CleanDocument.from_json)
-

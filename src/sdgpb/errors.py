@@ -44,8 +44,7 @@ class OverContext(SdgPbError):
 
 
 class StoreCorrupt(SdgPbError):
-    """A line of a JSONL store (manifest, documents, results) is not JSON or
-    lacks a field."""
+    """A line of a JSONL store is not JSON or does not hold a valid record."""
 
 
 # gateway
@@ -69,7 +68,7 @@ class ReplayMiss(SdgPbError):
     pass
 
 
-class CacheCorrupt(SdgPbError):
+class CacheCorrupt(StoreCorrupt):
     """A recorded-cache line other than a torn final one does not parse."""
 
 
@@ -98,7 +97,7 @@ class TemplateVersionMismatch(SdgPbError):
     pass
 
 
-class CheckpointCorrupt(SdgPbError):
+class CheckpointCorrupt(StoreCorrupt):
     """A checkpoint line other than a torn final one does not parse."""
 
 

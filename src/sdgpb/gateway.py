@@ -9,7 +9,6 @@ replay backend that serves only recorded keys with zero network activity.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import random
 import threading
@@ -19,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol
 
+from . import store
 from .errors import (
     BackendError,
     CacheCorrupt,
@@ -224,33 +224,11 @@ class LiveBackend:
         return text
 
 
-def _read_cache(path: Path) -> tuple[dict[str, str], int]:
-    """The recorded texts by key in the cache file at `path`, and the byte
-    length of its whole lines.
-
-    A final line with no trailing newline was torn by a kill mid-append and
-    is left out; any other line that does not parse raises CacheCorrupt.
-    """
-    data = path.read_bytes() if path.exists() else b""
-    whole = data.rfind(b"\n") + 1
-    try:
-        text = data[:whole].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        number = data.count(b"\n", 0, exc.start) + 1
-        raise CacheCorrupt(f"{path}: line {number} is not UTF-8: {exc}") from exc
-    cache: dict[str, str] = {}
-    for number, line in enumerate(text.split("\n")[:-1], start=1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            key, recorded = entry["key"], entry["text"]
-            if not (isinstance(key, str) and isinstance(recorded, str)):
-                raise TypeError("key and text must be strings")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CacheCorrupt(f"{path}: line {number} is not a cache entry: {exc}") from exc
-        cache[key] = recorded
-    return cache, whole
+def _cache_entry(obj: dict) -> tuple[str, str]:
+    key, text = obj["key"], obj["text"]
+    if not (isinstance(key, str) and isinstance(text, str)):
+        raise TypeError("key and text must be strings")
+    return key, text
 
 
 class RecordingBackend:
@@ -264,11 +242,9 @@ class RecordingBackend:
         cache_dir.mkdir(parents=True, exist_ok=True)
         self._path = cache_dir / CACHE_FILE
         self._lock = threading.Lock()
-        cache, whole = _read_cache(self._path)
-        self._seen: set[str] = set(cache)
-        if self._path.exists() and self._path.stat().st_size > whole:
-            # cut a torn final line away, so the next entry starts a line
-            os.truncate(self._path, whole)
+        entries = store.read(self._path, _cache_entry, appended=True, error=CacheCorrupt)
+        self._seen: set[str] = {key for key, _ in entries}
+        store.append(self._path)  # cut a torn final line away now
 
     def send(self, req: PromptRequest) -> str:
         text = self.inner.send(req)
@@ -283,8 +259,7 @@ class RecordingBackend:
         with self._lock:
             if key not in self._seen:
                 self._seen.add(key)
-                with open(self._path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                store.append(self._path, entry)
         return text
 
 
@@ -296,7 +271,7 @@ class ReplayBackend:
 
     def __init__(self, run_dir: str | Path):
         self._path = Path(run_dir) / CACHE_SUBDIR / CACHE_FILE
-        self._cache, _ = _read_cache(self._path)
+        self._cache = dict(store.read(self._path, _cache_entry, appended=True, error=CacheCorrupt))
 
     def send(self, req: PromptRequest) -> str:
         key = record_key(req).hex()

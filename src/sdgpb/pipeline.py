@@ -33,7 +33,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .corpus import CleanDocument, estimate_tokens, normalize_ws, read_jsonl
+from . import store
+from .corpus import CleanDocument, estimate_tokens, normalize_ws
 from .errors import (
     CheckpointCorrupt,
     IdOutOfRange,
@@ -113,6 +114,12 @@ class PromptTemplates:
         return self._texts[name]
 
 
+def _id_in_range(value: object, count: int, name: str) -> int:
+    if type(value) is not int or not 1 <= value <= count:
+        raise ValueError(f"{name} {value!r} is not in 1..{count}")
+    return value
+
+
 @dataclass(frozen=True)
 class PairClassification:
     sdg: int
@@ -137,8 +144,8 @@ class PairClassification:
     @classmethod
     def from_json(cls, obj: dict) -> "PairClassification":
         return cls(
-            sdg=obj["sdg"],
-            pb=obj["pb"],
+            sdg=_id_in_range(obj["sdg"], SDG_COUNT, "sdg"),
+            pb=_id_in_range(obj["pb"], PB_COUNT, "pb"),
             category=Category(obj["category"]),
             refined=RefinedLabel(obj["refined"]) if obj.get("refined") else None,
             direction=Direction(obj["direction"]) if obj.get("direction") else None,
@@ -172,14 +179,19 @@ class DocumentResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DocumentResult":
+        if obj["status"] not in ("complete", "failed", "skipped"):
+            raise ValueError(f"unknown status {obj['status']!r}")
+        failed_stage = obj.get("failed_stage")
+        if failed_stage is not None:
+            _id_in_range(failed_stage, len(STAGES), "failed_stage")
         return cls(
             doc_id=obj["doc_id"],
-            sdgs=frozenset(obj["sdgs"]),
-            pbs=frozenset(obj["pbs"]),
+            sdgs=frozenset(_id_in_range(i, SDG_COUNT, "sdg") for i in obj["sdgs"]),
+            pbs=frozenset(_id_in_range(i, PB_COUNT, "pb") for i in obj["pbs"]),
             pairs=tuple(PairClassification.from_json(p) for p in obj["pairs"]),
             status=obj["status"],
             template_version=obj["template_version"],
-            failed_stage=obj.get("failed_stage"),
+            failed_stage=failed_stage,
             reason=obj.get("reason", ""),
         )
 
@@ -458,6 +470,13 @@ def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) 
 # Checkpoints
 
 
+def _checkpoint_entry(obj: dict) -> tuple[int, dict, str]:
+    stage = obj["stage"]
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    return stage, obj["payload"], obj["template_version"]
+
+
 class CheckpointStore:
     """Per-document JSONL checkpoints under run_dir/checkpoints/.
 
@@ -471,9 +490,8 @@ class CheckpointStore:
     so it never sees stages another writer appends. Worker threads may share
     the instance.
 
-    A final line with no trailing newline was torn by a kill mid-append:
-    `load` ignores it and truncates the file back to its last whole line, so
-    the next append cannot be glued onto the torn bytes.
+    Each file is an appended store (`store`): `load` leaves out a final
+    line torn by a kill mid-append, and the next `write` cuts it away.
     """
 
     def __init__(self, run_dir: str | Path):
@@ -491,41 +509,16 @@ class CheckpointStore:
     def load(self, doc_id: str) -> tuple[int, dict[int, dict], str | None]:
         """Returns (highest completed stage or 0, payloads by completed stage,
         template_version)."""
-        path = self._path(doc_id)
-        payloads: dict[int, dict] = {}
-        version: str | None = None
-        done = 0
-        try:
-            with open(path, "rb", buffering=0) as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            data = b""
-        *lines, torn = data.split(b"\n")
-        for number, raw in enumerate(lines, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                stage = entry["stage"]
-                if stage not in STAGES:
-                    raise ValueError(f"unknown stage {stage!r}")
-                payloads[stage] = entry["payload"]
-                version = entry["template_version"]
-                done |= 1 << stage
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CheckpointCorrupt(
-                    f"{path}: line {number} is not a checkpoint entry: {exc}"
-                ) from exc
-        if torn:
-            os.truncate(path, len(data) - len(torn))
+        entries = store.read(self._path(doc_id), _checkpoint_entry, appended=True,
+                             error=CheckpointCorrupt)
+        payloads = {stage: payload for stage, payload, _ in entries}
+        version = entries[-1][2] if entries else None
         with self._lock:
-            self._done[doc_id] = done
+            self._done[doc_id] = sum(1 << stage for stage in payloads)
         return max(payloads, default=0), payloads, version
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
-        """Appends the stage's line. When this returns the line has reached
-        the kernel: one `write(2)`, repeated only for the rest of a short one."""
+        """Appends the stage's line; when this returns it has reached the kernel."""
         with self._lock:
             known = doc_id in self._done
         if not known:
@@ -536,18 +529,11 @@ class CheckpointStore:
             "payload": payload,
             "template_version": template_version,
         }
-        line = (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
         with self._lock:
             done = self._done[doc_id]
             if done >> stage & 1:
                 raise ValueError(f"{doc_id}: checkpoint for stage {stage} already written")
-            fd = os.open(self._path(doc_id), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            try:
-                written = os.write(fd, line)
-                while written < len(line):
-                    written += os.write(fd, line[written:])
-            finally:
-                os.close(fd)
+            store.append(self._path(doc_id), entry)
             self._done[doc_id] = done | 1 << stage
 
 
@@ -839,12 +825,8 @@ class PipelineRunner:
 
 
 def write_results(results: Sequence[DocumentResult], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for res in sorted(results, key=lambda r: r.doc_id):
-            fh.write(json.dumps(res.to_json(), sort_keys=True) + "\n")
+    store.write(path, (res.to_json() for res in sorted(results, key=lambda r: r.doc_id)))
 
 
 def read_results(path: str | Path) -> list[DocumentResult]:
-    return read_jsonl(path, DocumentResult.from_json)
+    return store.read(path, DocumentResult.from_json)

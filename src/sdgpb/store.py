@@ -1,0 +1,88 @@
+"""JSONL stores: one JSON object per line, keys sorted, UTF-8.
+
+An appended store (a document's checkpoints, the recorded cache) grows a
+line at a time, so a kill mid-append can leave a final line with no
+newline: `read` leaves it out and `append` cuts it away first. A whole-file
+store (manifest, documents, results) is replaced in one rename. Any other
+line that holds no valid record raises a `StoreCorrupt` subclass naming the
+file and line.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+from pathlib import Path
+from typing import Any, Callable, Iterable, TypeVar
+
+from .errors import StoreCorrupt
+
+T = TypeVar("T")
+
+
+def _line(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
+
+
+def read(path: str | Path, from_json: Callable[[Any], T], *, appended: bool = False,
+         error: type[StoreCorrupt] = StoreCorrupt) -> list[T]:
+    """`from_json` of each non-blank line; a missing appended store is empty.
+
+    ValueError, KeyError or TypeError from decoding a line or from
+    `from_json` becomes `error`, naming the file and line.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        if appended:
+            return []
+        raise
+    end = data.rfind(b"\n") + 1 if appended else len(data)
+    try:
+        text = data[:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        number = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {number} is not UTF-8: {exc}") from exc
+    items = []
+    for number, line in enumerate(text.split("\n"), start=1):
+        if line.strip():
+            try:
+                items.append(from_json(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise error(f"{path}: line {number} is not a valid record: {exc!r}") from exc
+    return items
+
+
+def append(path: str | Path, *objs: Any) -> None:
+    """Appends a line per object (none: only cuts a torn line). When this
+    returns they have reached the kernel, in one `write(2)` repeated only
+    for the rest of a short one; they are not fsynced."""
+    data = "".join(map(_line, objs)).encode("utf-8")
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            os.ftruncate(fd, os.pread(fd, end, 0).rfind(b"\n") + 1)
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
+
+
+def write(path: str | Path, objs: Iterable[Any]) -> None:
+    """Writes a line per object to a sibling temporary file, then renames it
+    over `path`, making missing parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(map(_line, objs))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

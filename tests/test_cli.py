@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import sdgpb
+from sdgpb import pipeline
 from sdgpb.cli import main
 from conftest import FIXTURES_DIR
 
@@ -176,6 +177,63 @@ def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
     assert result.exit_code == 3, result.output
     assert "StoreCorrupt" in result.output
     assert f"results.jsonl: line {lines}" in result.output
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sdg", 99), ("sdg", 0), ("sdg", True), ("pb", 10), ("pb", "3"), ("sdgs", [18]),
+    ("pbs", [0]), ("status", "bogus"), ("failed_stage", 0), ("failed_stage", 6),
+    ("failed_stage", True),
+])
+def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, value):
+    config = write_config(tmp_path)
+    results_path = tmp_path / "run" / "results" / "results.jsonl"
+    results_path.parent.mkdir(parents=True)
+    lines = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes().splitlines(keepends=True)
+    entry = json.loads(lines[4])
+    if field in ("sdg", "pb"):
+        entry["pairs"][0][field] = value
+    else:
+        entry[field] = value
+    lines[4] = json.dumps(entry).encode() + b"\n"
+    results_path.write_bytes(b"".join(lines))
+    result = runner.invoke(main, ["--config", str(config), "aggregate"])
+    assert result.exit_code == 3, result.output
+    assert "StoreCorrupt" in result.output
+    assert "results.jsonl: line 5" in result.output
+
+
+@pytest.mark.parametrize("previous", [True, False], ids=["over a previous file", "first write"])
+def test_interrupted_results_write_leaves_no_partial_file(runner, tmp_path, monkeypatch, previous):
+    config = write_config(tmp_path)
+    golden = FIXTURES_DIR / "golden" / "results.jsonl"
+    results_path = tmp_path / "run" / "results" / "results.jsonl"
+    results_path.parent.mkdir(parents=True)
+    if previous:
+        shutil.copy(golden, results_path)
+    results = pipeline.read_results(golden)
+    to_json = pipeline.DocumentResult.to_json
+    encoded = []
+
+    def killed_after_16(res):
+        if len(encoded) == 16:
+            raise KeyboardInterrupt
+        encoded.append(res.doc_id)
+        return to_json(res)
+
+    monkeypatch.setattr(pipeline.DocumentResult, "to_json", killed_after_16)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.write_results(results, results_path)
+    monkeypatch.undo()
+    assert len(encoded) == 16
+    result = runner.invoke(main, ["--config", str(config), "aggregate"])
+    if previous:
+        assert result.exit_code == 0, result.output
+        assert results_path.read_bytes() == golden.read_bytes()
+        matrix = (tmp_path / "run" / "matrix.json").read_bytes()
+        assert matrix == (FIXTURES_DIR / "golden" / "matrix.json").read_bytes()
+    else:
+        assert result.exit_code == 3 and "MissingInput" in result.output
+    assert os.listdir(results_path.parent) == ["results.jsonl"] * previous
 
 
 @pytest.mark.parametrize("bad_line", [b'{"doc_id": "cut\n', b'{"doc_id": "no-body"}\n'])

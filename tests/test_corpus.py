@@ -1,11 +1,12 @@
 import json
 import math
+from functools import partial
 from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdgpb import corpus
+from sdgpb import corpus, store
 from sdgpb.corpus import (
     SectionKind,
     WorksClient,
@@ -361,19 +362,21 @@ def test_fetch_works_http_failure():
 def test_manifest_round_trip(tmp_path):
     records = [corpus.WorkRecord("w1", "title one", 2020, "https://oa/w1")]
     path = tmp_path / "manifest.jsonl"
-    corpus.write_manifest(records, path)
-    assert corpus.read_manifest(path) == records
+    store.write(path, (rec.to_json() for rec in records))
+    assert store.read(path, corpus.WorkRecord.from_json) == records
 
 
+_read_manifest = partial(store.read, from_json=corpus.WorkRecord.from_json)
+_read_documents = partial(store.read, from_json=corpus.CleanDocument.from_json)
 _MANIFEST_LINE = json.dumps(corpus.WorkRecord("w1", "title one", 2020, None).to_json())
 _DOCUMENT_LINE = json.dumps(corpus.CleanDocument("d1", "title", "body", 1).to_json())
 
 
 @pytest.mark.parametrize("reader, good_line, bad_line", [
-    (corpus.read_manifest, _MANIFEST_LINE, "not json"),
-    (corpus.read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": "t"}'),
-    (corpus.read_documents, _DOCUMENT_LINE, "[1, 2]"),
-    (corpus.read_documents, _DOCUMENT_LINE, '{"doc_id": "d2", "title": "t", "body_text": "b"'),
+    (_read_manifest, _MANIFEST_LINE, "not json"),
+    (_read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": "t"}'),
+    (_read_documents, _DOCUMENT_LINE, "[1, 2]"),
+    (_read_documents, _DOCUMENT_LINE, '{"doc_id": "d2", "title": "t", "body_text": "b"'),
 ], ids=["manifest-not-json", "manifest-missing-field", "documents-not-object",
         "documents-truncated"])
 def test_jsonl_reader_names_file_and_line_of_a_bad_record(tmp_path, reader, good_line, bad_line):

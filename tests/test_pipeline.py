@@ -711,14 +711,6 @@ def test_checkpoint_line_is_whole_when_write_returns(tmp_path):
             assert fh.read() == expected
 
 
-def test_checkpoint_write_completes_short_writes(tmp_path, monkeypatch):
-    real_write = os.write
-    monkeypatch.setattr(pipeline.os, "write", lambda fd, data: real_write(fd, data[:7]))
-    CheckpointStore(tmp_path).write("d", 1, {"sdgs": [1, 2, 3]}, "v1")
-    monkeypatch.undo()
-    assert (tmp_path / "checkpoints" / "d.jsonl").read_bytes() == _checkpoint_line("d", 1, {"sdgs": [1, 2, 3]}, "v1")
-
-
 def test_megabyte_checkpoint_payload_round_trips(tmp_path):
     payload = {"verdicts": [{
         "sdg": 1, "pb": 1, "category": "synergy", "justification": "j" * 1_000_000,

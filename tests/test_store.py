@@ -1,0 +1,48 @@
+import os
+
+import pytest
+
+from sdgpb import store
+from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, PromptRequest, RecordingBackend
+from sdgpb.pipeline import CheckpointStore
+
+
+class Echo:
+    live = False
+    backend_id = "echo"
+
+    def send(self, req):
+        return req.doc_id
+
+
+# Each appender is built afresh for every line, as a resumed process would be,
+# and returns the path of the store it appended to.
+
+
+def _append_checkpoint(run_dir, n):
+    CheckpointStore(run_dir).write("d", n, {"payload": [n]}, "v1")
+    return run_dir / "checkpoints" / "d.jsonl"
+
+
+def _append_cache(run_dir, n):
+    req = PromptRequest(stage=1, doc_id=f"doc-{n}", system_text="sys", user_text="café")
+    RecordingBackend(Echo(), run_dir).send(req)
+    return run_dir / CACHE_SUBDIR / CACHE_FILE
+
+
+@pytest.mark.parametrize("kept", [1, -1], ids=["first byte", "all but the newline"])
+@pytest.mark.parametrize("append", [_append_checkpoint, _append_cache], ids=["checkpoint", "cache"])
+def test_append_cuts_torn_line_and_completes_short_writes(tmp_path, monkeypatch, append, kept):
+    append(tmp_path / "clean", 1)
+    whole = append(tmp_path / "clean", 2).read_bytes()
+    second = whole[whole.index(b"\n") + 1:]
+
+    path = append(tmp_path / "torn", 1)
+    with open(path, "ab") as fh:
+        fh.write(second[:kept])  # a kill mid-append
+    real_write = os.write
+    monkeypatch.setattr(store.os, "write", lambda fd, data: real_write(fd, data[:7]))
+    append(tmp_path / "torn", 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == whole
+
