@@ -13,7 +13,6 @@ prompts or the scripted backend change.
 
 from __future__ import annotations
 
-import json
 import random
 import shutil
 import sys
@@ -119,25 +118,17 @@ def record_and_golden(fixtures: Path) -> None:
         )
         results = runner.run(docs)
         golden = fixtures / "golden"
-        golden.mkdir(parents=True, exist_ok=True)
         pipeline.write_results(results, golden / "results.jsonl")
-
-        records = analytics.flatten(results)
-        total_docs = sum(1 for r in results if r.status == "complete")
-        matrix = analytics.build_matrix(records, total_docs)
-        (golden / "matrix.json").write_text(
-            json.dumps(analytics.matrix_to_json(matrix), sort_keys=True, indent=2) + "\n", "utf-8"
-        )
-        (golden / "summary.json").write_text(reporting.emit_summary_json(matrix), "utf-8")
-        (golden / "matrix.csv").write_text(reporting.emit_matrix_csv(matrix), "utf-8")
-        (golden / "figure1.svg").write_bytes(reporting.render_svg(reporting.figure_spec(matrix)))
+        matrix = analytics.matrix_from_results(results)
+        analytics.write_matrix(matrix, golden / "matrix.json")
+        reporting.write_reports(matrix, golden)
 
         cache_dst = fixtures / CACHE_SUBDIR
         cache_dst.mkdir(parents=True, exist_ok=True)
         shutil.copy(run_dir / CACHE_SUBDIR / CACHE_FILE, cache_dst / CACHE_FILE)
 
         print(f"{len(docs)} docs, {matrix.total_records} records, "
-              f"{total_docs} complete; cache and goldens written to {fixtures}")
+              f"{matrix.total_docs} complete; cache and goldens written to {fixtures}")
 
 
 def main() -> None:

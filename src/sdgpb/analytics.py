@@ -10,20 +10,23 @@ shares read their own counters.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from pathlib import Path
+from typing import Iterable, NamedTuple, Optional, Sequence
 
+from . import store
 from .errors import (
     DuplicateRecord,
     EmptyMatrix,
     EmptyPanel,
     NoDirectedRecords,
-    OutOfRange,
+    StoreCorrupt,
     ZeroCorpus,
     ZeroGlobal,
 )
 from .pipeline import DocumentResult
-from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT, bucket
+from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT, bucket, id_in_range
 
 @dataclass(frozen=True)
 class InteractionRecord:
@@ -107,20 +110,55 @@ def matrix_to_json(m: InteractionMatrix) -> dict:
     }
 
 
+def matrix_from_results(results: Sequence[DocumentResult]) -> InteractionMatrix:
+    """The matrix of every complete document's pairs."""
+    return build_matrix(flatten(results), sum(1 for r in results if r.status == "complete"))
+
+
+def _count(value: object) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"count {value!r} is not a non-negative int")
+    return value
+
+
+def _cells(entries: list[dict], kind: type[ReportBucket] | type[Direction], field: str) -> dict:
+    cells: dict = {}
+    for e in entries:
+        cell = (id_in_range(e["sdg"], SDG_COUNT, "sdg"), id_in_range(e["pb"], PB_COUNT, "pb"))
+        cells.setdefault(cell, {})[kind(e[field])] = _count(e["n"])
+    return cells
+
+
 def matrix_from_json(obj: dict) -> InteractionMatrix:
+    """ValueError, KeyError or TypeError for a missing field, an id out of range,
+    an unknown bucket or direction, or cells that do not sum to total_records."""
     m = InteractionMatrix(
-        total_docs=obj["total_docs"],
-        total_records=obj["total_records"],
-        doc_presence_sdg={int(k): v for k, v in obj["doc_presence_sdg"].items()},
-        doc_presence_pb={int(k): v for k, v in obj["doc_presence_pb"].items()},
+        counts=_cells(obj["counts"], ReportBucket, "bucket"),
+        direction_counts=_cells(obj["direction_counts"], Direction, "direction"),
+        doc_presence_sdg={id_in_range(int(k), SDG_COUNT, "sdg"): _count(v)
+                          for k, v in obj["doc_presence_sdg"].items()},
+        doc_presence_pb={id_in_range(int(k), PB_COUNT, "pb"): _count(v)
+                         for k, v in obj["doc_presence_pb"].items()},
+        total_docs=_count(obj["total_docs"]),
+        total_records=_count(obj["total_records"]),
     )
-    for entry in obj["counts"]:
-        cell = m.counts.setdefault((entry["sdg"], entry["pb"]), {})
-        cell[ReportBucket(entry["bucket"])] = entry["n"]
-    for entry in obj["direction_counts"]:
-        cell = m.direction_counts.setdefault((entry["sdg"], entry["pb"]), {})
-        cell[Direction(entry["direction"])] = entry["n"]
+    if m.total_records != sum(n for cell in m.counts.values() for n in cell.values()):
+        raise ValueError(f"total_records {m.total_records} is not the sum of the cells")
     return m
+
+
+def write_matrix(m: InteractionMatrix, path: str | Path) -> None:
+    """Writes `matrix.json` whole (`store.replacing`)."""
+    with store.replacing(path) as fh:
+        fh.write(json.dumps(matrix_to_json(m), sort_keys=True, indent=2).encode("utf-8") + b"\n")
+
+
+def read_matrix(path: str | Path) -> InteractionMatrix:
+    """The matrix `write_matrix` wrote; StoreCorrupt, naming the file, if none."""
+    try:
+        return matrix_from_json(json.loads(Path(path).read_bytes()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise StoreCorrupt(f"{path}: not a valid matrix: {exc!r}") from exc
 
 
 class CellRow(NamedTuple):
@@ -216,9 +254,7 @@ def _goal(m: InteractionMatrix, axis: str, goal_id: int) -> tuple[int, list[tupl
         cells = [(sdg, goal_id) for sdg in range(1, SDG_COUNT + 1)]
     else:
         raise ValueError(f"axis must be 'SDG' or 'PB', got {axis!r}")
-    if not (isinstance(goal_id, int) and 1 <= goal_id <= count):
-        raise OutOfRange(f"{axis} id must be in [1, {count}], got {goal_id!r}")
-    return presence.get(goal_id, 0), cells
+    return presence.get(id_in_range(goal_id, count, f"{axis} id"), 0), cells
 
 
 def presence_share(m: InteractionMatrix, axis: str, goal_id: int) -> float:

@@ -132,46 +132,43 @@ def _load_corpus(cfg: RunConfig) -> list[corpus.CleanDocument]:
     return _ingest(cfg)
 
 
+def _outputs(cfg: RunConfig) -> dict[str, Path]:
+    """The five output files of a run, by name."""
+    run_dir = Path(cfg.run_dir)
+    paths = {"results.jsonl": run_dir / "results" / "results.jsonl",
+             "matrix.json": run_dir / "matrix.json"}
+    return paths | {name: Path(cfg.report_dir) / name for name in reporting.REPORTS}
+
+
 def _run_and_report(cfg: RunConfig) -> Path:
     """Shared body of `run` and `resume`: process corpus, write results."""
     docs = _load_corpus(cfg)
     gateway = _make_gateway(cfg)
     runner = _make_runner(cfg, gateway)
     results = runner.run(docs, workers=cfg.worker_count)
-    results_path = Path(cfg.run_dir) / "results" / "results.jsonl"
+    results_path = _outputs(cfg)["results.jsonl"]
     pipeline.write_results(results, results_path)
     return results_path
 
 
 def _aggregate(cfg: RunConfig) -> Path:
-    results_path = Path(cfg.run_dir) / "results" / "results.jsonl"
+    outputs = _outputs(cfg)
+    results_path = outputs["results.jsonl"]
     if not results_path.exists():
         raise MissingInput(f"results store not found: {results_path}")
-    results = pipeline.read_results(results_path)
-    records = analytics.flatten(results)
-    total_docs = sum(1 for r in results if r.status == "complete")
-    matrix = analytics.build_matrix(records, total_docs)
+    matrix = analytics.matrix_from_results(pipeline.read_results(results_path))
     if matrix.total_records == 0:
         raise EmptyMatrix("aggregation produced zero interaction records")
-    matrix_path = Path(cfg.run_dir) / "matrix.json"
-    matrix_path.write_text(
-        json.dumps(analytics.matrix_to_json(matrix), sort_keys=True, indent=2) + "\n",
-        "utf-8",
-    )
-    return matrix_path
+    analytics.write_matrix(matrix, outputs["matrix.json"])
+    return outputs["matrix.json"]
 
 
 def _report(cfg: RunConfig) -> Path:
-    matrix_path = Path(cfg.run_dir) / "matrix.json"
+    matrix_path = _outputs(cfg)["matrix.json"]
     if not matrix_path.exists():
         raise MissingInput(f"matrix file not found: {matrix_path}; run `aggregate` first")
-    matrix = analytics.matrix_from_json(json.loads(matrix_path.read_text("utf-8")))
-    report_dir = Path(cfg.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / "summary.json").write_text(reporting.emit_summary_json(matrix), "utf-8")
-    (report_dir / "matrix.csv").write_text(reporting.emit_matrix_csv(matrix), "utf-8")
-    (report_dir / "figure1.svg").write_bytes(reporting.render_svg(reporting.figure_spec(matrix)))
-    return report_dir
+    reporting.write_reports(analytics.read_matrix(matrix_path), cfg.report_dir)
+    return Path(cfg.report_dir)
 
 
 @click.group()
@@ -296,15 +293,8 @@ def validate_fixtures(ctx, fixtures_dir):
         cfg.backend = "replay"
         _run_and_report(cfg)
         _aggregate(cfg)
-        report_dir = _report(cfg)
-        produced = {
-            "results.jsonl": run_dir / "results" / "results.jsonl",
-            "matrix.json": run_dir / "matrix.json",
-            "summary.json": report_dir / "summary.json",
-            "matrix.csv": report_dir / "matrix.csv",
-            "figure1.svg": report_dir / "figure1.svg",
-        }
-        for name, path in produced.items():
+        _report(cfg)
+        for name, path in _outputs(cfg).items():
             expected = golden / name
             if not expected.exists():
                 raise MissingInput(f"golden file missing: {expected}")

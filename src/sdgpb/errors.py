@@ -5,12 +5,12 @@ class SdgPbError(Exception):
     """Base class for all package errors."""
 
 
-# taxonomy
-class OutOfRange(SdgPbError):
+# taxonomy: bad values, so a store line or matrix.json that holds one is corrupt
+class OutOfRange(SdgPbError, ValueError):
     pass
 
 
-class IllegalRefinement(SdgPbError):
+class IllegalRefinement(SdgPbError, ValueError):
     pass
 
 
@@ -44,7 +44,7 @@ class OverContext(SdgPbError):
 
 
 class StoreCorrupt(SdgPbError):
-    """A line of a JSONL store is not JSON or does not hold a valid record."""
+    """A store's line, or matrix.json, is not JSON or holds no valid record."""
 
 
 # gateway

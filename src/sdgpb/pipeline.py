@@ -54,6 +54,8 @@ from .taxonomy import (
     PB_COUNT,
     RefinedLabel,
     SDG_COUNT,
+    bucket,
+    id_in_range,
     refined_labels_for,
 )
 
@@ -114,12 +116,6 @@ class PromptTemplates:
         return self._texts[name]
 
 
-def _id_in_range(value: object, count: int, name: str) -> int:
-    if type(value) is not int or not 1 <= value <= count:
-        raise ValueError(f"{name} {value!r} is not in 1..{count}")
-    return value
-
-
 @dataclass(frozen=True)
 class PairClassification:
     sdg: int
@@ -143,11 +139,14 @@ class PairClassification:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PairClassification":
+        category = Category(obj["category"])
+        refined = RefinedLabel(obj["refined"]) if obj.get("refined") else None
+        bucket(category, refined)  # a complete document's pair fits its category
         return cls(
-            sdg=_id_in_range(obj["sdg"], SDG_COUNT, "sdg"),
-            pb=_id_in_range(obj["pb"], PB_COUNT, "pb"),
-            category=Category(obj["category"]),
-            refined=RefinedLabel(obj["refined"]) if obj.get("refined") else None,
+            sdg=id_in_range(obj["sdg"], SDG_COUNT, "sdg"),
+            pb=id_in_range(obj["pb"], PB_COUNT, "pb"),
+            category=category,
+            refined=refined,
             direction=Direction(obj["direction"]) if obj.get("direction") else None,
             justification=obj.get("justification", ""),
             evidence_quote=obj.get("evidence_quote", ""),
@@ -183,11 +182,11 @@ class DocumentResult:
             raise ValueError(f"unknown status {obj['status']!r}")
         failed_stage = obj.get("failed_stage")
         if failed_stage is not None:
-            _id_in_range(failed_stage, len(STAGES), "failed_stage")
+            id_in_range(failed_stage, len(STAGES), "failed_stage")
         return cls(
             doc_id=obj["doc_id"],
-            sdgs=frozenset(_id_in_range(i, SDG_COUNT, "sdg") for i in obj["sdgs"]),
-            pbs=frozenset(_id_in_range(i, PB_COUNT, "pb") for i in obj["pbs"]),
+            sdgs=frozenset(id_in_range(i, SDG_COUNT, "sdg") for i in obj["sdgs"]),
+            pbs=frozenset(id_in_range(i, PB_COUNT, "pb") for i in obj["pbs"]),
             pairs=tuple(PairClassification.from_json(p) for p in obj["pairs"]),
             status=obj["status"],
             template_version=obj["template_version"],
@@ -506,16 +505,15 @@ class CheckpointStore:
     def _path(self, doc_id: str) -> str:
         return f"{self._prefix}{doc_id}.jsonl"
 
-    def load(self, doc_id: str) -> tuple[int, dict[int, dict], str | None]:
-        """Returns (highest completed stage or 0, payloads by completed stage,
-        template_version)."""
+    def load(self, doc_id: str) -> tuple[dict[int, dict], str | None]:
+        """Returns (payloads by completed stage, template_version)."""
         entries = store.read(self._path(doc_id), _checkpoint_entry, appended=True,
                              error=CheckpointCorrupt)
         payloads = {stage: payload for stage, payload, _ in entries}
         version = entries[-1][2] if entries else None
         with self._lock:
             self._done[doc_id] = sum(1 << stage for stage in payloads)
-        return max(payloads, default=0), payloads, version
+        return payloads, version
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
         """Appends the stage's line; when this returns it has reached the kernel."""
@@ -724,7 +722,7 @@ class PipelineRunner:
 
     def process_document(self, doc: CleanDocument) -> DocumentResult:
         version = self.templates.version
-        _, payloads, ckpt_version = self.checkpoints.load(doc.doc_id)
+        payloads, ckpt_version = self.checkpoints.load(doc.doc_id)
         if ckpt_version is not None and ckpt_version != version:
             raise TemplateVersionMismatch(
                 f"{doc.doc_id}: checkpoint was written with template version "

@@ -10,11 +10,14 @@ shade for DP and DN.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
+from . import store
 from .analytics import (
     CellRow,
     InteractionMatrix,
@@ -259,3 +262,19 @@ def emit_summary_json(m: InteractionMatrix) -> str:
                 }
         summary[f"per_{name}"] = per_goal
     return json.dumps(summary, sort_keys=True, indent=2) + "\n"
+
+
+# file name -> its bytes; the lambdas reach the emitters through module globals
+REPORTS = {
+    "summary.json": lambda m: emit_summary_json(m).encode("utf-8"),
+    "matrix.csv": lambda m: emit_matrix_csv(m).encode("utf-8"),
+    "figure1.svg": lambda m: render_svg(figure_spec(m)),
+}
+
+
+def write_reports(m: InteractionMatrix, report_dir: str | Path) -> None:
+    """Writes every `REPORTS` file whole, renaming none until all are written."""
+    with contextlib.ExitStack() as stack:
+        for name, render in REPORTS.items():
+            fh = stack.enter_context(store.replacing(Path(report_dir) / name))
+            fh.write(render(m))

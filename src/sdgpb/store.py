@@ -1,11 +1,11 @@
-"""JSONL stores: one JSON object per line, keys sorted, UTF-8.
+"""Stores: JSONL files (an object per line, keys sorted, UTF-8), matrix, reports.
 
 An appended store (a document's checkpoints, the recorded cache) grows a
 line at a time, so a kill mid-append can leave a final line with no
-newline: `read` leaves it out and `append` cuts it away first. A whole-file
-store (manifest, documents, results) is replaced in one rename. Any other
-line that holds no valid record raises a `StoreCorrupt` subclass naming the
-file and line.
+newline: `read` leaves it out and `append` cuts it away first. Any other
+file (manifest, documents, results, matrix.json, reports) is written whole
+by `replacing`. A line or file that holds no valid record raises a
+`StoreCorrupt` subclass naming the file (and line).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import contextlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import StoreCorrupt
 
@@ -72,17 +72,23 @@ def append(path: str | Path, *objs: Any) -> None:
         os.close(fd)
 
 
-def write(path: str | Path, objs: Iterable[Any]) -> None:
-    """Writes a line per object to a sibling temporary file, then renames it
-    over `path`, making missing parent directories."""
+@contextlib.contextmanager
+def replacing(path: str | Path) -> Iterator[IO[bytes]]:
+    """Yields a sibling temp file, renamed over `path` at the end, removed if the block raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(map(_line, objs))
+        with open(tmp, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+def write(path: str | Path, objs: Iterable[Any]) -> None:
+    """Writes a line per object, as it is made, under `replacing`."""
+    with replacing(path) as fh:
+        fh.writelines(_line(obj).encode("utf-8") for obj in objs)

@@ -81,6 +81,13 @@ _BUCKET_TABLE = {
 }
 
 
+def id_in_range(value: object, count: int, name: str) -> int:
+    """`value` when it is an int (not a bool) in 1..count; else OutOfRange."""
+    if type(value) is not int or not 1 <= value <= count:
+        raise OutOfRange(f"{name} {value!r} is not in 1..{count}")
+    return value
+
+
 class Catalog:
     """Immutable SDG/PB descriptor catalog loaded from a JSON data file."""
 
@@ -94,14 +101,10 @@ class Catalog:
         self.version = version
 
     def sdg_descriptor(self, sdg_id: int) -> GoalDescriptor:
-        if not isinstance(sdg_id, int) or sdg_id < 1 or sdg_id > SDG_COUNT:
-            raise OutOfRange(f"SDG id must be in [1, {SDG_COUNT}], got {sdg_id!r}")
-        return self._sdgs[sdg_id]
+        return self._sdgs[id_in_range(sdg_id, SDG_COUNT, "SDG id")]
 
     def pb_descriptor(self, pb_id: int) -> GoalDescriptor:
-        if not isinstance(pb_id, int) or pb_id < 1 or pb_id > PB_COUNT:
-            raise OutOfRange(f"PB id must be in [1, {PB_COUNT}], got {pb_id!r}")
-        return self._pbs[pb_id]
+        return self._pbs[id_in_range(pb_id, PB_COUNT, "PB id")]
 
     @property
     def sdg_ids(self) -> list[int]:

@@ -31,16 +31,17 @@ def fixture_docs():
     return corpus.ingest_directory(FIXTURES_DIR / "corpus")
 
 
+def seeded_run_dir(base: Path) -> Path:
+    """`base/run`, seeded with the bundled recorded LLM cache."""
+    run_dir = base / "run"
+    (run_dir / CACHE_SUBDIR).mkdir(parents=True, exist_ok=True)
+    shutil.copy(FIXTURES_DIR / CACHE_SUBDIR / CACHE_FILE, run_dir / CACHE_SUBDIR / CACHE_FILE)
+    return run_dir
+
+
 @pytest.fixture
 def replay_run_dir(tmp_path):
-    """Fresh run dir seeded with the bundled recorded LLM cache."""
-    run_dir = tmp_path / "run"
-    (run_dir / CACHE_SUBDIR).mkdir(parents=True)
-    shutil.copy(
-        FIXTURES_DIR / CACHE_SUBDIR / CACHE_FILE,
-        run_dir / CACHE_SUBDIR / CACHE_FILE,
-    )
-    return run_dir
+    return seeded_run_dir(tmp_path)
 
 
 def make_replay_runner(run_dir, catalog, templates, **kwargs):

@@ -7,20 +7,19 @@ arithmetic checks.
 
 import json
 import random
-import shutil
 import time
 from pathlib import Path
 
 import pytest
 
-from sdgpb import analytics, corpus, pipeline, reporting
+from sdgpb import analytics, pipeline, reporting
 from sdgpb.analytics import build_matrix, cell_proportions, global_proportions, matrix_to_json, ratio_to_global
 from sdgpb.errors import IllegalRefinement
-from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, Gateway, ReplayBackend, TokenBucket
+from sdgpb.gateway import Gateway, ReplayBackend, TokenBucket
 from sdgpb.pipeline import CheckpointStore, PipelineRunner, chunk_pairs, parse_reasoner
-from sdgpb.taxonomy import Category, ReportBucket, load_catalog
+from sdgpb.taxonomy import Category, ReportBucket
 
-from conftest import FIXTURES_DIR, make_replay_runner
+from conftest import FIXTURES_DIR, make_replay_runner, seeded_run_dir
 from test_analytics import assert_matches_oracle, cell_records, random_records
 
 CRITERIA = {}
@@ -32,28 +31,20 @@ def report_line(number, passed, note=""):
     print(f"ACCEPTANCE {number}: {status} {note}".rstrip())
 
 
-def seeded_run_dir(base: Path) -> Path:
-    run_dir = base / "run"
-    (run_dir / CACHE_SUBDIR).mkdir(parents=True)
-    shutil.copy(FIXTURES_DIR / CACHE_SUBDIR / CACHE_FILE, run_dir / CACHE_SUBDIR / CACHE_FILE)
-    return run_dir
+def output_files(results, run_dir: Path) -> dict[str, bytes]:
+    """The five files `sdgpb run`, `aggregate` and `report` write, as bytes."""
+    results_path = run_dir / "results" / "results.jsonl"
+    pipeline.write_results(results, results_path)
+    matrix = analytics.matrix_from_results(pipeline.read_results(results_path))
+    analytics.write_matrix(matrix, run_dir / "matrix.json")
+    reporting.write_reports(matrix, run_dir / "report")
+    paths = [results_path, run_dir / "matrix.json",
+             *(run_dir / "report" / name for name in reporting.REPORTS)]
+    return {path.name: path.read_bytes() for path in paths}
 
 
 def full_pipeline_outputs(run_dir: Path, docs, catalog, templates) -> dict[str, bytes]:
-    runner = make_replay_runner(run_dir, catalog, templates)
-    results = runner.run(docs)
-    pipeline.write_results(results, run_dir / "results" / "results.jsonl")
-    records = analytics.flatten(results)
-    total_docs = sum(1 for r in results if r.status == "complete")
-    matrix = build_matrix(records, total_docs)
-    spec = reporting.figure_spec(matrix)
-    return {
-        "results.jsonl": (run_dir / "results" / "results.jsonl").read_bytes(),
-        "matrix.json": json.dumps(matrix_to_json(matrix), sort_keys=True).encode(),
-        "summary.json": reporting.emit_summary_json(matrix).encode(),
-        "matrix.csv": reporting.emit_matrix_csv(matrix).encode(),
-        "figure1.svg": reporting.render_svg(spec),
-    }
+    return output_files(make_replay_runner(run_dir, catalog, templates).run(docs), run_dir)
 
 
 def test_criterion_1_end_to_end_determinism(tmp_path, fixture_docs, catalog, templates):
@@ -222,7 +213,7 @@ def test_criterion_8_figure_structure(tmp_path, fixture_docs, catalog, templates
 
     runner = make_replay_runner(seeded_run_dir(tmp_path), catalog, templates)
     results = runner.run(fixture_docs)
-    matrix = build_matrix(analytics.flatten(results), len(results))
+    matrix = analytics.matrix_from_results(results)
     spec = reporting.figure_spec(matrix)
     svg = reporting.render_svg(spec)
     root = ElementTree.fromstring(svg)

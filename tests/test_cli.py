@@ -9,9 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import sdgpb
-from sdgpb import pipeline
-from sdgpb.cli import main
-from conftest import FIXTURES_DIR
+from sdgpb import analytics, pipeline, reporting
+from sdgpb.cli import _outputs, main
+from sdgpb.config import load_config
+from conftest import FIXTURES_DIR, seeded_run_dir
 
 SUBCOMMANDS = ["fetch", "ingest", "run", "resume", "aggregate", "report", "validate-fixtures"]
 
@@ -32,12 +33,6 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
-
-
-def seed_cache(tmp_path):
-    cache_dir = tmp_path / "run" / "llm_cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    shutil.copy(FIXTURES_DIR / "llm_cache" / "cache.jsonl", cache_dir / "cache.jsonl")
 
 
 def test_help_for_every_subcommand(runner):
@@ -66,7 +61,7 @@ def test_missing_config_file_exit_2(runner, tmp_path):
 
 def test_run_replay_and_full_reporting_chain(runner, tmp_path):
     config = write_config(tmp_path)
-    seed_cache(tmp_path)
+    seeded_run_dir(tmp_path)
     for args in (["run"], ["aggregate"], ["report"]):
         result = runner.invoke(main, ["--config", str(config)] + args)
         assert result.exit_code == 0, (args, result.output)
@@ -79,7 +74,7 @@ def test_run_replay_and_full_reporting_chain(runner, tmp_path):
 
 def test_run_is_idempotent(runner, tmp_path):
     config = write_config(tmp_path)
-    seed_cache(tmp_path)
+    seeded_run_dir(tmp_path)
     assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
     first = (tmp_path / "run" / "results" / "results.jsonl").read_bytes()
     assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
@@ -88,7 +83,7 @@ def test_run_is_idempotent(runner, tmp_path):
 
 def test_resume_with_no_checkpoints_equals_fresh_run(runner, tmp_path):
     config = write_config(tmp_path)
-    seed_cache(tmp_path)
+    seeded_run_dir(tmp_path)
     result = runner.invoke(main, ["--config", str(config), "resume"])
     assert result.exit_code == 0
     produced = (tmp_path / "run" / "results" / "results.jsonl").read_bytes()
@@ -99,7 +94,7 @@ def _finished_run(runner, tmp_path):
     """A complete replayed run whose outputs are then removed, so that only
     its checkpoints remain for `resume`."""
     config = write_config(tmp_path)
-    seed_cache(tmp_path)
+    seeded_run_dir(tmp_path)
     assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
     (tmp_path / "run" / "results" / "results.jsonl").unlink()
     checkpoints = sorted((tmp_path / "run" / "checkpoints").glob("*.jsonl"))
@@ -119,14 +114,7 @@ def test_resume_drops_torn_final_checkpoint_line(runner, tmp_path, kept):
     for args in (["resume"], ["aggregate"], ["report"]):
         result = runner.invoke(main, ["--config", str(config)] + args)
         assert result.exit_code == 0, (args, result.output)
-    produced = {
-        "results.jsonl": tmp_path / "run" / "results" / "results.jsonl",
-        "matrix.json": tmp_path / "run" / "matrix.json",
-        "summary.json": tmp_path / "report" / "summary.json",
-        "matrix.csv": tmp_path / "report" / "matrix.csv",
-        "figure1.svg": tmp_path / "report" / "figure1.svg",
-    }
-    for name, produced_path in produced.items():
+    for name, produced_path in _outputs(load_config(config)).items():
         assert produced_path.read_bytes() == (FIXTURES_DIR / "golden" / name).read_bytes(), name
     # the torn bytes were cut away and the stage re-appended once
     assert path.read_bytes() == whole
@@ -183,6 +171,8 @@ def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
     ("sdg", 99), ("sdg", 0), ("sdg", True), ("pb", 10), ("pb", "3"), ("sdgs", [18]),
     ("pbs", [0]), ("status", "bogus"), ("failed_stage", 0), ("failed_stage", 6),
     ("failed_stage", True),
+    # line 5's first pair is neutral: a refinement, or a category that needs one
+    ("refined", "Actual Synergy"), ("category", "synergy"),
 ])
 def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, value):
     config = write_config(tmp_path)
@@ -190,7 +180,7 @@ def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, 
     results_path.parent.mkdir(parents=True)
     lines = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes().splitlines(keepends=True)
     entry = json.loads(lines[4])
-    if field in ("sdg", "pb"):
+    if field in ("sdg", "pb", "refined", "category"):
         entry["pairs"][0][field] = value
     else:
         entry[field] = value
@@ -200,6 +190,99 @@ def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, 
     assert result.exit_code == 3, result.output
     assert "StoreCorrupt" in result.output
     assert "results.jsonl: line 5" in result.output
+
+
+def _golden_matrix_run(tmp_path):
+    config = write_config(tmp_path)
+    matrix_path = tmp_path / "run" / "matrix.json"
+    matrix_path.parent.mkdir(parents=True)
+    shutil.copy(FIXTURES_DIR / "golden" / "matrix.json", matrix_path)
+    return config, matrix_path
+
+
+def _set_first(key, field, value):
+    def change(matrix):
+        matrix[key][0][field] = value
+    return change
+
+
+@pytest.mark.parametrize("damage", [
+    "cut to 300 bytes", "no counts", "sdg 99", "sdg 0", "pb 10", "pb true", "unknown bucket",
+    "unknown direction", "count as a string", "negative count", "presence of sdg 18",
+    "total off by one", "a list",
+])
+def test_report_on_malformed_matrix_exit_3(runner, tmp_path, damage):
+    config, matrix_path = _golden_matrix_run(tmp_path)
+    golden = matrix_path.read_bytes()
+    changes = {
+        "no counts": lambda m: m.pop("counts"),
+        "sdg 99": _set_first("counts", "sdg", 99),
+        "sdg 0": _set_first("direction_counts", "sdg", 0),
+        "pb 10": _set_first("counts", "pb", 10),
+        "pb true": _set_first("counts", "pb", True),
+        "unknown bucket": _set_first("counts", "bucket", "Synergy"),
+        "unknown direction": _set_first("direction_counts", "direction", "both"),
+        "count as a string": _set_first("counts", "n", "2"),
+        "negative count": _set_first("direction_counts", "n", -1),
+        "presence of sdg 18": lambda m: m["doc_presence_sdg"].update({"18": 1}),
+        "total off by one": lambda m: m.update(total_records=m["total_records"] + 1),
+    }
+    if damage == "cut to 300 bytes":
+        matrix_path.write_bytes(golden[:300])  # as a kill during an in-place write leaves it
+    elif damage == "a list":
+        matrix_path.write_text("[]")
+    else:
+        matrix = json.loads(golden)
+        changes[damage](matrix)
+        matrix_path.write_text(json.dumps(matrix))
+    result = runner.invoke(main, ["--config", str(config), "report"])
+    assert result.exit_code == 3, result.output
+    assert "StoreCorrupt" in result.output
+    assert f"{matrix_path}: not a valid matrix" in result.output
+    assert not (tmp_path / "report").exists()
+
+
+def test_failed_report_leaves_previous_reports(runner, tmp_path, monkeypatch):
+    config, matrix_path = _golden_matrix_run(tmp_path)
+    report_dir = tmp_path / "report"
+    assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
+    previous = {path.name: path.read_bytes() for path in report_dir.iterdir()}
+    assert sorted(previous) == sorted(reporting.REPORTS)
+    matrix = json.loads(matrix_path.read_bytes())
+    matrix["total_docs"] += 8
+    matrix_path.write_text(json.dumps(matrix))
+
+    def fails(spec):
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(reporting, "render_svg", fails)
+    result = runner.invoke(main, ["--config", str(config), "report"])
+    assert isinstance(result.exception, RuntimeError)
+    assert {path.name: path.read_bytes() for path in report_dir.iterdir()} == previous
+    monkeypatch.undo()
+    # the new matrix changes the reports, so the old bytes above were kept
+    assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
+    assert (report_dir / "summary.json").read_bytes() != previous["summary.json"]
+    assert (report_dir / "figure1.svg").read_bytes() != previous["figure1.svg"]
+
+
+def test_failed_aggregate_leaves_previous_matrix(runner, tmp_path, monkeypatch):
+    config, matrix_path = _golden_matrix_run(tmp_path)
+    matrix_path.write_text("previous\n")
+    results_path = tmp_path / "run" / "results" / "results.jsonl"
+    results_path.parent.mkdir(parents=True)
+    shutil.copy(FIXTURES_DIR / "golden" / "results.jsonl", results_path)
+    to_json = analytics.matrix_to_json
+
+    def fails_after_encoding(m):
+        to_json(m)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analytics, "matrix_to_json", fails_after_encoding)
+    result = runner.invoke(main, ["--config", str(config), "aggregate"])
+    assert result.exit_code != 0
+    assert matrix_path.read_text() == "previous\n"
+    assert sorted(os.listdir(matrix_path.parent)) == ["matrix.json", "results"]
 
 
 @pytest.mark.parametrize("previous", [True, False], ids=["over a previous file", "first write"])
@@ -305,7 +388,7 @@ def test_record_reproduces_fixture_cache(runner, tmp_path):
 
 @pytest.mark.parametrize("kept", ["first byte", "all but 40 bytes", "all but the newline"])
 def test_record_after_torn_cache_line_restores_cache(runner, tmp_path, kept):
-    seed_cache(tmp_path)
+    seeded_run_dir(tmp_path)
     path = tmp_path / "run" / "llm_cache" / "cache.jsonl"
     whole = path.read_bytes()
     start = whole.rstrip(b"\n").rfind(b"\n") + 1
@@ -325,7 +408,7 @@ def test_record_after_torn_cache_line_restores_cache(runner, tmp_path, kept):
 
 
 def test_run_on_corrupt_cache_line_exit_3(runner, tmp_path):
-    seed_cache(tmp_path)
+    seeded_run_dir(tmp_path)
     path = tmp_path / "run" / "llm_cache" / "cache.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     lines[4] = b'{"key": "cut\n'
@@ -339,7 +422,7 @@ def test_run_on_corrupt_cache_line_exit_3(runner, tmp_path):
 
 
 def test_replay_of_cache_line_with_non_string_text_exit_3(runner, tmp_path):
-    seed_cache(tmp_path)
+    seeded_run_dir(tmp_path)
     path = tmp_path / "run" / "llm_cache" / "cache.jsonl"
     lines = path.read_bytes().splitlines(keepends=True)
     entry = json.loads(lines[4])
@@ -356,7 +439,8 @@ import importlib, json, pkgutil, sys
 import sdgpb
 for info in pkgutil.walk_packages(sdgpb.__path__, "sdgpb."):
     importlib.import_module(info.name)
-from sdgpb.cli import main
+from sdgpb.cli import _outputs, main
+from sdgpb.config import load_config
 code = 0
 try:
     main(["validate-fixtures", "--fixtures-dir", sys.argv[1]])

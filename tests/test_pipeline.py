@@ -675,7 +675,7 @@ def test_pair_stage_over_context_skips_document(tmp_path, catalog, templates, te
                          PromptTemplates(template_dir), context_budget=budget)
     [res] = runner.run([doc])
     assert res.status == "skipped" and "exceeds context budget" in res.reason
-    _, payloads, _ = runner.checkpoints.load(doc.doc_id)
+    payloads, _ = runner.checkpoints.load(doc.doc_id)
     assert set(payloads) == set(range(1, stage))
 
 
@@ -685,15 +685,15 @@ def test_checkpoint_monotonicity(tmp_path):
     store.write("d", 2, {"pbs": [2]}, "v1")
     with pytest.raises(ValueError):
         store.write("d", 2, {"pbs": [3]}, "v1")
-    last, payloads, version = store.load("d")
-    assert last == 2 and payloads[1] == {"sdgs": [1]} and version == "v1"
+    payloads, version = store.load("d")
+    assert set(payloads) == {1, 2} and payloads[1] == {"sdgs": [1]} and version == "v1"
     # a second store on the same directory, never loaded, reads the file once
     fresh = CheckpointStore(tmp_path)
     with pytest.raises(ValueError):
         fresh.write("d", 2, {"pbs": [3]}, "v1")
     fresh.write("d", 3, {"verdicts": []}, "v1")
-    last, payloads, _ = CheckpointStore(tmp_path).load("d")
-    assert last == 3 and payloads[2] == {"pbs": [2]}
+    payloads, _ = CheckpointStore(tmp_path).load("d")
+    assert set(payloads) == {1, 2, 3} and payloads[2] == {"pbs": [2]}
 
 
 def _checkpoint_line(doc_id, stage, payload, version):
@@ -717,7 +717,7 @@ def test_megabyte_checkpoint_payload_round_trips(tmp_path):
         "evidence_quote": "caf\u00e9 \u2014 \U0001f30d\n",
     }]}
     CheckpointStore(tmp_path).write("d", 3, payload, "v1")
-    assert CheckpointStore(tmp_path).load("d") == (3, {3: payload}, "v1")
+    assert CheckpointStore(tmp_path).load("d") == ({3: payload}, "v1")
 
 
 def _open_descriptors():

@@ -9,15 +9,14 @@ from sdgpb.analytics import build_matrix, matrix_from_json, matrix_to_json
 from sdgpb.errors import EmptyMatrix
 from sdgpb.reporting import (
     CSV_HEADER,
-    FigureSpec,
     emit_matrix_csv,
     emit_summary_json,
     figure_spec,
     render_svg,
 )
-from sdgpb.taxonomy import Direction, ReportBucket
+from sdgpb.taxonomy import ReportBucket
 
-from test_analytics import cell_records, rec
+from test_analytics import cell_records
 
 # matrix.csv's columns, written out: the header is derived from CellRow
 CSV_COLUMNS = [

@@ -46,3 +46,20 @@ def test_append_cuts_torn_line_and_completes_short_writes(tmp_path, monkeypatch,
     monkeypatch.undo()
     assert path.read_bytes() == whole
 
+
+@pytest.mark.parametrize("previous", [b"old\n", None], ids=["over a previous file", "first write"])
+def test_replacing_keeps_previous_file_when_block_raises(tmp_path, previous):
+    path = tmp_path / "sub" / "out.json"
+    if previous is not None:
+        path.parent.mkdir()
+        path.write_bytes(previous)
+    with pytest.raises(RuntimeError):
+        with store.replacing(path) as fh:
+            fh.write(b"new, half")
+            raise RuntimeError("killed mid-write")
+    assert os.listdir(path.parent) == ["out.json"] * (previous is not None)
+    if previous is not None:
+        assert path.read_bytes() == previous
+    with store.replacing(path) as fh:
+        fh.write(b"new\n")
+    assert path.read_bytes() == b"new\n" and os.listdir(path.parent) == ["out.json"]

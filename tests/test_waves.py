@@ -6,7 +6,6 @@ a seeded latency per send, so the gateway limits and retries and the runner
 overlaps each wave's calls in its pool.
 """
 
-import json
 import random
 import sys
 import threading
@@ -14,14 +13,12 @@ import time
 
 import pytest
 
-from sdgpb import analytics, pipeline, reporting
+from sdgpb import pipeline
 from sdgpb.gateway import Gateway, ReplayBackend, record_key
 from sdgpb.pipeline import PipelineRunner
 
-from conftest import FIXTURES_DIR
-from test_acceptance import InterruptingStore, seeded_run_dir
-
-GOLDEN_FILES = ("results.jsonl", "matrix.json", "summary.json", "matrix.csv", "figure1.svg")
+from conftest import FIXTURES_DIR, seeded_run_dir
+from test_acceptance import InterruptingStore, output_files
 
 
 class LiveReplay:
@@ -59,27 +56,9 @@ def live_runner(run_dir, backend, catalog, templates, checkpoints=None):
     )
 
 
-def golden_outputs(results, run_dir) -> dict[str, bytes]:
-    """The five files `sdgpb run`, `aggregate` and `report` write, as bytes."""
-    results_path = run_dir / "results" / "results.jsonl"
-    pipeline.write_results(results, results_path)
-    results = pipeline.read_results(results_path)
-    matrix = analytics.build_matrix(
-        analytics.flatten(results), sum(1 for r in results if r.status == "complete")
-    )
-    return {
-        "results.jsonl": results_path.read_bytes(),
-        "matrix.json": (json.dumps(analytics.matrix_to_json(matrix), sort_keys=True, indent=2)
-                        + "\n").encode(),
-        "summary.json": reporting.emit_summary_json(matrix).encode(),
-        "matrix.csv": reporting.emit_matrix_csv(matrix).encode(),
-        "figure1.svg": reporting.render_svg(reporting.figure_spec(matrix)),
-    }
-
-
 @pytest.fixture(scope="module")
 def goldens():
-    return {name: (FIXTURES_DIR / "golden" / name).read_bytes() for name in GOLDEN_FILES}
+    return {path.name: path.read_bytes() for path in (FIXTURES_DIR / "golden").iterdir()}
 
 
 def overlapping_docs(calls, stage_a, stage_b):
@@ -108,7 +87,7 @@ def test_live_waves_match_goldens_and_overlap(tmp_path, fixture_docs, catalog, t
         results = runner.run(fixture_docs, workers=workers)
     finally:
         sys.setswitchinterval(interval)
-    assert golden_outputs(results, run_dir) == goldens
+    assert output_files(results, run_dir) == goldens
 
     overlap, both = overlapping_docs(backend.calls, 1, 2)
     assert len(both) == len(fixture_docs)
@@ -143,7 +122,7 @@ def test_live_resume_equivalence_at_every_kill_point(tmp_path, fixture_docs, cat
             if not store.fired:
                 continue
             resumed = live_runner(run_dir, LiveReplay(run_dir, 0.0002), catalog, templates)
-            outputs = golden_outputs(resumed.run(fixture_docs), run_dir)
+            outputs = output_files(resumed.run(fixture_docs), run_dir)
             assert outputs == goldens, (doc.doc_id, stage)
             boundaries += 1
     assert boundaries >= len(fixture_docs) * 3
