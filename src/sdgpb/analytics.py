@@ -131,7 +131,8 @@ def _cells(entries: list[dict], kind: type[ReportBucket] | type[Direction], fiel
 
 def matrix_from_json(obj: dict) -> InteractionMatrix:
     """ValueError, KeyError or TypeError for a missing field, an id out of range,
-    an unknown bucket or direction, or cells that do not sum to total_records."""
+    an unknown bucket or direction, cells that do not sum to total_records, or
+    a cell with more directed records than synergies and trade-offs."""
     m = InteractionMatrix(
         counts=_cells(obj["counts"], ReportBucket, "bucket"),
         direction_counts=_cells(obj["direction_counts"], Direction, "direction"),
@@ -144,6 +145,11 @@ def matrix_from_json(obj: dict) -> InteractionMatrix:
     )
     if m.total_records != sum(n for cell in m.counts.values() for n in cell.values()):
         raise ValueError(f"total_records {m.total_records} is not the sum of the cells")
+    for (sdg, pb), directed in m.direction_counts.items():
+        row = cell_row(m, sdg, pb)
+        if sum(directed.values()) > row.synergy + row.tradeoff:
+            raise ValueError(f"cell ({sdg},{pb}) has more directed records than "
+                             "synergies and trade-offs")
     return m
 
 

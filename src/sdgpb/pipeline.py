@@ -10,11 +10,12 @@ A document's calls follow their dependencies in three waves: stages 1 and
 2 together, then every stage-3 batch, then every stage-4 and stage-5 batch.
 With a live backend the calls of a wave overlap. Offline backends (replay,
 scripted) answer in microseconds, so their waves run inline, in order.
-Either way replies are consumed in (stage, batch) order and the first
-failing call in that order decides a failed document, so results never
-depend on completion order. A checkpoint is written for each completed
-stage, in stage order after its wave, and resume runs only the missing
-stages.
+Only the calls (build the request, send it, parse the reply) leave the
+document's thread. The rest runs on it after each wave, in (stage, batch)
+order: replies are adopted into stage payloads (stage 3's evidence-quote
+check among them), checkpoints are written, and the first failing call
+decides a failed document. So neither results nor logs depend on
+completion order. Resume runs only the missing stages.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -142,12 +144,15 @@ class PairClassification:
         category = Category(obj["category"])
         refined = RefinedLabel(obj["refined"]) if obj.get("refined") else None
         bucket(category, refined)  # a complete document's pair fits its category
+        direction = Direction(obj["direction"]) if obj.get("direction") else None
+        if direction is not None and category is Category.NEUTRAL:
+            raise ValueError("a neutral pair has no direction")
         return cls(
             sdg=id_in_range(obj["sdg"], SDG_COUNT, "sdg"),
             pb=id_in_range(obj["pb"], PB_COUNT, "pb"),
             category=category,
             refined=refined,
-            direction=Direction(obj["direction"]) if obj.get("direction") else None,
+            direction=direction,
             justification=obj.get("justification", ""),
             evidence_quote=obj.get("evidence_quote", ""),
         )
@@ -469,10 +474,30 @@ def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) 
 # Checkpoints
 
 
+# each pair stage's checkpoint entries: the field that holds the pair's value,
+# and that value's vocabulary
+_PAIR_VALUES = {3: ("category", Category), 4: ("direction", Direction), 5: ("label", RefinedLabel)}
+
+
 def _checkpoint_entry(obj: dict) -> tuple[int, dict, str]:
+    """(stage, payload, template version) of a checkpoint line whose payload
+    holds its stage's list: ids in range, and pairs in range with a known
+    value."""
     stage = obj["stage"]
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
+    key = STAGES[stage].payload_key
+    entries = obj["payload"][key]
+    if not isinstance(entries, list):
+        raise TypeError(f"stage {stage} payload {key!r} is not a list")
+    for entry in entries:
+        if stage in _PAIR_VALUES:
+            field, vocabulary = _PAIR_VALUES[stage]
+            id_in_range(entry["sdg"], SDG_COUNT, "sdg")
+            id_in_range(entry["pb"], PB_COUNT, "pb")
+            vocabulary(entry[field])
+        else:
+            id_in_range(entry, SDG_COUNT if stage == 1 else PB_COUNT, key)
     return stage, obj["payload"], obj["template_version"]
 
 
@@ -535,55 +560,50 @@ class CheckpointStore:
             self._done[doc_id] = done | 1 << stage
 
 
-class _EvidenceCheck:
-    """Stage 3's verdicts for one document: a non-neutral verdict keeps its
-    category only if its evidence quote occurs in the body, whitespace
-    normalised on both sides.
+def _verdicts(
+    doc: CleanDocument, parsed: list[tuple[tuple[int, int], Category, str, str]]
+) -> list[dict]:
+    """Stage 3's payload entries: a non-neutral verdict keeps its category
+    only if its evidence quote occurs in the body, whitespace normalised on
+    both sides; otherwise it is downgraded to neutral.
 
     A normalised, non-empty quote has each of its spaces between two
     non-spaces, so if it occurs in the raw body it also occurs in the
     normalised body. The body is therefore normalised only when that test
-    misses, at most once, under a lock: the stage-3 batches of a live wave
-    share one check.
+    misses, and at most once.
     """
+    normalized = None
 
-    def __init__(self, doc: CleanDocument):
-        self._doc = doc
-        self._normalized: str | None = None
-        self._lock = threading.Lock()
-
-    def holds(self, quote: str) -> bool:
+    def holds(quote: str) -> bool:
+        nonlocal normalized
         quote = normalize_ws(quote)
         if not quote:
             return False
-        if quote in self._doc.body_text:
+        if quote in doc.body_text:
             return True
-        with self._lock:
-            if self._normalized is None:
-                self._normalized = normalize_ws(self._doc.body_text)
-        return quote in self._normalized
+        if normalized is None:
+            normalized = normalize_ws(doc.body_text)
+        return quote in normalized
 
-    def verdicts(self, parsed: list[tuple[tuple[int, int], Category, str, str]]) -> list[dict]:
-        """Stage 3's payload entries, each unsupported quote downgraded to neutral."""
-        verdicts = []
-        for (s, p), category, justification, quote in parsed:
-            if category is not Category.NEUTRAL and not self.holds(quote):
-                logger.warning(
-                    "%s pair (%d,%d): evidence quote not found verbatim in body; "
-                    "downgrading to neutral",
-                    self._doc.doc_id, s, p,
-                )
-                category, quote = Category.NEUTRAL, ""
-            verdicts.append(
-                {
-                    "sdg": s,
-                    "pb": p,
-                    "category": category.value,
-                    "justification": justification,
-                    "evidence_quote": quote,
-                }
+    verdicts = []
+    for (s, p), category, justification, quote in parsed:
+        if category is not Category.NEUTRAL and not holds(quote):
+            logger.warning(
+                "%s pair (%d,%d): evidence quote not found verbatim in body; "
+                "downgrading to neutral",
+                doc.doc_id, s, p,
             )
-        return verdicts
+            category, quote = Category.NEUTRAL, ""
+        verdicts.append(
+            {
+                "sdg": s,
+                "pb": p,
+                "category": category.value,
+                "justification": justification,
+                "evidence_quote": quote,
+            }
+        )
+    return verdicts
 
 
 def _pair_entries(
@@ -602,10 +622,10 @@ def _pair_entries(
 _WAVES = ((1, 2), (3,), (4, 5))
 
 
-def _attempt(call: Callable[[], list]) -> tuple[list | None, Exception | None]:
+def _attempt(call: Callable[[], Iterable]) -> tuple[Iterable | None, Exception | None]:
     try:
         return call(), None
-    except Exception as exc:  # the wave's consumer acts on it in (stage, batch) order
+    except Exception as exc:  # the document's thread acts on it in (stage, batch) order
         return None, exc
 
 
@@ -633,59 +653,57 @@ class PipelineRunner:
 
     # -- one stage call with repair + retry -------------------------------
 
-    def _call(self, build: Callable, parse: Callable, entries: Callable, doc: CleanDocument,
-              *args) -> list:
-        """One call of a stage, returning its payload entries: one
-        schema-repair reprompt, then one full retry (live backends only),
-        then give up. `args` follow the document in the builder's call and
-        the reply text in the parser's: an axis or a batch, and stage 5's
-        categories."""
+    def _call(self, build: Callable, parse: Callable, doc: CleanDocument, *args) -> Iterable:
+        """One call of a stage, returning its parsed reply: one schema-repair
+        reprompt, then one full retry (live backends only), then give up.
+        `args` follow the document in the builder's call and the reply text
+        in the parser's: an axis or a batch, and stage 5's categories."""
         req = build(doc, *args, self.catalog, self.templates, self.context_budget)
         try:
-            parsed = parse(self.gateway.complete(req).text, *args)
+            return parse(self.gateway.complete(req).text, *args)
         except SchemaError as first:
             logger.warning("%s stage %d: %s; sending repair prompt", req.doc_id, req.stage, first)
             repair = replace(req, user_text=req.user_text + _REPAIR_SUFFIX)
             try:
-                parsed = parse(self.gateway.complete(repair).text, *args)
+                return parse(self.gateway.complete(repair).text, *args)
             except SchemaError:
                 if not self.gateway.live:
                     # an offline backend answers the same request with the same text
                     raise first from None
-                parsed = parse(self.gateway.complete(req).text, *args)  # one full retry
-        return entries(parsed)
+                return parse(self.gateway.complete(req).text, *args)  # one full retry
 
     def _stage_calls(
         self, doc: CleanDocument, stage: int, payloads: dict[int, dict]
-    ) -> list[Callable[[], list]]:
-        """One stage's calls in batch order, built from the payloads it needs.
+    ) -> tuple[list[Callable[[], Iterable]], Callable[[list], list]]:
+        """One stage's calls in batch order, built from the payloads it needs,
+        and its adopt function: it turns the calls' parsed replies, joined in
+        batch order, into the stage's payload entries.
 
         The builders and parsers are looked up in this module's globals as
         each document runs, so a wrapper set on the module sees every call.
         """
         if stage in (1, 2):
             axis = "SDG" if stage == 1 else "PB"
-            return [partial(self._call, build_allocation_prompt, parse_allocation, sorted, doc, axis)]
+            return [partial(self._call, build_allocation_prompt, parse_allocation, doc, axis)], sorted
         # Record keys hash each PAIRS line as sent, so recorded replies rely on
         # this order: stage 3 batches the sorted candidates, and stages 4 and 5
         # batch the non-neutral pairs in stage-3 verdict order.
         if stage == 3:
             pairs = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
-            call = partial(self._call, build_relationship_prompt, parse_relationship,
-                           _EvidenceCheck(doc).verdicts, doc)
-            return [partial(call, batch) for batch in chunk_pairs(pairs, self.batch_cap)]
+            call = partial(self._call, build_relationship_prompt, parse_relationship, doc)
+            calls = [partial(call, batch) for batch in chunk_pairs(pairs, self.batch_cap)]
+            return calls, partial(_verdicts, doc)
         categories = {
             (v["sdg"], v["pb"]): Category(v["category"]) for v in payloads[3]["verdicts"]
         }
         active = [pair for pair, cat in categories.items() if cat is not Category.NEUTRAL]
         batches = chunk_pairs(active, self.batch_cap)
         if stage == 4:
-            call = partial(self._call, build_causality_prompt, parse_causality,
-                           partial(_pair_entries, "direction"), doc)
-            return [partial(call, batch) for batch in batches]
-        call = partial(self._call, build_reasoner_prompt, parse_reasoner,
-                       partial(_pair_entries, "label"), doc)
-        return [partial(call, batch, categories) for batch in batches]
+            call = partial(self._call, build_causality_prompt, parse_causality, doc)
+            return [partial(call, batch) for batch in batches], partial(_pair_entries, "direction")
+        call = partial(self._call, build_reasoner_prompt, parse_reasoner, doc)
+        calls = [partial(call, batch, categories) for batch in batches]
+        return calls, partial(_pair_entries, "label")
 
     # -- wave dispatch ----------------------------------------------------
 
@@ -704,9 +722,9 @@ class PipelineRunner:
             return self._pool
 
     def _run_wave(
-        self, calls: list[Callable[[], list]]
-    ) -> list[tuple[list | None, Exception | None]]:
-        """Runs one wave; returns each call's (result, error) in call order.
+        self, calls: list[Callable[[], Iterable]]
+    ) -> list[tuple[Iterable | None, Exception | None]]:
+        """Runs one wave; returns each call's (parsed reply, error) in call order.
 
         Live calls overlap: all but the first go to the pool, and the first
         runs on this thread. Offline backends answer in microseconds, less
@@ -730,49 +748,36 @@ class PipelineRunner:
             )
 
         for wave in _WAVES:
-            missing = [stage for stage in wave if stage not in payloads]
-            calls = [
-                (stage, call)
-                for stage in missing
-                for call in self._stage_calls(doc, stage, payloads)
+            stages = [
+                (stage, *self._stage_calls(doc, stage, payloads))
+                for stage in wave
+                if stage not in payloads
             ]
-            outcomes = self._run_wave([call for _, call in calls])
-            # adopt and checkpoint in stage order, up to the first failure
-            for stage in missing:
-                mine = [outcome for (s, _), outcome in zip(calls, outcomes) if s == stage]
-                error = next((err for _, err in mine if err is not None), None)
-                if error is not None:
-                    return self._stopped(doc, stage, error, payloads)
-                entries = [entry for part, _ in mine for entry in part]
-                payloads[stage] = {STAGES[stage].payload_key: entries}
+            outcomes = iter(self._run_wave([call for _, calls, _ in stages for call in calls]))
+            # only the calls left this thread: adopt and checkpoint here, in
+            # (stage, batch) order, up to the first failure
+            for stage, calls, adopt in stages:
+                parsed = []
+                for part, error in islice(outcomes, len(calls)):
+                    if error is not None:
+                        return self._stopped(doc, stage, error, payloads)
+                    parsed.extend(part)
+                payloads[stage] = {STAGES[stage].payload_key: adopt(parsed)}
                 self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
 
-        direction_by_pair = {
-            (d["sdg"], d["pb"]): Direction(d["direction"]) for d in payloads[4]["directions"]
-        }
-        label_by_pair = {
-            (r["sdg"], r["pb"]): RefinedLabel(r["label"]) for r in payloads[5]["refinements"]
-        }
-        pair_results = []
+        directions = {(d["sdg"], d["pb"]): d["direction"] for d in payloads[4]["directions"]}
+        labels = {(r["sdg"], r["pb"]): r["label"] for r in payloads[5]["refinements"]}
+        pairs = []
         for v in payloads[3]["verdicts"]:
             pair = (v["sdg"], v["pb"])
-            category = Category(v["category"])
-            pair_results.append(
-                PairClassification(
-                    sdg=pair[0],
-                    pb=pair[1],
-                    category=category,
-                    refined=label_by_pair.get(pair),
-                    direction=direction_by_pair.get(pair),
-                    justification=v["justification"],
-                    evidence_quote=v["evidence_quote"],
-                )
-            )
+            pairs.append(PairClassification.from_json(
+                v | {"refined": labels.get(pair), "direction": directions.get(pair)}
+            ))
         return DocumentResult(
             doc_id=doc.doc_id,
             sdgs=frozenset(payloads[1]["sdgs"]),
             pbs=frozenset(payloads[2]["pbs"]),
-            pairs=tuple(pair_results),
+            pairs=tuple(pairs),
             status="complete",
             template_version=version,
         )

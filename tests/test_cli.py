@@ -171,8 +171,9 @@ def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
     ("sdg", 99), ("sdg", 0), ("sdg", True), ("pb", 10), ("pb", "3"), ("sdgs", [18]),
     ("pbs", [0]), ("status", "bogus"), ("failed_stage", 0), ("failed_stage", 6),
     ("failed_stage", True),
-    # line 5's first pair is neutral: a refinement, or a category that needs one
-    ("refined", "Actual Synergy"), ("category", "synergy"),
+    # line 5's first pair is neutral: a refinement, a category that needs one,
+    # or a direction
+    ("refined", "Actual Synergy"), ("category", "synergy"), ("direction", "pb_to_sdg"),
 ])
 def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, value):
     config = write_config(tmp_path)
@@ -180,7 +181,7 @@ def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, 
     results_path.parent.mkdir(parents=True)
     lines = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes().splitlines(keepends=True)
     entry = json.loads(lines[4])
-    if field in ("sdg", "pb", "refined", "category"):
+    if field in ("sdg", "pb", "refined", "category", "direction"):
         entry["pairs"][0][field] = value
     else:
         entry[field] = value
@@ -209,7 +210,7 @@ def _set_first(key, field, value):
 @pytest.mark.parametrize("damage", [
     "cut to 300 bytes", "no counts", "sdg 99", "sdg 0", "pb 10", "pb true", "unknown bucket",
     "unknown direction", "count as a string", "negative count", "presence of sdg 18",
-    "total off by one", "a list",
+    "total off by one", "a list", "more directed records than the cell holds",
 ])
 def test_report_on_malformed_matrix_exit_3(runner, tmp_path, damage):
     config, matrix_path = _golden_matrix_run(tmp_path)
@@ -226,6 +227,7 @@ def test_report_on_malformed_matrix_exit_3(runner, tmp_path, damage):
         "negative count": _set_first("direction_counts", "n", -1),
         "presence of sdg 18": lambda m: m["doc_presence_sdg"].update({"18": 1}),
         "total off by one": lambda m: m.update(total_records=m["total_records"] + 1),
+        "more directed records than the cell holds": _set_first("direction_counts", "n", 1000),
     }
     if damage == "cut to 300 bytes":
         matrix_path.write_bytes(golden[:300])  # as a kill during an in-place write leaves it
@@ -240,6 +242,31 @@ def test_report_on_malformed_matrix_exit_3(runner, tmp_path, damage):
     assert "StoreCorrupt" in result.output
     assert f"{matrix_path}: not a valid matrix" in result.output
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("stage, damage", [
+    (1, lambda payload: payload.update(sdgs=[99])),
+    (2, lambda payload: payload.update(pbs=["3"])),
+    (3, lambda payload: payload.update(verdicts={})),
+    (3, lambda payload: payload.update(verdict=payload.pop("verdicts"))),
+    (3, _set_first("verdicts", "category", "bogus")),
+    (3, _set_first("verdicts", "sdg", 0)),
+    (4, _set_first("directions", "direction", "both")),
+    (5, _set_first("refinements", "label", "bogus")),
+], ids=["sdg 99", "pb as a string", "verdicts not a list", "no verdicts", "unknown category",
+        "sdg 0", "unknown direction", "unknown label"])
+def test_resume_on_invalid_checkpoint_payload_exit_3(runner, tmp_path, stage, damage):
+    config, path = _finished_run(runner, tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    entry = json.loads(lines[stage - 1])
+    assert entry["stage"] == stage
+    damage(entry["payload"])
+    lines[stage - 1] = json.dumps(entry).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+    result = runner.invoke(main, ["--config", str(config), "resume"])
+    assert result.exit_code == 3, result.output
+    assert "CheckpointCorrupt" in result.output
+    assert f"{path.name}: line {stage}" in result.output
 
 
 def test_failed_report_leaves_previous_reports(runner, tmp_path, monkeypatch):

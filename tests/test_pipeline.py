@@ -596,6 +596,41 @@ def test_body_normalised_at_most_once_across_live_batches(tmp_path, catalog, tem
     assert len(body_normalisations) == 1
 
 
+def test_quote_downgrades_log_in_batch_order(tmp_path, catalog, templates, caplog):
+    class LiveStageBackend(StageBackend):
+        live = True
+
+    # batch 1, pair (2,2), answers after batch 2, pair (2,6); both quotes are
+    # missing from the body, and every other batch's quote is in it
+    replies = happy_replies("Irrigation programs improved water access")
+    good = replies[3]
+    second_answered = threading.Event()
+
+    def stage3(req):
+        pairs = json.loads(req.user_text.split("PAIRS: ")[1].splitlines()[0])
+        if pairs == [[2, 2]]:
+            assert second_answered.wait(5)
+            time.sleep(0.05)  # so warnings logged as calls complete would put batch 2 first
+        elif pairs == [[2, 6]]:
+            second_answered.set()
+        else:
+            return good(req)
+        return json.dumps({"verdicts": [{
+            "sdg": 2, "pb": pairs[0][1], "category": "synergy",
+            "justification": "measured", "evidence_quote": "NOT IN THE TEXT",
+        }]})
+
+    replies[3] = stage3
+    runner = make_runner(LiveStageBackend(replies), tmp_path, catalog, templates, batch_cap=1)
+    [res] = runner.run([make_doc()])
+    assert res.status == "complete"
+    assert [p.category for p in res.pairs[:3]] == [
+        Category.NEUTRAL, Category.NEUTRAL, Category.SYNERGY,
+    ]
+    downgrades = [r.getMessage() for r in caplog.records if "downgrading" in r.getMessage()]
+    assert [m.split(":")[0] for m in downgrades] == ["doc-x pair (2,2)", "doc-x pair (2,6)"]
+
+
 def test_schema_repair_then_success(tmp_path, catalog, templates):
     quote = "Irrigation programs improved water access"
     backend = StageBackend(happy_replies(quote), bad_first=1)

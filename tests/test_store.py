@@ -4,7 +4,7 @@ import pytest
 
 from sdgpb import store
 from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, PromptRequest, RecordingBackend
-from sdgpb.pipeline import CheckpointStore
+from sdgpb.pipeline import STAGES, CheckpointStore
 
 
 class Echo:
@@ -20,7 +20,7 @@ class Echo:
 
 
 def _append_checkpoint(run_dir, n):
-    CheckpointStore(run_dir).write("d", n, {"payload": [n]}, "v1")
+    CheckpointStore(run_dir).write("d", n, {STAGES[n].payload_key: [n]}, "v1")
     return run_dir / "checkpoints" / "d.jsonl"
 
 
