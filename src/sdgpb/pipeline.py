@@ -29,11 +29,12 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from enum import Enum
 from functools import partial
 from itertools import islice
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import store
 from .corpus import CleanDocument, estimate_tokens, normalize_ws
@@ -70,11 +71,15 @@ DEFAULT_CONTEXT_BUDGET = 1_000_000
 @dataclass(frozen=True)
 class StageSpec:
     """What one stage asks for: its reply's list (also the key of its
-    checkpoint payload), its template and its output budget."""
+    checkpoint payload), its template and its output budget; for a pair
+    stage also the entry field that holds each pair's answer, and that
+    answer's vocabulary."""
 
     payload_key: str
     template: str
     output_budget: int
+    answer: str | None = None
+    vocabulary: type[Enum] | None = None
 
 
 # generous output budgets; pair stages reason at length per pair. The
@@ -82,10 +87,23 @@ class StageSpec:
 STAGES = {
     1: StageSpec("sdgs", "sdg_allocation.txt", 4096),
     2: StageSpec("pbs", "pb_allocation.txt", 4096),
-    3: StageSpec("verdicts", "relationship.txt", 65536),
-    4: StageSpec("directions", "causality.txt", 16384),
-    5: StageSpec("refinements", "reasoner.txt", 65536),
+    3: StageSpec("verdicts", "relationship.txt", 65536, "category", Category),
+    4: StageSpec("directions", "causality.txt", 16384, "direction", Direction),
+    5: StageSpec("refinements", "reasoner.txt", 65536, "label", RefinedLabel),
 }
+
+# every accepted spelling of a pair answer, lower-cased: each vocabulary value
+# and two aliases. No spelling belongs to two vocabularies.
+_SPELLINGS = {
+    member.value.lower(): member
+    for spec in STAGES.values() if spec.vocabulary for member in spec.vocabulary
+} | {"tradeoff": Category.TRADEOFF, "double negative": RefinedLabel.DOUBLE_NEGATIVE}
+
+# the error an answer outside its stage's vocabulary raises
+_UNKNOWN_ANSWER = {Category: UnknownCategory, Direction: UnknownDirection, RefinedLabel: SchemaError}
+
+# a neutral stage-3 entry's category, read once: an enum's .value is a property call
+_NEUTRAL = Category.NEUTRAL.value
 
 _SYSTEM_TEXT = (
     "You classify interactions between Sustainable Development Goals and "
@@ -378,6 +396,22 @@ def _read_reply(text: str, stage: int, batch: Sequence[tuple[int, int]] | None =
     return [(pair, by_pair[pair]) for pair in batch]
 
 
+def _answers(
+    text: str, stage: int, batch: Sequence[tuple[int, int]]
+) -> Iterator[tuple[dict, Enum, dict]]:
+    """For each pair of the batch, in batch order: its checkpoint entry (its
+    ids and its answer's canonical value), the answer, and the reply's entry.
+    Answers match their vocabulary's spellings whatever their case and
+    surrounding whitespace."""
+    field, vocabulary = STAGES[stage].answer, STAGES[stage].vocabulary
+    for (s, p), entry in _read_reply(text, stage, batch):
+        raw = entry.get(field)
+        answer = _SPELLINGS.get(str(raw).strip().lower())
+        if type(answer) is not vocabulary:
+            raise _UNKNOWN_ANSWER[vocabulary](f"unknown {field} {raw!r} for pair {(s, p)}")
+        yield {"sdg": s, "pb": p, field: answer.value}, answer, entry
+
+
 def parse_allocation(text: str, axis: str) -> frozenset[int]:
     stage, upper = _allocation_axis(axis)
     ids = set()
@@ -390,67 +424,36 @@ def parse_allocation(text: str, axis: str) -> frozenset[int]:
     return frozenset(ids)
 
 
-_CATEGORY_ALIASES = {
-    "synergy": Category.SYNERGY,
-    "trade-off": Category.TRADEOFF,
-    "tradeoff": Category.TRADEOFF,
-    "neutral": Category.NEUTRAL,
-}
-
-_DIRECTION_ALIASES = {
-    "sdg_to_pb": Direction.SDG_TO_PB,
-    "pb_to_sdg": Direction.PB_TO_SDG,
-}
-
-_LABEL_BY_TEXT = {label.value.lower(): label for label in RefinedLabel}
-_LABEL_BY_TEXT["double negative"] = RefinedLabel.DOUBLE_NEGATIVE
-
-
-def parse_relationship(
-    text: str, batch: Sequence[tuple[int, int]]
-) -> list[tuple[tuple[int, int], Category, str, str]]:
+def parse_relationship(text: str, batch: Sequence[tuple[int, int]]) -> list[dict]:
     out = []
-    for pair, entry in _read_reply(text, 3, batch):
-        raw_cat = str(entry.get("category", "")).strip().lower()
-        if raw_cat not in _CATEGORY_ALIASES:
-            raise UnknownCategory(f"unknown category {entry.get('category')!r} for pair {pair}")
-        category = _CATEGORY_ALIASES[raw_cat]
-        justification = str(entry.get("justification", "") or "")
-        quote = str(entry.get("evidence_quote", "") or "")
-        if category is not Category.NEUTRAL and not justification:
-            raise SchemaError(f"missing justification for non-neutral pair {pair}")
-        out.append((pair, category, justification, quote))
+    for verdict, category, entry in _answers(text, 3, batch):
+        verdict["justification"] = str(entry.get("justification", "") or "")
+        verdict["evidence_quote"] = str(entry.get("evidence_quote", "") or "")
+        if category is not Category.NEUTRAL and not verdict["justification"]:
+            raise SchemaError(
+                f"missing justification for non-neutral pair {(verdict['sdg'], verdict['pb'])}"
+            )
+        out.append(verdict)
     return out
 
 
-def parse_causality(
-    text: str, batch: Sequence[tuple[int, int]]
-) -> list[tuple[tuple[int, int], Direction]]:
-    out = []
-    for pair, entry in _read_reply(text, 4, batch):
-        raw = str(entry.get("direction", "")).strip().lower()
-        if raw not in _DIRECTION_ALIASES:
-            raise UnknownDirection(f"unknown direction {entry.get('direction')!r} for pair {pair}")
-        out.append((pair, _DIRECTION_ALIASES[raw]))
-    return out
+def parse_causality(text: str, batch: Sequence[tuple[int, int]]) -> list[dict]:
+    return [direction for direction, _, _ in _answers(text, 4, batch)]
 
 
 def parse_reasoner(
     text: str,
     batch: Sequence[tuple[int, int]],
     categories: dict[tuple[int, int], Category],
-) -> list[tuple[tuple[int, int], RefinedLabel]]:
+) -> list[dict]:
     out = []
-    for pair, entry in _read_reply(text, 5, batch):
-        raw = str(entry.get("label", "")).strip().lower()
-        if raw not in _LABEL_BY_TEXT:
-            raise SchemaError(f"unknown refinement label {entry.get('label')!r} for pair {pair}")
-        label = _LABEL_BY_TEXT[raw]
+    for refinement, label, _ in _answers(text, 5, batch):
+        pair = (refinement["sdg"], refinement["pb"])
         if label not in refined_labels_for(categories[pair]):
             raise IllegalRefinement(
                 f"label {label.value!r} illegal for {categories[pair].value} pair {pair}"
             )
-        out.append((pair, label))
+        out.append(refinement)
     return out
 
 
@@ -474,30 +477,24 @@ def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) 
 # Checkpoints
 
 
-# each pair stage's checkpoint entries: the field that holds the pair's value,
-# and that value's vocabulary
-_PAIR_VALUES = {3: ("category", Category), 4: ("direction", Direction), 5: ("label", RefinedLabel)}
-
-
 def _checkpoint_entry(obj: dict) -> tuple[int, dict, str]:
     """(stage, payload, template version) of a checkpoint line whose payload
-    holds its stage's list: ids in range, and pairs in range with a known
-    value."""
+    holds its stage's list: ids in range, and pairs in range with an answer
+    in the stage's vocabulary."""
     stage = obj["stage"]
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    key = STAGES[stage].payload_key
-    entries = obj["payload"][key]
+    spec = STAGES[stage]
+    entries = obj["payload"][spec.payload_key]
     if not isinstance(entries, list):
-        raise TypeError(f"stage {stage} payload {key!r} is not a list")
+        raise TypeError(f"stage {stage} payload {spec.payload_key!r} is not a list")
     for entry in entries:
-        if stage in _PAIR_VALUES:
-            field, vocabulary = _PAIR_VALUES[stage]
+        if spec.vocabulary is None:
+            id_in_range(entry, SDG_COUNT if stage == 1 else PB_COUNT, spec.payload_key)
+        else:
             id_in_range(entry["sdg"], SDG_COUNT, "sdg")
             id_in_range(entry["pb"], PB_COUNT, "pb")
-            vocabulary(entry[field])
-        else:
-            id_in_range(entry, SDG_COUNT if stage == 1 else PB_COUNT, key)
+            spec.vocabulary(entry[spec.answer])
     return stage, obj["payload"], obj["template_version"]
 
 
@@ -527,12 +524,12 @@ class CheckpointStore:
         # small int costs nothing beyond its dict slot, a set 216 bytes
         self._done: dict[str, int] = {}
 
-    def _path(self, doc_id: str) -> str:
+    def path(self, doc_id: str) -> str:
         return f"{self._prefix}{doc_id}.jsonl"
 
     def load(self, doc_id: str) -> tuple[dict[int, dict], str | None]:
         """Returns (payloads by completed stage, template_version)."""
-        entries = store.read(self._path(doc_id), _checkpoint_entry, appended=True,
+        entries = store.read(self.path(doc_id), _checkpoint_entry, appended=True,
                              error=CheckpointCorrupt)
         payloads = {stage: payload for stage, payload, _ in entries}
         version = entries[-1][2] if entries else None
@@ -556,16 +553,15 @@ class CheckpointStore:
             done = self._done[doc_id]
             if done >> stage & 1:
                 raise ValueError(f"{doc_id}: checkpoint for stage {stage} already written")
-            store.append(self._path(doc_id), entry)
+            store.append(self.path(doc_id), entry)
             self._done[doc_id] = done | 1 << stage
 
 
-def _verdicts(
-    doc: CleanDocument, parsed: list[tuple[tuple[int, int], Category, str, str]]
-) -> list[dict]:
-    """Stage 3's payload entries: a non-neutral verdict keeps its category
-    only if its evidence quote occurs in the body, whitespace normalised on
-    both sides; otherwise it is downgraded to neutral.
+def _verdicts(doc: CleanDocument, verdicts: list[dict]) -> list[dict]:
+    """Stage 3's payload entries, the parsed verdicts: a non-neutral one
+    keeps its category only if its evidence quote occurs in the body,
+    whitespace normalised on both sides; otherwise it is downgraded to
+    neutral, in place.
 
     A normalised, non-empty quote has each of its spaces between two
     non-spaces, so if it occurs in the raw body it also occurs in the
@@ -585,32 +581,15 @@ def _verdicts(
             normalized = normalize_ws(doc.body_text)
         return quote in normalized
 
-    verdicts = []
-    for (s, p), category, justification, quote in parsed:
-        if category is not Category.NEUTRAL and not holds(quote):
+    for v in verdicts:
+        if v["category"] != _NEUTRAL and not holds(v["evidence_quote"]):
             logger.warning(
                 "%s pair (%d,%d): evidence quote not found verbatim in body; "
                 "downgrading to neutral",
-                doc.doc_id, s, p,
+                doc.doc_id, v["sdg"], v["pb"],
             )
-            category, quote = Category.NEUTRAL, ""
-        verdicts.append(
-            {
-                "sdg": s,
-                "pb": p,
-                "category": category.value,
-                "justification": justification,
-                "evidence_quote": quote,
-            }
-        )
+            v.update(category=_NEUTRAL, evidence_quote="")
     return verdicts
-
-
-def _pair_entries(
-    field: str, parsed: list[tuple[tuple[int, int], Direction | RefinedLabel]]
-) -> list[dict]:
-    """Stage 4's or 5's payload entries: each pair with its parsed value."""
-    return [{"sdg": s, "pb": p, field: value.value} for (s, p), value in parsed]
 
 
 # --------------------------------------------------------------------------
@@ -700,10 +679,9 @@ class PipelineRunner:
         batches = chunk_pairs(active, self.batch_cap)
         if stage == 4:
             call = partial(self._call, build_causality_prompt, parse_causality, doc)
-            return [partial(call, batch) for batch in batches], partial(_pair_entries, "direction")
+            return [partial(call, batch) for batch in batches], list
         call = partial(self._call, build_reasoner_prompt, parse_reasoner, doc)
-        calls = [partial(call, batch, categories) for batch in batches]
-        return calls, partial(_pair_entries, "label")
+        return [partial(call, batch, categories) for batch in batches], list
 
     # -- wave dispatch ----------------------------------------------------
 
@@ -765,14 +743,31 @@ class PipelineRunner:
                 payloads[stage] = {STAGES[stage].payload_key: adopt(parsed)}
                 self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
 
-        directions = {(d["sdg"], d["pb"]): d["direction"] for d in payloads[4]["directions"]}
-        labels = {(r["sdg"], r["pb"]): r["label"] for r in payloads[5]["refinements"]}
+        # each line was checked alone as it loaded; stages 4 and 5 must also
+        # answer exactly stage 3's non-neutral pairs, each label fitting its
+        # pair's category
+        path = self.checkpoints.path(doc.doc_id)
+        verdicts = payloads[3]["verdicts"]
+        active = sorted((v["sdg"], v["pb"]) for v in verdicts if v["category"] != _NEUTRAL)
+        answers = {}
+        for stage in (4, 5):
+            spec = STAGES[stage]
+            entries = payloads[stage][spec.payload_key]
+            if sorted((e["sdg"], e["pb"]) for e in entries) != active:
+                raise CheckpointCorrupt(
+                    f"{path}: stage {stage} {spec.payload_key} do not answer exactly "
+                    f"stage 3's non-neutral pairs {active}"
+                )
+            answers[stage] = {(e["sdg"], e["pb"]): e[spec.answer] for e in entries}
         pairs = []
-        for v in payloads[3]["verdicts"]:
+        for v in verdicts:
             pair = (v["sdg"], v["pb"])
-            pairs.append(PairClassification.from_json(
-                v | {"refined": labels.get(pair), "direction": directions.get(pair)}
-            ))
+            try:
+                pairs.append(PairClassification.from_json(
+                    v | {"refined": answers[5].get(pair), "direction": answers[4].get(pair)}
+                ))
+            except IllegalRefinement as exc:
+                raise CheckpointCorrupt(f"{path}: {exc}") from exc
         return DocumentResult(
             doc_id=doc.doc_id,
             sdgs=frozenset(payloads[1]["sdgs"]),

@@ -244,6 +244,16 @@ def test_report_on_malformed_matrix_exit_3(runner, tmp_path, damage):
     assert not (tmp_path / "report").exists()
 
 
+def _damage_checkpoint(path, stage, damage):
+    """Applies `damage` to the payload of the checkpoint line of `stage`."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    entry = json.loads(lines[stage - 1])
+    assert entry["stage"] == stage
+    damage(entry["payload"])
+    lines[stage - 1] = json.dumps(entry).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
+
 @pytest.mark.parametrize("stage, damage", [
     (1, lambda payload: payload.update(sdgs=[99])),
     (2, lambda payload: payload.update(pbs=["3"])),
@@ -257,16 +267,29 @@ def test_report_on_malformed_matrix_exit_3(runner, tmp_path, damage):
         "sdg 0", "unknown direction", "unknown label"])
 def test_resume_on_invalid_checkpoint_payload_exit_3(runner, tmp_path, stage, damage):
     config, path = _finished_run(runner, tmp_path)
-    lines = path.read_bytes().splitlines(keepends=True)
-    entry = json.loads(lines[stage - 1])
-    assert entry["stage"] == stage
-    damage(entry["payload"])
-    lines[stage - 1] = json.dumps(entry).encode() + b"\n"
-    path.write_bytes(b"".join(lines))
+    _damage_checkpoint(path, stage, damage)
     result = runner.invoke(main, ["--config", str(config), "resume"])
     assert result.exit_code == 3, result.output
     assert "CheckpointCorrupt" in result.output
     assert f"{path.name}: line {stage}" in result.output
+
+
+# doc-000's stage 3 holds one trade-off, (2, 2), and one neutral pair; each
+# damaged line stays valid alone
+@pytest.mark.parametrize("stage, damage", [
+    (4, lambda payload: payload["directions"].pop()),
+    (5, lambda payload: payload["refinements"].pop()),
+    (4, lambda payload: payload["directions"].append({"sdg": 1, "pb": 1, "direction": "sdg_to_pb"})),
+    (5, _set_first("refinements", "label", "Actual Synergy")),
+], ids=["missing direction", "missing label", "pair not in stage 3", "synergy label on a trade-off"])
+def test_resume_on_stages_4_5_off_stage_3_pairs_exit_3(runner, tmp_path, stage, damage):
+    config, _ = _finished_run(runner, tmp_path)
+    path = tmp_path / "run" / "checkpoints" / "doc-000.jsonl"
+    _damage_checkpoint(path, stage, damage)
+    result = runner.invoke(main, ["--config", str(config), "resume"])
+    assert result.exit_code == 3, result.output
+    assert "CheckpointCorrupt" in result.output
+    assert str(path) in result.output
 
 
 def test_failed_report_leaves_previous_reports(runner, tmp_path, monkeypatch):

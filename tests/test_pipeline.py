@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -37,7 +38,7 @@ from sdgpb.pipeline import (
     parse_reasoner,
     parse_relationship,
 )
-from sdgpb.taxonomy import Category, Direction, RefinedLabel
+from sdgpb.taxonomy import Category, Direction, RefinedLabel, refined_labels_for
 from sdgpb.testing import ScriptedBackend
 
 from conftest import FIXTURES_DIR, make_replay_runner
@@ -172,7 +173,7 @@ def test_parse_relationship_consistent_duplicates_ok():
 
 def test_parse_causality():
     reply = json.dumps({"directions": [{"sdg": 7, "pb": 6, "direction": "sdg_to_pb"}]})
-    assert parse_causality(reply, [(7, 6)]) == [((7, 6), Direction.SDG_TO_PB)]
+    assert parse_causality(reply, [(7, 6)]) == [{"sdg": 7, "pb": 6, "direction": "sdg_to_pb"}]
 
 
 def test_parse_causality_rejects_both():
@@ -187,9 +188,10 @@ def test_parse_reasoner_labels():
         {"sdg": 1, "pb": 1, "label": "Actual Synergy"},
         {"sdg": 1, "pb": 2, "label": "Double Negative (Co-Degradation)"},
     ]})
-    parsed = dict(parse_reasoner(reply, [(1, 1), (1, 2)], cats))
-    assert parsed[(1, 1)] is RefinedLabel.ACTUAL_SYNERGY
-    assert parsed[(1, 2)] is RefinedLabel.DOUBLE_NEGATIVE
+    assert parse_reasoner(reply, [(1, 1), (1, 2)], cats) == [
+        {"sdg": 1, "pb": 1, "label": RefinedLabel.ACTUAL_SYNERGY.value},
+        {"sdg": 1, "pb": 2, "label": RefinedLabel.DOUBLE_NEGATIVE.value},
+    ]
 
 
 def test_parse_reasoner_cross_category_rejected():
@@ -230,6 +232,55 @@ def test_pair_parsers_reject_bool_ids(key, ids):
 def test_parsers_reject_deep_nesting(key):
     with pytest.raises(SchemaError):
         _PARSERS[key](f'{{"{key}": {_DEEP}}}', [(1, 1)], {(1, 1): Category.SYNERGY})
+
+
+# each pair stage's answer field, vocabulary and error for an unknown answer
+_ANSWERS = {
+    "verdicts": ("category", Category, UnknownCategory),
+    "directions": ("direction", Direction, UnknownDirection),
+    "refinements": ("label", RefinedLabel, SchemaError),
+}
+_ALIASES = {"tradeoff": Category.TRADEOFF, "double negative": RefinedLabel.DOUBLE_NEGATIVE}
+
+
+def _spellings(vocabulary):
+    """(text, canonical value) of each value of the vocabulary and each alias of one."""
+    return [(v.value, v) for v in vocabulary] + [
+        (text, v) for text, v in _ALIASES.items() if type(v) is vocabulary
+    ]
+
+
+def _parse_answer(key, text):
+    """The answer the parser of stage `key` reads from a one-pair reply
+    answering `text`; stage 5's pair is a trade-off unless `text` names a
+    synergy label."""
+    field, _, _ = _ANSWERS[key]
+    reply = json.dumps({key: [{"sdg": 1, "pb": 1, **_PAIR_FIELDS[key], field: text}]})
+    synergy_labels = {label.value.lower() for label in refined_labels_for(Category.SYNERGY)}
+    category = Category.SYNERGY if text.strip().lower() in synergy_labels else Category.TRADEOFF
+    [entry] = _PARSERS[key](reply, [(1, 1)], {(1, 1): category})
+    return entry[field]
+
+
+@pytest.mark.parametrize("key, text, value", [
+    (key, text, value) for key, (_, vocabulary, _) in _ANSWERS.items()
+    for text, value in _spellings(vocabulary)
+])
+def test_pair_parsers_accept_every_spelling(key, text, value):
+    for case in (str, str.lower, str.upper, str.swapcase):
+        for padded in (case(text), f" \t{case(text)}\n "):
+            assert _parse_answer(key, padded) == value.value, padded
+
+
+@pytest.mark.parametrize("key, text", [
+    (key, text) for key, (_, vocabulary, _) in _ANSWERS.items()
+    for _, other, _ in _ANSWERS.values() if other is not vocabulary
+    for text, _ in _spellings(other)
+])
+def test_pair_parsers_reject_other_vocabularies(key, text):
+    with pytest.raises(SchemaError) as info:
+        _parse_answer(key, text)
+    assert info.type is _ANSWERS[key][2]
 
 
 _WORDS = st.sampled_from([
@@ -494,6 +545,26 @@ def test_process_document_complete(tmp_path, catalog, templates):
         assert p.category is Category.SYNERGY
         assert p.direction is Direction.PB_TO_SDG
         assert p.refined is RefinedLabel.ACTUAL_SYNERGY
+
+
+# sha256 over each checkpoint file's name and bytes, files in name order, of
+# the fixture corpus run through ScriptedBackend(seed=0). Checkpoints are not
+# among the goldens; these pin them, so that checkpoints an earlier build
+# wrote still resume byte for byte. Cap 4 joins several batches per stage.
+_CHECKPOINT_SHA256 = {
+    20: "ca81077395417cf0fd49c495fac2a06f6636d07f78963fe14977ff8c6e8574f5",
+    4: "bbd9048ff02e6e4c7bd346edcd3df30f3b7c3a69556fe30128fb7fd08abf2ef8",
+}
+
+
+@pytest.mark.parametrize("cap", sorted(_CHECKPOINT_SHA256))
+def test_checkpoint_bytes_are_pinned(tmp_path, fixture_docs, catalog, templates, cap):
+    runner = make_runner(ScriptedBackend(seed=0), tmp_path, catalog, templates, batch_cap=cap)
+    runner.run(fixture_docs)
+    h = hashlib.sha256()
+    for path in sorted((tmp_path / "checkpoints").glob("*.jsonl")):
+        h.update(path.name.encode() + b"\x00" + path.read_bytes())
+    assert h.hexdigest() == _CHECKPOINT_SHA256[cap]
 
 
 _PUBLIC_STEPS = [
