@@ -259,8 +259,12 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _text_of(elem: ElementTree.Element) -> str:
-    return normalize_ws(" ".join(elem.itertext()))
+def _text_of(elem: ElementTree.Element, sep: str = "") -> str:
+    """The element's text and its descendants' text and tails, in document
+    order, joined by `sep` and whitespace-normalised. Joined by "", mixed
+    content reads as the XML has it: `Cited by <ref>[3]</ref>, then` gives
+    "Cited by [3], then"."""
+    return normalize_ws(sep.join(elem.itertext()))
 
 
 def parse_tei(xml_bytes: bytes) -> TeiDocument:
@@ -287,13 +291,14 @@ def parse_tei(xml_bytes: bytes) -> TeiDocument:
 
     def walk(elem: ElementTree.Element, context: str) -> None:
         tag = _local(elem.tag)
+        # figure and bibliography pieces are read apart; prune drops them
         if tag == "figure":
-            text = _text_of(elem)
+            text = _text_of(elem, " ")
             if text:
                 divisions.append((SectionKind.FIGURE, text))
             return
         if tag == "listBibl":
-            text = _text_of(elem)
+            text = _text_of(elem, " ")
             if text:
                 divisions.append((SectionKind.BIBLIOGRAPHY, text))
             return

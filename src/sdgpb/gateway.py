@@ -117,6 +117,7 @@ class Gateway:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
+        self.rpm = rpm
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
         self.jitter_seed = jitter_seed

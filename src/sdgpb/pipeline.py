@@ -8,8 +8,9 @@ batch pairs (default cap 20 per request).
 
 A document's calls follow their dependencies in three waves: stages 1 and
 2 together, then every stage-3 batch, then every stage-4 and stage-5 batch.
-With a live backend the calls of a wave overlap. Offline backends (replay,
-scripted) answer in microseconds, so their waves run inline, in order.
+In a `run` with a live backend the calls of a wave overlap. Offline backends
+(replay, scripted) answer in microseconds, so their waves run inline, in
+order, as do those of a `process_document` call made outside `run`.
 Only the calls (build the request, send it, parse the reply) leave the
 document's thread. The rest runs on it after each wave, in (stage, batch)
 order: replies are adopted into stage payloads (stage 3's evidence-quote
@@ -626,9 +627,8 @@ class PipelineRunner:
         self.templates = templates
         self.batch_cap = batch_cap
         self.context_budget = context_budget
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._docs_in_flight = 1
+        # the call executor of the live run in progress; None runs waves inline
+        self._calls: ThreadPoolExecutor | None = None
 
     # -- one stage call with repair + retry -------------------------------
 
@@ -685,33 +685,21 @@ class PipelineRunner:
 
     # -- wave dispatch ----------------------------------------------------
 
-    def _wave_pool(self) -> ThreadPoolExecutor:
-        """The runner's executor for overlapping live calls, made on first use."""
-        with self._pool_lock:
-            if self._pool is None:
-                # Threads start only on demand, so this ceiling (the widest
-                # wave of every document in flight) never throttles a run;
-                # the gateway's rate limiter does.
-                widest = 2 * -(-SDG_COUNT * PB_COUNT // self.batch_cap)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._docs_in_flight * (widest - 1),
-                    thread_name_prefix="sdgpb-wave",
-                )
-            return self._pool
-
     def _run_wave(
         self, calls: list[Callable[[], Iterable]]
     ) -> list[tuple[Iterable | None, Exception | None]]:
         """Runs one wave; returns each call's (parsed reply, error) in call order.
 
-        Live calls overlap: all but the first go to the pool, and the first
-        runs on this thread. Offline backends answer in microseconds, less
-        than a thread handoff costs, so their calls run here, in order.
+        In a live `run`, calls overlap: all but the first go to the run's
+        executor, and the first runs on this thread. Otherwise they run here,
+        in order: offline backends answer in microseconds, less than a thread
+        handoff costs, and a `process_document` call outside `run` has no
+        executor to outlive it.
         """
-        if len(calls) < 2 or not self.gateway.live:
+        executor = self._calls
+        if len(calls) < 2 or executor is None:
             return [_attempt(call) for call in calls]
-        pool = self._wave_pool()
-        futures = [pool.submit(_attempt, call) for call in calls[1:]]
+        futures = [executor.submit(_attempt, call) for call in calls[1:]]
         return [_attempt(calls[0])] + [f.result() for f in futures]
 
     # -- document driver --------------------------------------------------
@@ -800,21 +788,22 @@ class PipelineRunner:
     def run(self, docs: Sequence[CleanDocument], workers: int = 1) -> list[DocumentResult]:
         """Process a corpus; results come back sorted by doc_id.
 
-        `workers` documents run at once; with a live backend each document
-        also overlaps its own calls, wave by wave.
+        `workers` documents run at once. With a live backend each document
+        also overlaps its own calls, wave by wave, on one executor that lives
+        as long as the run. It starts threads on demand, up to the gateway's
+        `rpm`: the limiter dispatches no more calls than that a minute, so
+        unless calls last longer, more threads would only wait in it.
         """
-        self._docs_in_flight = max(1, workers)
-        try:
-            if workers <= 1:
-                results = [self.process_document(d) for d in docs]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(self.process_document, docs))
-        finally:
-            with self._pool_lock:
-                wave_pool, self._pool, self._docs_in_flight = self._pool, None, 1
-            if wave_pool is not None:
-                wave_pool.shutdown()
+        with ThreadPoolExecutor(max_workers=self.gateway.rpm, thread_name_prefix="sdgpb-wave") as calls:
+            self._calls = calls if self.gateway.live else None
+            try:
+                if workers <= 1:
+                    results = [self.process_document(d) for d in docs]
+                else:
+                    with ThreadPoolExecutor(max_workers=workers) as pool:
+                        results = list(pool.map(self.process_document, docs))
+            finally:
+                self._calls = None
         return sorted(results, key=lambda r: r.doc_id)
 
 

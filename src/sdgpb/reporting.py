@@ -21,6 +21,7 @@ from . import store
 from .analytics import (
     CellRow,
     InteractionMatrix,
+    cell_proportions,
     cell_row,
     directionality,
     global_proportions,
@@ -93,23 +94,23 @@ def figure_spec(m: InteractionMatrix) -> FigureSpec:
             lengths = [0.0] * PB_COUNT
         bars = []
         for pb, length in enumerate(lengths, start=1):
-            row = cell_row(m, sdg, pb)
-            n = row.total
-            if n == 0:
+            shares = cell_proportions(m, sdg, pb)
+            if shares is None:
                 bars.append(BarSpec(pb, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
+            buckets = shares.bucket_shares
             bars.append(
                 BarSpec(
                     pb=pb,
                     length=length,
-                    link_count=n,
-                    synergy_share=row.synergy / n,
-                    neutral_share=row.neutral / n,
-                    tradeoff_share=row.tradeoff / n,
-                    ts_share=row.ts / n,
-                    dp_share=row.dp / n,
-                    tt_share=row.tt / n,
-                    dn_share=row.dn / n,
+                    link_count=shares.total,
+                    synergy_share=shares.synergy,
+                    neutral_share=shares.neutral,
+                    tradeoff_share=shares.tradeoff,
+                    ts_share=buckets[ReportBucket.TS],
+                    dp_share=buckets[ReportBucket.DP],
+                    tt_share=buckets[ReportBucket.TT],
+                    dn_share=buckets[ReportBucket.DN],
                 )
             )
         panels.append(

@@ -87,12 +87,21 @@ def test_normalize_ws_equals_split_join(text):
     assert normalize_ws(text) == " ".join(text.split())
 
 
-def _old_text_of(elem):
-    return " ".join(" ".join(elem.itertext()).split())
+def _oracle_text_of(elem, sep=""):
+    """Each element's text, then each child's content and tail, joined by
+    `sep`, then split-joined: "" reads mixed content as the XML has it, " "
+    keeps every piece apart."""
+    def pieces(e):
+        yield e.text or ""
+        for child in e:
+            yield from pieces(child)
+            yield child.tail or ""
+
+    return " ".join(sep.join(pieces(elem)).split())
 
 
-def _parse_with_old_text_of(xml):
-    current, corpus._text_of = corpus._text_of, _old_text_of
+def _parse_with_oracle_text_of(xml):
+    current, corpus._text_of = corpus._text_of, _oracle_text_of
     try:
         return parse_tei(xml)
     finally:
@@ -118,7 +127,7 @@ def _tei(body):
 ])
 def test_parse_tei_matches_old_text_of(body):
     xml = _tei(body)
-    assert parse_tei(xml) == _parse_with_old_text_of(xml)
+    assert parse_tei(xml) == _parse_with_oracle_text_of(xml)
 
 
 _XML_TEXT = st.text(
@@ -138,9 +147,18 @@ def _inline(draw, depth=0):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_inline(), min_size=1, max_size=4))
+@example(["Cited by <ref>[3]</ref>, then"])
 def test_parse_tei_matches_old_text_of_on_mixed_content(paragraphs):
     xml = _tei("<div>" + "".join(f"<p>{p}</p>" for p in paragraphs) + "</div>")
-    assert parse_tei(xml) == _parse_with_old_text_of(xml)
+    assert parse_tei(xml) == _parse_with_oracle_text_of(xml)
+
+
+def test_inline_elements_read_as_the_xml_has_them():
+    doc = parse_tei(_tei(
+        "<div><head>Results</head><p>Cited by <ref>[3]</ref>, then a <hi>tail</hi>.</p></div>"
+    ))
+    assert doc.title == "A title"
+    assert doc.divisions == ((SectionKind.BODY, "Results Cited by [3], then a tail."),)
 
 
 # -- TEI parsing ------------------------------------------------------------

@@ -7,9 +7,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "sdgpb"
 
 ALLOWED = {
-    # the per-cell panel statistics of the paper's figures; the report does
-    # not draw those panels yet (ROADMAP item 6)
-    "analytics.cell_proportions",
+    # a cell's share over the global share, a statistic of the paper's
+    # figures; the report does not draw it yet (ROADMAP item 6)
     "analytics.ratio_to_global",
 }
 

@@ -43,6 +43,7 @@ from sdgpb.testing import ScriptedBackend
 
 from conftest import FIXTURES_DIR, make_replay_runner
 from test_acceptance import InterruptingStore
+from test_gateway import SimClock
 
 BODY = (
     "Agricultural expansion for food security measurably increased pressure on "
@@ -494,6 +495,10 @@ class StageBackend:
         return reply(req) if callable(reply) else reply
 
 
+class LiveStageBackend(StageBackend):
+    live = True
+
+
 def happy_replies(quote):
     def stage3(req):
         pairs = json.loads(req.user_text.split("PAIRS: ")[1].splitlines()[0])
@@ -645,9 +650,6 @@ def test_evidence_quote_check(tmp_path, catalog, templates, quote, kept):
 
 
 def test_body_normalised_at_most_once_across_live_batches(tmp_path, catalog, templates, monkeypatch):
-    class LiveStageBackend(StageBackend):
-        live = True
-
     body_normalisations = []
     real = pipeline.normalize_ws
 
@@ -658,7 +660,7 @@ def test_body_normalised_at_most_once_across_live_batches(tmp_path, catalog, tem
         return real(text)
 
     monkeypatch.setattr(pipeline, "normalize_ws", slow_on_body)
-    # one pair per batch: six stage-3 batches overlap in the wave pool
+    # one pair per batch: six stage-3 batches overlap on the run's executor
     backend = LiveStageBackend(happy_replies("water access. Groundwater recharge"))
     runner = make_runner(backend, tmp_path, catalog, templates, batch_cap=1)
     [res] = runner.run([make_doc(body=TWO_DIVISIONS)])
@@ -668,9 +670,6 @@ def test_body_normalised_at_most_once_across_live_batches(tmp_path, catalog, tem
 
 
 def test_quote_downgrades_log_in_batch_order(tmp_path, catalog, templates, caplog):
-    class LiveStageBackend(StageBackend):
-        live = True
-
     # batch 1, pair (2,2), answers after batch 2, pair (2,6); both quotes are
     # missing from the body, and every other batch's quote is in it
     replies = happy_replies("Irrigation programs improved water access")
@@ -702,6 +701,69 @@ def test_quote_downgrades_log_in_batch_order(tmp_path, catalog, templates, caplo
     assert [m.split(":")[0] for m in downgrades] == ["doc-x pair (2,2)", "doc-x pair (2,6)"]
 
 
+def test_live_call_threads_bounded_by_rpm(tmp_path, catalog, templates):
+    class BlockingStage3(LiveStageBackend):
+        """Each stage-3 send waits until `release` is set."""
+
+        def __init__(self, replies):
+            super().__init__(replies)
+            self.release = threading.Event()
+            self.waiting = 0
+
+        def send(self, req):
+            if req.stage == 3:
+                with self._lock:
+                    self.waiting += 1
+                assert self.release.wait(30)
+            return super().send(req)
+
+    # every SDG and PB: 153 pairs, 39 stage-3 batches per document at cap 4
+    replies = happy_replies("Irrigation programs improved water access")
+    replies[1] = json.dumps({"sdgs": list(range(1, 18))})
+    replies[2] = json.dumps({"pbs": list(range(1, 10))})
+    backend = BlockingStage3(replies)
+    workers, rpm = 2, 8
+    clock = SimClock()  # the limiter waits out each minute at once
+    runner = PipelineRunner(
+        gateway=Gateway(backend, rpm=rpm, clock=clock, sleep=clock.sleep),
+        checkpoints=CheckpointStore(tmp_path), catalog=catalog, templates=templates,
+        batch_cap=4,
+    )
+    before = set(threading.enumerate())
+    results = []
+    driver = threading.Thread(
+        target=lambda: results.extend(runner.run([make_doc("a"), make_doc("b")], workers))
+    )
+    driver.start()
+    try:
+        # the executor's rpm threads wait, and so does the thread of a document
+        # that sent its wave; the other document may have its stage-2 call
+        # queued behind them
+        deadline = time.monotonic() + 30
+        while backend.waiting <= rpm and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert backend.waiting > rpm
+        time.sleep(0.2)  # for any thread past the bound to start
+        # the driver, the document threads and the call threads
+        assert threading.active_count() <= len(before) + 1 + workers + rpm
+    finally:
+        backend.release.set()
+        driver.join(30)
+    assert not driver.is_alive()
+    assert [(r.doc_id, r.status, len(r.pairs)) for r in results] == [
+        ("a", "complete", 153), ("b", "complete", 153),
+    ]
+    assert set(threading.enumerate()) <= before
+
+
+def test_direct_process_document_starts_no_thread(tmp_path, catalog, templates):
+    runner = make_runner(LiveStageBackend(happy_replies("Irrigation programs improved water access")),
+                         tmp_path, catalog, templates, batch_cap=1)
+    before = set(threading.enumerate())
+    assert runner.process_document(make_doc()).status == "complete"
+    assert set(threading.enumerate()) <= before
+
+
 def test_schema_repair_then_success(tmp_path, catalog, templates):
     quote = "Irrigation programs improved water access"
     backend = StageBackend(happy_replies(quote), bad_first=1)
@@ -722,9 +784,6 @@ def test_persistent_schema_error_fails_stage(tmp_path, catalog, templates):
 
 
 def test_persistent_schema_error_live_sends_full_retry(tmp_path, catalog, templates):
-    class LiveStageBackend(StageBackend):
-        live = True
-
     backend = LiveStageBackend({}, bad_first=10**6)
     runner = make_runner(backend, tmp_path, catalog, templates)
     res = runner.process_document(make_doc())

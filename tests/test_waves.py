@@ -3,7 +3,7 @@
 The bundled fixtures replay offline, which runs every wave inline. Here the
 same recorded cache sits behind a backend that claims to be live and sleeps
 a seeded latency per send, so the gateway limits and retries and the runner
-overlaps each wave's calls in its pool.
+overlaps each wave's calls on the run's executor.
 """
 
 import random
@@ -61,25 +61,38 @@ def goldens():
     return {path.name: path.read_bytes() for path in (FIXTURES_DIR / "golden").iterdir()}
 
 
-def overlapping_docs(calls, stage_a, stage_b):
-    """(docs where some stage_a call overlaps some stage_b call, docs having both)."""
-    by_doc = {}
-    for doc_id, stage, start, end in calls:
-        by_doc.setdefault(doc_id, {}).setdefault(stage, []).append((start, end))
-    both = [d for d, stages in by_doc.items() if stage_a in stages and stage_b in stages]
-    overlap = [
-        d for d in both
-        if any(a0 < b1 and b0 < a1
-               for a0, a1 in by_doc[d][stage_a] for b0, b1 in by_doc[d][stage_b])
-    ]
-    return overlap, both
+class RendezvousReplay(LiveReplay):
+    """A LiveReplay whose sends wait for their partners in the same wave: a
+    document's stage-1 and stage-2 sends each wait until the other has
+    arrived, and so do its stage-4 and stage-5 batch k, which hold the same
+    pairs. Calls of a wave sent one after another time out instead."""
+
+    PARTNER = {1: 2, 2: 1, 4: 5, 5: 4}
+
+    def __init__(self, run_dir, max_latency_s):
+        super().__init__(run_dir, max_latency_s)
+        self._arrived = {}  # (doc_id, stage, PAIRS line) -> Event
+
+    def _arrival(self, doc_id, stage, pairs):
+        with self._lock:
+            return self._arrived.setdefault((doc_id, stage, pairs), threading.Event())
+
+    def send(self, req):
+        partner = self.PARTNER.get(req.stage)
+        if partner is not None:
+            pairs = req.user_text.split("PAIRS: ")[1].splitlines()[0] if req.stage > 2 else ""
+            self._arrival(req.doc_id, req.stage, pairs).set()
+            assert self._arrival(req.doc_id, partner, pairs).wait(5), (
+                f"{req.doc_id}: stage {partner} never joined stage {req.stage} {pairs}"
+            )
+        return super().send(req)
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_live_waves_match_goldens_and_overlap(tmp_path, fixture_docs, catalog, templates,
                                               goldens, workers):
     run_dir = seeded_run_dir(tmp_path)
-    backend = LiveReplay(run_dir, max_latency_s=0.01)
+    backend = RendezvousReplay(run_dir, max_latency_s=0.01)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often to shake out races
     try:
@@ -87,14 +100,10 @@ def test_live_waves_match_goldens_and_overlap(tmp_path, fixture_docs, catalog, t
         results = runner.run(fixture_docs, workers=workers)
     finally:
         sys.setswitchinterval(interval)
+    # a send whose partner never came would have failed the run
     assert output_files(results, run_dir) == goldens
+    assert {stage for _, stage, _, _ in backend.calls} == {1, 2, 3, 4, 5}
 
-    overlap, both = overlapping_docs(backend.calls, 1, 2)
-    assert len(both) == len(fixture_docs)
-    assert len(overlap) >= 0.9 * len(both), (len(overlap), len(both))
-    overlap, both = overlapping_docs(backend.calls, 4, 5)
-    assert both
-    assert len(overlap) >= 0.9 * len(both), (len(overlap), len(both))
     # the dependencies hold: each wave's calls end before the next wave's start
     wave_of = {1: 0, 2: 0, 3: 1, 4: 2, 5: 2}
     spans = {}
