@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
@@ -52,12 +52,7 @@ class WorkRecord:
     open_access_url: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "work_id": self.work_id,
-            "title": self.title,
-            "publication_year": self.publication_year,
-            "open_access_url": self.open_access_url,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "WorkRecord":
@@ -84,13 +79,7 @@ class CleanDocument:
     source_path: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "doc_id": self.doc_id,
-            "title": self.title,
-            "body_text": self.body_text,
-            "token_estimate": self.token_estimate,
-            "source_path": self.source_path,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "CleanDocument":
@@ -259,12 +248,24 @@ def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _text_of(elem: ElementTree.Element, sep: str = "") -> str:
-    """The element's text and its descendants' text and tails, in document
-    order, joined by `sep` and whitespace-normalised. Joined by "", mixed
-    content reads as the XML has it: `Cited by <ref>[3]</ref>, then` gives
-    "Cited by [3], then"."""
-    return normalize_ws(sep.join(elem.itertext()))
+# elements that stand apart from their neighbours: GROBID writes sentences
+# as `<s>One.</s><s>Two.</s>`, with no whitespace between them
+_SPACED = frozenset({"p", "head", "s", "list", "item", "label", "lb", "row", "cell"})
+
+
+def _text_of(elem: ElementTree.Element) -> str:
+    """The text and tails under `elem` in document order, whitespace-
+    normalised, with a space at each edge of a _SPACED element: `Cited by
+    <ref>[3]</ref>, then` gives "Cited by [3], then", as the XML has it."""
+    def pieces(e: ElementTree.Element) -> Iterator[str]:
+        yield e.text or ""
+        for child in e:
+            edge = " " if _local(child.tag) in _SPACED else ""
+            yield edge
+            yield from pieces(child)
+            yield edge + (child.tail or "")
+
+    return normalize_ws("".join(pieces(elem)))
 
 
 def parse_tei(xml_bytes: bytes) -> TeiDocument:
@@ -291,14 +292,13 @@ def parse_tei(xml_bytes: bytes) -> TeiDocument:
 
     def walk(elem: ElementTree.Element, context: str) -> None:
         tag = _local(elem.tag)
-        # figure and bibliography pieces are read apart; prune drops them
         if tag == "figure":
-            text = _text_of(elem, " ")
+            text = _text_of(elem)
             if text:
                 divisions.append((SectionKind.FIGURE, text))
             return
         if tag == "listBibl":
-            text = _text_of(elem, " ")
+            text = _text_of(elem)
             if text:
                 divisions.append((SectionKind.BIBLIOGRAPHY, text))
             return

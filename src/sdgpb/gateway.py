@@ -9,6 +9,7 @@ replay backend that serves only recorded keys with zero network activity.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import threading
@@ -33,6 +34,7 @@ if TYPE_CHECKING:
 
 CACHE_SUBDIR = "llm_cache"
 CACHE_FILE = "cache.jsonl"
+SEND_TIMEOUT_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,6 @@ class Gateway:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
-        self.rpm = rpm
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
         self.jitter_seed = jitter_seed
@@ -129,6 +130,16 @@ class Gateway:
     def live(self) -> bool:
         """Whether calls reach a remote backend (limited, retried, worth overlapping)."""
         return self.backend.live
+
+    @property
+    def max_in_flight(self) -> int:
+        """The most calls that can hold a thread while the limiter would let
+        one more through. A dispatch holds its thread for at most a send (the
+        backend's `timeout_s`, else LiveBackend's) and the backoff sleep after
+        it, and no 60 s window holds more than `rpm` dispatches."""
+        longest_backoff = self.backoff_base * 2**self.retry_budget  # > base·2^(budget-1) + jitter
+        hold_s = getattr(self.backend, "timeout_s", SEND_TIMEOUT_S) + longest_backoff
+        return self._bucket.rpm * math.ceil(hold_s / 60.0)
 
     def _jitter(self, req: PromptRequest, attempt: int) -> float:
         """Backoff jitter drawn from (seed, record key, attempt) alone, so
@@ -176,7 +187,7 @@ class LiveBackend:
     live = True
 
     def __init__(self, endpoint_url: str, model: str, api_key_env: str = "SDGPB_API_KEY",
-                 session: requests.Session | None = None, timeout_s: float = 300.0):
+                 session: requests.Session | None = None, timeout_s: float = SEND_TIMEOUT_S):
         self.endpoint_url = endpoint_url
         self.model = model
         self.backend_id = model

@@ -29,6 +29,7 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -791,11 +792,12 @@ class PipelineRunner:
         `workers` documents run at once. With a live backend each document
         also overlaps its own calls, wave by wave, on one executor that lives
         as long as the run. It starts threads on demand, up to the gateway's
-        `rpm`: the limiter dispatches no more calls than that a minute, so
-        unless calls last longer, more threads would only wait in it.
+        `max_in_flight`: with every thread in a send or a backoff sleep, the
+        limiter would let no further call through.
         """
-        with ThreadPoolExecutor(max_workers=self.gateway.rpm, thread_name_prefix="sdgpb-wave") as calls:
-            self._calls = calls if self.gateway.live else None
+        with (ThreadPoolExecutor(max_workers=self.gateway.max_in_flight, thread_name_prefix="sdgpb-wave")
+              if self.gateway.live else nullcontext()) as calls:
+            self._calls = calls
             try:
                 if workers <= 1:
                     results = [self.process_document(d) for d in docs]

@@ -98,21 +98,11 @@ def figure_spec(m: InteractionMatrix) -> FigureSpec:
             if shares is None:
                 bars.append(BarSpec(pb, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
                 continue
-            buckets = shares.bucket_shares
-            bars.append(
-                BarSpec(
-                    pb=pb,
-                    length=length,
-                    link_count=shares.total,
-                    synergy_share=shares.synergy,
-                    neutral_share=shares.neutral,
-                    tradeoff_share=shares.tradeoff,
-                    ts_share=buckets[ReportBucket.TS],
-                    dp_share=buckets[ReportBucket.DP],
-                    tt_share=buckets[ReportBucket.TT],
-                    dn_share=buckets[ReportBucket.DN],
-                )
-            )
+            b = shares.bucket_shares
+            bars.append(BarSpec(
+                pb, length, shares.total, shares.synergy, shares.neutral, shares.tradeoff,
+                b[ReportBucket.TS], b[ReportBucket.DP], b[ReportBucket.TT], b[ReportBucket.DN],
+            ))
         panels.append(
             PanelSpec(sdg=sdg, doc_share=presence_share(m, "SDG", sdg), bars=tuple(bars))
         )

@@ -87,17 +87,23 @@ def test_normalize_ws_equals_split_join(text):
     assert normalize_ws(text) == " ".join(text.split())
 
 
-def _oracle_text_of(elem, sep=""):
-    """Each element's text, then each child's content and tail, joined by
-    `sep`, then split-joined: "" reads mixed content as the XML has it, " "
-    keeps every piece apart."""
+_STANDING_APART = {"p", "head", "s", "list", "item", "label", "lb", "row", "cell"}
+
+
+def _oracle_text_of(elem):
+    """Each element's text, then each child's content and tail, with a space
+    around a child that stands apart, then split-joined: the rest of mixed
+    content reads as the XML has it."""
     def pieces(e):
         yield e.text or ""
         for child in e:
+            apart = child.tag.rsplit("}", 1)[-1] in _STANDING_APART
+            yield " " if apart else ""
             yield from pieces(child)
+            yield " " if apart else ""
             yield child.tail or ""
 
-    return " ".join(sep.join(pieces(elem)).split())
+    return " ".join("".join(pieces(elem)).split())
 
 
 def _parse_with_oracle_text_of(xml):
@@ -124,6 +130,7 @@ def _tei(body):
     "<div><head>H</head><p>a<hi>b<ref>c</ref>d</hi>e <hi> </hi> f</p>tail text</div>",
     "<div><p><ref>only inline</ref></p><p></p><p> </p></div>",
     "<div><p>x</p><figure><figDesc>fig\ntext</figDesc></figure>after</div>",
+    "<div><p><s>First end.</s><s>Next one.</s></p><list><item>a</item><item>b</item></list></div>",
 ])
 def test_parse_tei_matches_old_text_of(body):
     xml = _tei(body)
@@ -140,7 +147,7 @@ def _inline(draw, depth=0):
     """Mixed content: text, then inline elements, each followed by a tail."""
     parts = [draw(_XML_TEXT)]
     for _ in range(draw(st.integers(0, 3 if depth < 2 else 0))):
-        tag = draw(st.sampled_from(["ref", "hi", "p"]))
+        tag = draw(st.sampled_from(["ref", "hi", "p", "s"]))
         parts.append(f"<{tag}>{draw(_inline(depth + 1))}</{tag}>{draw(_XML_TEXT)}")
     return "".join(parts)
 
@@ -159,6 +166,18 @@ def test_inline_elements_read_as_the_xml_has_them():
     ))
     assert doc.title == "A title"
     assert doc.divisions == ((SectionKind.BODY, "Results Cited by [3], then a tail."),)
+
+
+def test_sentences_and_block_elements_stay_apart():
+    doc = parse_tei(_tei(
+        "<div><p><s>First end.</s><s>Next one.</s></p>"
+        "<list><item>one</item><item>two</item></list>"
+        "<formula>E=mc<hi>2</hi><label>(1)</label></formula>"
+        "<p>line<lb/>break</p></div>"
+    ))
+    assert doc.divisions == (
+        (SectionKind.BODY, "First end. Next one. one two E=mc2 (1) line break"),
+    )
 
 
 # -- TEI parsing ------------------------------------------------------------

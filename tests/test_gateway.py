@@ -320,6 +320,25 @@ def test_live_backend_without_session_builds_requests_session():
     backend.session.close()
 
 
+@pytest.mark.parametrize("timeout_s, backoff_base, retry_budget, minutes", [
+    (300.0, 1.0, 4, 6),  # LiveBackend's defaults: a 300 s send, then under 16 s asleep
+    (45.0, 0.5, 2, 1),
+    (120.0, 0.0, 4, 2),
+])
+def test_max_in_flight_is_rpm_for_each_minute_a_call_holds_its_thread(
+    timeout_s, backoff_base, retry_budget, minutes
+):
+    backend = LiveBackend("https://llm.invalid/v1/complete", "model-x",
+                          session=_OneReplySession({}), timeout_s=timeout_s)
+    gateway, _ = make_gateway(backend, rpm=7, backoff_base=backoff_base, retry_budget=retry_budget)
+    assert gateway.max_in_flight == 7 * minutes
+
+
+def test_max_in_flight_holds_a_backend_without_timeout_to_the_live_default():
+    gateway, _ = make_gateway(FlakyBackend(0), rpm=7, backoff_base=1.0, retry_budget=4)
+    assert gateway.max_in_flight == 7 * 6
+
+
 # -- a torn or corrupt cache file ---------------------------------------------
 
 

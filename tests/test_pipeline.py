@@ -705,6 +705,8 @@ def test_live_call_threads_bounded_by_rpm(tmp_path, catalog, templates):
     class BlockingStage3(LiveStageBackend):
         """Each stage-3 send waits until `release` is set."""
 
+        timeout_s = 120.0  # a send may last two minutes
+
         def __init__(self, replies):
             super().__init__(replies)
             self.release = threading.Event()
@@ -725,10 +727,13 @@ def test_live_call_threads_bounded_by_rpm(tmp_path, catalog, templates):
     workers, rpm = 2, 8
     clock = SimClock()  # the limiter waits out each minute at once
     runner = PipelineRunner(
-        gateway=Gateway(backend, rpm=rpm, clock=clock, sleep=clock.sleep),
+        gateway=Gateway(backend, rpm=rpm, backoff_base=0.0, clock=clock, sleep=clock.sleep),
         checkpoints=CheckpointStore(tmp_path), catalog=catalog, templates=templates,
         batch_cap=4,
     )
+    # two minutes of dispatches can be in flight at once
+    bound = runner.gateway.max_in_flight
+    assert bound == 2 * rpm
     before = set(threading.enumerate())
     results = []
     driver = threading.Thread(
@@ -736,16 +741,16 @@ def test_live_call_threads_bounded_by_rpm(tmp_path, catalog, templates):
     )
     driver.start()
     try:
-        # the executor's rpm threads wait, and so does the thread of a document
-        # that sent its wave; the other document may have its stage-2 call
-        # queued behind them
+        # every call thread waits, and so does the thread of a document that
+        # sent its wave; the other document may have its stage-2 call queued
+        # behind them
         deadline = time.monotonic() + 30
-        while backend.waiting <= rpm and time.monotonic() < deadline:
+        while backend.waiting <= bound and time.monotonic() < deadline:
             time.sleep(0.005)
-        assert backend.waiting > rpm
+        assert backend.waiting > bound
         time.sleep(0.2)  # for any thread past the bound to start
         # the driver, the document threads and the call threads
-        assert threading.active_count() <= len(before) + 1 + workers + rpm
+        assert threading.active_count() <= len(before) + 1 + workers + bound
     finally:
         backend.release.set()
         driver.join(30)
