@@ -1,13 +1,16 @@
 """Command-line entry point.
 
 Subcommands wire config, corpus, gateway, pipeline, analytics, and
-reporting together. Exit codes: 0 success, 2 config error, 3 input error,
-4 backend failure, 5 golden mismatch.
+reporting together. Every command runs under one handler: an `SdgPbError`
+becomes one JSON line on stderr and exits with its class's `exit_code`.
+Exit codes: 0 success, 2 `ConfigError`, 3 any other package error or a
+missing file (input error), 4 the `BackendFailure` family (`BackendError`,
+`TransientBackendError`, `RateLimited`, `Timeout`, `ReplayMiss`,
+`HttpFailure`, `QuotaExceeded`), 5 `GoldenMismatch`.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import sys
@@ -17,29 +20,10 @@ import click
 
 from . import analytics, corpus, pipeline, reporting, store
 from .config import BACKEND_MODES, RunConfig, load_config
-from .errors import (
-    BackendError,
-    ConfigError,
-    EmptyMatrix,
-    GoldenMismatch,
-    HttpFailure,
-    MissingInput,
-    QuotaExceeded,
-    RateLimited,
-    ReplayMiss,
-    SdgPbError,
-    Timeout,
-)
+from .errors import ConfigError, EmptyMatrix, GoldenMismatch, MissingInput, SdgPbError
 from .gateway import Gateway, LiveBackend, RecordingBackend, ReplayBackend, CACHE_SUBDIR, CACHE_FILE
 from .taxonomy import load_catalog
 from .testing import ScriptedBackend
-
-EXIT_CONFIG = 2
-EXIT_INPUT = 3
-EXIT_BACKEND = 4
-EXIT_GOLDEN = 5
-
-_BACKEND_ERRORS = (BackendError, RateLimited, Timeout, ReplayMiss, HttpFailure, QuotaExceeded)
 
 
 class JsonEventFormatter(logging.Formatter):
@@ -62,26 +46,17 @@ def _setup_logging(verbose: bool) -> None:
     root.setLevel(logging.DEBUG if verbose else logging.INFO)
 
 
-def _fail(code: int, kind: str, message: str) -> None:
-    click.echo(json.dumps({"error": kind, "message": message}, sort_keys=True), err=True)
-    sys.exit(code)
+class ExitCodeGroup(click.Group):
+    """Runs every command; a package error or a missing file becomes one JSON
+    line on stderr and the error class's exit code (3 for a missing file)."""
 
-
-def handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            _fail(EXIT_CONFIG, "ConfigError", str(exc))
-        except GoldenMismatch as exc:
-            _fail(EXIT_GOLDEN, "GoldenMismatch", str(exc))
-        except _BACKEND_ERRORS as exc:
-            _fail(EXIT_BACKEND, type(exc).__name__, str(exc))
+            return super().invoke(ctx)
         except (SdgPbError, FileNotFoundError) as exc:
-            _fail(EXIT_INPUT, type(exc).__name__, str(exc))
-
-    return wrapper
+            line = json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True)
+            click.echo(line, err=True)
+            sys.exit(getattr(exc, "exit_code", SdgPbError.exit_code))
 
 
 def _make_gateway(cfg: RunConfig) -> Gateway:
@@ -171,7 +146,7 @@ def _report(cfg: RunConfig) -> Path:
     return Path(cfg.report_dir)
 
 
-@click.group()
+@click.group(cls=ExitCodeGroup)
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="Path to the JSON run configuration file.")
 @click.option("--verbose", is_flag=True, help="Debug-level structured logs.")
@@ -196,7 +171,6 @@ def _cfg(ctx, **overrides) -> RunConfig:
 @click.option("--query", default=None, help="Full-text search query.")
 @click.option("--out", "out_path", default=None, help="Manifest output path.")
 @click.pass_context
-@handles_errors
 def fetch(ctx, query, out_path):
     """Fetch open-access work metadata and write a JSONL manifest."""
     cfg = _cfg(ctx)
@@ -214,7 +188,6 @@ def fetch(ctx, query, out_path):
 @main.command()
 @click.option("--corpus-dir", default=None, help="Directory of .tei.xml files.")
 @click.pass_context
-@handles_errors
 def ingest(ctx, corpus_dir):
     """Parse and prune TEI files into the clean document store."""
     cfg = _cfg(ctx, corpus_dir=corpus_dir)
@@ -231,7 +204,6 @@ def ingest(ctx, corpus_dir):
               help="Documents processed at once; a live backend also overlaps "
                    "the calls within each document.")
 @click.pass_context
-@handles_errors
 def run(ctx, backend, batch_cap, worker_count):
     """Process the corpus through all five stages."""
     cfg = _cfg(ctx, backend=backend, batch_cap=batch_cap, worker_count=worker_count)
@@ -241,7 +213,6 @@ def run(ctx, backend, batch_cap, worker_count):
 
 @main.command()
 @click.pass_context
-@handles_errors
 def resume(ctx):
     """Continue an interrupted run from its checkpoints."""
     cfg = _cfg(ctx)
@@ -251,7 +222,6 @@ def resume(ctx):
 
 @main.command()
 @click.pass_context
-@handles_errors
 def aggregate(ctx):
     """Build the interaction matrix from the results store."""
     cfg = _cfg(ctx)
@@ -261,7 +231,6 @@ def aggregate(ctx):
 
 @main.command()
 @click.pass_context
-@handles_errors
 def report(ctx):
     """Emit summary.json, matrix.csv, and figure1.svg."""
     cfg = _cfg(ctx)
@@ -271,9 +240,7 @@ def report(ctx):
 
 @main.command("validate-fixtures")
 @click.option("--fixtures-dir", default="fixtures", help="Bundled fixture corpus root.")
-@click.pass_context
-@handles_errors
-def validate_fixtures(ctx, fixtures_dir):
+def validate_fixtures(fixtures_dir):
     """Replay the bundled fixture corpus and diff against golden outputs."""
     import shutil
     import tempfile
@@ -286,11 +253,9 @@ def validate_fixtures(ctx, fixtures_dir):
         run_dir = Path(tmp) / "run"
         (run_dir / CACHE_SUBDIR).mkdir(parents=True)
         shutil.copy(fixtures / CACHE_SUBDIR / CACHE_FILE, run_dir / CACHE_SUBDIR / CACHE_FILE)
-        cfg = _cfg(ctx)
-        cfg.corpus_dir = str(fixtures / "corpus")
-        cfg.run_dir = str(run_dir)
-        cfg.report_dir = str(Path(tmp) / "report")
-        cfg.backend = "replay"
+        # the settings make_fixtures.py records with, whatever --config holds
+        cfg = RunConfig(corpus_dir=str(fixtures / "corpus"), run_dir=str(run_dir),
+                        report_dir=str(Path(tmp) / "report"), backend="replay")
         _run_and_report(cfg)
         _aggregate(cfg)
         _report(cfg)

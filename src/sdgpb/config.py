@@ -7,6 +7,8 @@ comes from an environment variable instead.
 from __future__ import annotations
 
 import json
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,6 +50,11 @@ class RunConfig:
     api_key_env: str = "SDGPB_API_KEY"
 
     def validate(self) -> None:
+        for name, kinds in _field_types().items():
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+                allowed = " or ".join(kind.__name__ for kind in kinds)
+                raise ConfigError(f"{name} must be {allowed}, got {type(value).__name__} {value!r}")
         if self.backend not in BACKEND_MODES:
             raise ConfigError(f"backend must be one of {BACKEND_MODES}, got {self.backend!r}")
         if self.batch_cap < 1:
@@ -60,6 +67,19 @@ class RunConfig:
             raise ConfigError("retry_budget must be >= 0")
         if self.backend == "live" and not self.endpoint_url:
             raise ConfigError("live backend requires endpoint_url")
+        if self.backend == "live" and not isinstance(self.models.get("1"), str):
+            raise ConfigError('live backend requires models["1"], a model name')
+
+
+def _field_types() -> dict[str, tuple[type, ...]]:
+    """Each RunConfig field's accepted types, read from its annotation: an
+    int may stand for a float, and a bool is no int."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(RunConfig).items():
+        union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+        args = tuple(typing.get_origin(arg) or arg for arg in (typing.get_args(hint) if union else (hint,)))
+        kinds[name] = args + (int,) if float in args else args
+    return kinds
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -1,8 +1,16 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package; each class carries its CLI exit code."""
 
 
 class SdgPbError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 3
+
+
+class BackendFailure(SdgPbError):
+    """A backend or network call failed: the works API or a completion backend."""
+
+    exit_code = 4
 
 
 # taxonomy: bad values, so a store line or matrix.json that holds one is corrupt
@@ -15,7 +23,7 @@ class IllegalRefinement(SdgPbError, ValueError):
 
 
 # corpus
-class HttpFailure(SdgPbError):
+class HttpFailure(BackendFailure):
     pass
 
 
@@ -23,7 +31,7 @@ class InvalidCursor(SdgPbError):
     pass
 
 
-class QuotaExceeded(SdgPbError):
+class QuotaExceeded(BackendFailure):
     pass
 
 
@@ -48,15 +56,15 @@ class StoreCorrupt(SdgPbError):
 
 
 # gateway
-class RateLimited(SdgPbError):
+class RateLimited(BackendFailure):
     pass
 
 
-class Timeout(SdgPbError):
+class Timeout(BackendFailure):
     pass
 
 
-class BackendError(SdgPbError):
+class BackendError(BackendFailure):
     pass
 
 
@@ -64,7 +72,7 @@ class TransientBackendError(BackendError):
     """Retryable backend failure (429, 5xx, transport hiccup)."""
 
 
-class ReplayMiss(SdgPbError):
+class ReplayMiss(BackendFailure):
     pass
 
 
@@ -128,7 +136,7 @@ class ZeroGlobal(SdgPbError):
 
 # cli
 class ConfigError(SdgPbError):
-    pass
+    exit_code = 2
 
 
 class MissingInput(SdgPbError):
@@ -136,4 +144,4 @@ class MissingInput(SdgPbError):
 
 
 class GoldenMismatch(SdgPbError):
-    pass
+    exit_code = 5

@@ -1,9 +1,10 @@
 """Uniform access to completion backends.
 
-One gateway wraps any backend with a token-bucket rate limiter and
-exponential-backoff retry. Backends: a live HTTPS completion endpoint, a
-recording wrapper that persists (key, response) pairs as JSONL, and a
-replay backend that serves only recorded keys with zero network activity.
+One gateway wraps any backend with exponential-backoff retry and, for a
+live backend, a token-bucket rate limiter: offline backends skip only the
+limiter. Backends: a live HTTPS completion endpoint, a recording wrapper
+that persists (key, response) pairs as JSONL, and a replay backend that
+serves only recorded keys with zero network activity.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class TokenBucket:
 
 
 class Gateway:
-    """Rate-limited, retrying front door to a completion backend."""
+    """Retrying front door to a completion backend, rate-limited when live."""
 
     def __init__(
         self,
@@ -128,7 +129,7 @@ class Gateway:
 
     @property
     def live(self) -> bool:
-        """Whether calls reach a remote backend (limited, retried, worth overlapping)."""
+        """Whether calls reach a remote backend (rate-limited, worth overlapping)."""
         return self.backend.live
 
     @property
@@ -148,22 +149,14 @@ class Gateway:
         return rng.uniform(0, self.backoff_base)
 
     def complete(self, req: PromptRequest) -> RawResponse:
-        if not self.live:
-            # replay and other offline backends bypass limiter and retries
-            t0 = self._clock()
-            text = self.backend.send(req)
-            latency = int((self._clock() - t0) * 1000)
-            return RawResponse(text, self.backend.backend_id, latency, 1)
-
         last_exc: Exception | None = None
         for attempt in range(1, self.retry_budget + 2):
-            self._bucket.acquire()
+            if self.live:  # replay and other offline backends skip only the limiter
+                self._bucket.acquire()
             t0 = self._clock()
             try:
                 text = self.backend.send(req)
-            except Timeout as exc:
-                last_exc = exc
-            except TransientBackendError as exc:
+            except (Timeout, TransientBackendError) as exc:
                 last_exc = exc
             else:
                 if not text:

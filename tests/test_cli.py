@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import sdgpb
-from sdgpb import analytics, pipeline, reporting
+from sdgpb import analytics, errors, pipeline, reporting
 from sdgpb.cli import _outputs, main
 from sdgpb.config import load_config
 from conftest import FIXTURES_DIR, seeded_run_dir
@@ -57,6 +57,64 @@ def test_config_error_exit_code_2(runner, tmp_path):
 def test_missing_config_file_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["--config", str(tmp_path / "nope.json"), "run"])
     assert result.exit_code == 2
+
+
+def _error_line(result) -> dict:
+    return json.loads(result.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"rpm_limit": "60"}, "rpm_limit"),
+    ({"corpus_dir": 5}, "corpus_dir"),
+    ({"backend": "scripted", "batch_cap": 4.0}, "batch_cap"),
+    ({"backend": "scripted", "context_budget": "x"}, "context_budget"),
+    ({"backend": "live", "endpoint_url": "http://localhost:1/complete",
+      "models": {"2": "flash-large-context"}}, 'models["1"]'),
+    ({"backend": "scripted", "batch_cap": True}, "batch_cap"),
+    ({"backend": "scripted", "worker_count": 2.5}, "worker_count"),
+], ids=["str rpm_limit", "int corpus_dir", "float batch_cap", "str context_budget",
+        "live without models 1", "bool batch_cap", "float worker_count"])
+def test_config_value_of_wrong_type_exit_2_naming_the_key(runner, tmp_path, overrides, key):
+    config = write_config(tmp_path, **overrides)
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, result.output
+    error = _error_line(result)
+    assert error["error"] == "ConfigError" and key in error["message"]
+
+
+# the CLI's exit code for every class in sdgpb.errors, and for a missing file
+EXIT_CODES = {
+    "ConfigError": 2,
+    **dict.fromkeys(["BackendFailure", "BackendError", "TransientBackendError", "RateLimited",
+                     "Timeout", "ReplayMiss", "HttpFailure", "QuotaExceeded"], 4),
+    "GoldenMismatch": 5,
+    **dict.fromkeys([
+        "SdgPbError", "OutOfRange", "IllegalRefinement", "InvalidCursor", "MalformedXml",
+        "NotTei", "EmptyDocument", "OverContext", "StoreCorrupt", "CacheCorrupt",
+        "SchemaError", "IdOutOfRange", "PairSetMismatch", "UnknownCategory",
+        "UnknownDirection", "TemplateVersionMismatch", "CheckpointCorrupt", "DuplicateRecord",
+        "EmptyMatrix", "ZeroCorpus", "NoDirectedRecords", "EmptyPanel", "ZeroGlobal",
+        "MissingInput", "FileNotFoundError"], 3),
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert set(EXIT_CODES) - {"FileNotFoundError"} == classes
+
+
+@pytest.mark.parametrize("name, code", EXIT_CODES.items(), ids=list(EXIT_CODES))
+def test_each_error_class_exits_with_its_code(runner, tmp_path, monkeypatch, name, code):
+    cls = getattr(errors, name, FileNotFoundError)
+
+    def fail(cfg):
+        raise cls("boom")
+
+    monkeypatch.setattr("sdgpb.cli._run_and_report", fail)
+    result = runner.invoke(main, ["--config", str(write_config(tmp_path)), "run"])
+    assert result.exit_code == code, result.output
+    assert _error_line(result) == {"error": name, "message": "boom"}
 
 
 def test_run_replay_and_full_reporting_chain(runner, tmp_path):
@@ -386,6 +444,14 @@ def test_run_on_corrupt_document_store_exit_3(runner, tmp_path, bad_line):
 def test_validate_fixtures_ok(runner):
     result = runner.invoke(main, ["validate-fixtures", "--fixtures-dir", str(FIXTURES_DIR)])
     assert result.exit_code == 0
+    assert "match goldens" in result.output
+
+
+def test_validate_fixtures_replays_at_the_fixtures_settings(runner, tmp_path):
+    config = write_config(tmp_path, batch_cap=4)
+    result = runner.invoke(main, ["--config", str(config), "validate-fixtures",
+                                  "--fixtures-dir", str(FIXTURES_DIR)])
+    assert result.exit_code == 0, result.output
     assert "match goldens" in result.output
 
 

@@ -1,6 +1,7 @@
 import json
 import shutil
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +110,21 @@ def test_budget_exhaustion_raises_rate_limited():
     gw, _ = make_gateway(FlakyBackend(failures=10), retry_budget=4)
     with pytest.raises(RateLimited):
         gw.complete(req())
+
+
+def test_offline_backend_is_retried_and_checked_but_never_rate_limited(monkeypatch):
+    def limiter(bucket):
+        pytest.fail("an offline call reached the rate limiter")
+
+    monkeypatch.setattr(TokenBucket, "acquire", limiter)
+    flaky = FlakyBackend(failures=1)
+    flaky.live = False
+    sleeps = []
+    resp = Gateway(flaky, sleep=sleeps.append).complete(req())
+    assert (resp.text, resp.attempt_count, flaky.calls, len(sleeps)) == ('{"ok": true}', 2, 2, 1)
+    empty = SimpleNamespace(live=False, backend_id="empty", send=lambda request: "")
+    with pytest.raises(BackendError, match="empty completion"):
+        Gateway(empty, sleep=sleeps.append).complete(req())
 
 
 def test_backoff_schedule_deterministic_for_seed():
