@@ -71,12 +71,21 @@ def _make_gateway(cfg: RunConfig) -> Gateway:
         backend = RecordingBackend(ScriptedBackend(seed=cfg.scripted_seed), cfg.run_dir)
     else:
         backend = LiveBackend(cfg.endpoint_url, cfg.models["1"], cfg.api_key_env)
-    return Gateway(
+    gateway = Gateway(
         backend,
         rpm=cfg.rpm_limit,
         retry_budget=cfg.retry_budget,
         jitter_seed=cfg.jitter_seed,
     )
+    if cfg.backend == "live":
+        from requests.adapters import HTTPAdapter
+
+        # a pooled connection for each send that can be in flight: the run's
+        # call executor plus one per document thread (requests keeps 10)
+        adapter = HTTPAdapter(pool_maxsize=gateway.max_in_flight + cfg.worker_count)
+        for prefix in ("https://", "http://"):
+            backend.session.mount(prefix, adapter)
+    return gateway
 
 
 def _make_runner(cfg: RunConfig, gateway: Gateway) -> pipeline.PipelineRunner:

@@ -1,17 +1,17 @@
 """Corpus acquisition and TEI full-text ingestion.
 
 Fetches open-access work metadata from an OpenAlex-style works endpoint
-(cursor pagination), parses TEI/XML full texts, prunes figures,
-acknowledgments, and bibliographies, and emits clean documents with a
-chars/4 token estimate.
+(cursor pagination), parses TEI/XML full texts while skipping figures,
+acknowledgements and bibliographies unread, and emits clean documents with
+a chars/4 token estimate.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass
-from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping
 from xml.etree import ElementTree
@@ -28,20 +28,14 @@ from .errors import (
 if TYPE_CHECKING:
     import requests
 
+logger = logging.getLogger(__name__)
+
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 
 # a 429 is retried after 1, 2, 4 ... times this many seconds
 RATE_LIMIT_BACKOFF_S = 1.0
 # the longest Retry-After wait honoured
 MAX_RETRY_AFTER_S = 60.0
-
-
-class SectionKind(Enum):
-    BODY = "body"
-    FIGURE = "figure"
-    ACKNOWLEDGMENT = "acknowledgment"
-    BIBLIOGRAPHY = "bibliography"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,7 @@ class WorkRecord:
 @dataclass(frozen=True)
 class TeiDocument:
     title: str
-    divisions: tuple[tuple[SectionKind, str], ...]
+    divisions: tuple[str, ...]  # kept text only, in document order
 
 
 @dataclass(frozen=True)
@@ -234,14 +228,12 @@ def _retry_after_s(headers: Mapping[str, str]) -> float | None:
 # --------------------------------------------------------------------------
 # TEI parsing and pruning
 
-_KIND_BY_DIV_TYPE = {
-    "acknowledgement": SectionKind.ACKNOWLEDGMENT,
-    "acknowledgment": SectionKind.ACKNOWLEDGMENT,
-    "acknowledgements": SectionKind.ACKNOWLEDGMENT,
-    "references": SectionKind.BIBLIOGRAPHY,
-    "bibliography": SectionKind.BIBLIOGRAPHY,
-    "annex": SectionKind.OTHER,
-}
+# div types whose text prune drops, matched in any letter case
+_PRUNED_DIV_TYPES = frozenset(
+    {"acknowledgement", "acknowledgment", "acknowledgements", "references", "bibliography"}
+)
+# elements dropped where they are a div's child or lie outside any div
+_PRUNED_TAGS = frozenset({"figure", "listBibl"})
 
 
 def _local(tag: str) -> str:
@@ -269,12 +261,14 @@ def _text_of(elem: ElementTree.Element) -> str:
 
 
 def parse_tei(xml_bytes: bytes) -> TeiDocument:
-    """Parse a TEI document into ordered, kind-tagged divisions.
+    """Parse a TEI document into its title and the text of each kept <div>,
+    in document order.
 
-    Division kinds come from TEI element context: <body> divs are BODY
-    unless their @type marks them as acknowledgment/bibliography; <figure>
-    elements are FIGURE; <back> holds acknowledgments and <listBibl>
-    bibliographies; anything unrecognized is kept as OTHER.
+    Everything prune drops is skipped unread: a <div> whose @type, in any
+    letter case, marks acknowledgements or a bibliography, and a <figure> or
+    <listBibl> that is a div's child or lies outside any div. A kept div's
+    text is its children's text joined by one space; text outside any div
+    is not read.
     """
     try:
         root = ElementTree.fromstring(xml_bytes)
@@ -288,59 +282,28 @@ def parse_tei(xml_bytes: bytes) -> TeiDocument:
         title_elem = root.find(".//titleStmt/title")
     title = _text_of(title_elem) if title_elem is not None else ""
 
-    divisions: list[tuple[SectionKind, str]] = []
-
-    def walk(elem: ElementTree.Element, context: str) -> None:
-        tag = _local(elem.tag)
-        if tag == "figure":
-            text = _text_of(elem)
-            if text:
-                divisions.append((SectionKind.FIGURE, text))
-            return
-        if tag == "listBibl":
-            text = _text_of(elem)
-            if text:
-                divisions.append((SectionKind.BIBLIOGRAPHY, text))
-            return
-        if tag == "div":
-            div_type = (elem.get("type") or "").lower()
-            kind = _KIND_BY_DIV_TYPE.get(div_type)
-            if kind is None:
-                kind = SectionKind.BODY if context == "body" else SectionKind.OTHER
-            # figures nested inside a div are extracted separately
-            parts: list[str] = []
-            for child in elem:
-                if _local(child.tag) in ("figure", "listBibl"):
-                    walk(child, context)
-                else:
-                    parts.append(_text_of(child))
-            text = " ".join(p for p in parts if p)
-            if text:
-                divisions.append((kind, text))
-            return
+    def walk(elem: ElementTree.Element) -> Iterator[str]:
         for child in elem:
-            walk(child, context)
+            tag = _local(child.tag)
+            if tag == "div":
+                if (child.get("type") or "").lower() not in _PRUNED_DIV_TYPES:
+                    yield " ".join(filter(None, (
+                        _text_of(c) for c in child if _local(c.tag) not in _PRUNED_TAGS
+                    )))
+            elif tag not in _PRUNED_TAGS:
+                yield from walk(child)
 
     text_elem = root.find(f"{{{TEI_NS}}}text")
     if text_elem is None:
         text_elem = root.find("text")
-    if text_elem is not None:
-        for part in text_elem:
-            walk(part, _local(part.tag))
-
-    return TeiDocument(title=title, divisions=tuple(divisions))
+    divisions = () if text_elem is None else tuple(filter(None, walk(text_elem)))
+    return TeiDocument(title=title, divisions=divisions)
 
 
 def prune(doc: TeiDocument, doc_id: str, source_path: str = "") -> CleanDocument:
-    """Drop figure, acknowledgment, and bibliography divisions."""
-    if not doc.divisions:
-        raise EmptyDocument(f"{doc_id}: document has no divisions")
-    kept = [
-        text
-        for kind, text in doc.divisions
-        if kind in (SectionKind.BODY, SectionKind.OTHER)
-    ]
-    body_text = "\n\n".join(kept).strip()
+    """Join the kept divisions into a clean document; parse_tei has already
+    left out figures, acknowledgements and bibliographies."""
+    body_text = "\n\n".join(doc.divisions).strip()
     if not body_text:
         raise EmptyDocument(f"{doc_id}: no body text remains after pruning")
     return CleanDocument(
@@ -359,15 +322,20 @@ def prune(doc: TeiDocument, doc_id: str, source_path: str = "") -> CleanDocument
 def ingest_directory(corpus_dir: str | Path) -> list[CleanDocument]:
     """Parse and prune every .tei.xml file in a corpus directory.
 
-    Files that prune to nothing are skipped; doc ids come from filenames.
+    A file that does not parse as TEI raises its error with the file's path
+    first in the message; a file that prunes to nothing is skipped with a
+    warning. Doc ids come from filenames.
     """
     corpus_dir = Path(corpus_dir)
     docs = []
     for path in sorted(corpus_dir.glob("*.tei.xml")):
         doc_id = path.name[: -len(".tei.xml")]
-        tei = parse_tei(path.read_bytes())
+        try:
+            tei = parse_tei(path.read_bytes())
+        except (MalformedXml, NotTei) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
         try:
             docs.append(prune(tei, doc_id, source_path=str(path)))
         except EmptyDocument:
-            continue
+            logger.warning("skipped %s: no body text remains after pruning", path)
     return docs

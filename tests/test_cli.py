@@ -3,6 +3,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -10,8 +13,9 @@ from click.testing import CliRunner
 
 import sdgpb
 from sdgpb import analytics, errors, pipeline, reporting
-from sdgpb.cli import _outputs, main
-from sdgpb.config import load_config
+from sdgpb.cli import _make_gateway, _outputs, main
+from sdgpb.config import RunConfig, load_config
+from sdgpb.gateway import PromptRequest
 from conftest import FIXTURES_DIR, seeded_run_dir
 
 SUBCOMMANDS = ["fetch", "ingest", "run", "resume", "aggregate", "report", "validate-fixtures"]
@@ -475,6 +479,24 @@ def test_ingest_writes_document_store(runner, tmp_path):
     assert len(store.read_text().splitlines()) >= 30
 
 
+@pytest.mark.parametrize("content, error", [
+    (b"<TEI xmlns", "MalformedXml"),
+    (b"<article><body/></article>", "NotTei"),
+], ids=["truncated", "not TEI"])
+def test_ingest_names_the_file_it_fails_on(runner, tmp_path, content, error):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    good = sorted((FIXTURES_DIR / "corpus").glob("*.tei.xml"))[0]
+    shutil.copy(good, corpus_dir / good.name)
+    (corpus_dir / "zz-bad.tei.xml").write_bytes(content)
+    config = write_config(tmp_path, corpus_dir=str(corpus_dir))
+    result = runner.invoke(main, ["--config", str(config), "ingest"])
+    assert result.exit_code == 3, result.output
+    line = _error_line(result)
+    assert line["error"] == error
+    assert line["message"].startswith(f"{corpus_dir / 'zz-bad.tei.xml'}: ")
+
+
 def test_fetch_writes_manifest(runner, tmp_path, monkeypatch):
     from sdgpb import corpus as corpus_mod
 
@@ -579,3 +601,49 @@ def test_offline_run_loads_no_http_stack():
     assert proc.returncode == 0, proc.stderr
     outcome = json.loads(proc.stdout.splitlines()[-1])
     assert outcome == {"code": 0, "http": []}
+
+
+def test_live_run_keeps_a_connection_for_each_concurrent_send(monkeypatch):
+    # requests' default pool keeps 10 connections per host: rounds of 12
+    # concurrent sends would drop 2 after each round and open 2 more
+    in_flight, rounds = 12, 3
+    all_sent = threading.Barrier(in_flight, timeout=10)
+    connections = []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive
+
+        def setup(self):
+            super().setup()
+            connections.append(self.client_address)
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            all_sent.wait()  # no reply until every send of the round is in flight
+            body = b'{"text": "ok"}'
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    monkeypatch.setenv("SDGPB_API_KEY", "key")
+    cfg = RunConfig(backend="live", endpoint_url=f"http://127.0.0.1:{server.server_port}/complete")
+    backend = _make_gateway(cfg).backend
+    req = PromptRequest(stage=1, doc_id="d", system_text="sys", user_text="user")
+    try:
+        with ThreadPoolExecutor(in_flight) as pool:
+            for _ in range(rounds):
+                assert list(pool.map(lambda _: backend.send(req), range(in_flight))) == ["ok"] * in_flight
+    finally:
+        backend.session.close()
+        server.shutdown()
+        serving.join()
+        server.server_close()
+    assert len(connections) == in_flight

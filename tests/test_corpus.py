@@ -1,6 +1,9 @@
 import json
+import logging
 import math
+from enum import Enum
 from functools import partial
+from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
 import pytest
@@ -8,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from sdgpb import corpus, store
 from sdgpb.corpus import (
-    SectionKind,
     WorksClient,
     estimate_tokens,
     normalize_ws,
@@ -165,7 +167,7 @@ def test_inline_elements_read_as_the_xml_has_them():
         "<div><head>Results</head><p>Cited by <ref>[3]</ref>, then a <hi>tail</hi>.</p></div>"
     ))
     assert doc.title == "A title"
-    assert doc.divisions == ((SectionKind.BODY, "Results Cited by [3], then a tail."),)
+    assert doc.divisions == ("Results Cited by [3], then a tail.",)
 
 
 def test_sentences_and_block_elements_stay_apart():
@@ -175,9 +177,7 @@ def test_sentences_and_block_elements_stay_apart():
         "<formula>E=mc<hi>2</hi><label>(1)</label></formula>"
         "<p>line<lb/>break</p></div>"
     ))
-    assert doc.divisions == (
-        (SectionKind.BODY, "First end. Next one. one two E=mc2 (1) line break"),
-    )
+    assert doc.divisions == ("First end. Next one. one two E=mc2 (1) line break",)
 
 
 # -- TEI parsing ------------------------------------------------------------
@@ -187,27 +187,25 @@ def test_parse_minimal_body():
     xml = b"""<TEI xmlns="http://www.tei-c.org/ns/1.0"><text><body>
         <div><p>Only paragraph.</p></div></body></text></TEI>"""
     doc = parse_tei(xml)
-    assert len(doc.divisions) == 1
-    assert doc.divisions[0] == (SectionKind.BODY, "Only paragraph.")
+    assert doc.divisions == ("Only paragraph.",)
 
 
 def test_parse_tags_acknowledgement():
-    doc = parse_tei(TEI.encode())
-    kinds = [kind for kind, _ in doc.divisions]
-    assert SectionKind.ACKNOWLEDGMENT in kinds
-    ack_text = next(t for k, t in doc.divisions if k is SectionKind.ACKNOWLEDGMENT)
-    assert "ACK_SENTINEL" in ack_text
+    # the acknowledgement div is left out, whatever the case of its type
+    for div_type in ("acknowledgement", "Acknowledgement", "ACKNOWLEDGEMENT"):
+        doc = parse_tei(TEI.replace('"acknowledgement"', f'"{div_type}"').encode())
+        assert not any("ACK_SENTINEL" in text for text in doc.divisions)
+        assert len(doc.divisions) == 2
 
 
 def test_parse_preserves_division_order():
     doc = parse_tei(TEI.encode())
-    body_texts = [t for k, t in doc.divisions if k is SectionKind.BODY]
-    assert body_texts == ["First body paragraph.", "Second body paragraph."]
+    assert doc.divisions == ("First body paragraph.", "Second body paragraph.")
 
 
 def test_parse_never_drops_body_text():
     doc = parse_tei(TEI.encode())
-    joined = " ".join(t for k, t in doc.divisions if k is SectionKind.BODY)
+    joined = " ".join(doc.divisions)
     assert "First body paragraph." in joined
     assert "Second body paragraph." in joined
 
@@ -258,6 +256,257 @@ def test_fixture_corpus_has_no_sentinels(fixture_docs):
     assert len(fixture_docs) >= 30
     for doc in fixture_docs:
         assert "SENTINEL" not in doc.body_text
+
+
+def test_ingest_logs_each_file_it_skips(tmp_path, caplog):
+    (tmp_path / "kept.tei.xml").write_text(TEI)
+    (tmp_path / "refs-only.tei.xml").write_bytes(b"""<TEI xmlns="http://www.tei-c.org/ns/1.0">
+        <text><back><listBibl><bibl>only refs</bibl></listBibl></back></text></TEI>""")
+    with caplog.at_level(logging.WARNING, logger="sdgpb.corpus"):
+        docs = corpus.ingest_directory(tmp_path)
+    assert [doc.doc_id for doc in docs] == ["kept"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipped {tmp_path / 'refs-only.tei.xml'}: no body text remains after pruning"
+    ]
+
+
+# -- kept-only parse against the classifying parse it replaced -------------
+
+
+class _Kind(Enum):
+    BODY = "body"
+    FIGURE = "figure"
+    ACKNOWLEDGMENT = "acknowledgment"
+    BIBLIOGRAPHY = "bibliography"
+    OTHER = "other"
+
+
+_ORACLE_KIND_BY_DIV_TYPE = {
+    "acknowledgement": _Kind.ACKNOWLEDGMENT,
+    "acknowledgment": _Kind.ACKNOWLEDGMENT,
+    "acknowledgements": _Kind.ACKNOWLEDGMENT,
+    "references": _Kind.BIBLIOGRAPHY,
+    "bibliography": _Kind.BIBLIOGRAPHY,
+    "annex": _Kind.OTHER,
+}
+
+
+def _oracle_parse_tei(xml_bytes):
+    """The parse that read and kind-tagged every division, figure and
+    listBibl; returns (title, [(kind, text), ...])."""
+    _local, _text_of, TEI_NS = corpus._local, corpus._text_of, corpus.TEI_NS
+    try:
+        root = ElementTree.fromstring(xml_bytes)
+    except ElementTree.ParseError as exc:
+        raise MalformedXml(f"XML parse failure: {exc}") from exc
+    if _local(root.tag) != "TEI":
+        raise NotTei(f"root element is <{_local(root.tag)}>, expected <TEI>")
+
+    title_elem = root.find(f".//{{{TEI_NS}}}titleStmt/{{{TEI_NS}}}title")
+    if title_elem is None:
+        title_elem = root.find(".//titleStmt/title")
+    title = _text_of(title_elem) if title_elem is not None else ""
+
+    divisions = []
+
+    def walk(elem, context):
+        tag = _local(elem.tag)
+        if tag == "figure":
+            text = _text_of(elem)
+            if text:
+                divisions.append((_Kind.FIGURE, text))
+            return
+        if tag == "listBibl":
+            text = _text_of(elem)
+            if text:
+                divisions.append((_Kind.BIBLIOGRAPHY, text))
+            return
+        if tag == "div":
+            div_type = (elem.get("type") or "").lower()
+            kind = _ORACLE_KIND_BY_DIV_TYPE.get(div_type)
+            if kind is None:
+                kind = _Kind.BODY if context == "body" else _Kind.OTHER
+            parts = []
+            for child in elem:
+                if _local(child.tag) in ("figure", "listBibl"):
+                    walk(child, context)
+                else:
+                    parts.append(_text_of(child))
+            text = " ".join(p for p in parts if p)
+            if text:
+                divisions.append((kind, text))
+            return
+        for child in elem:
+            walk(child, context)
+
+    text_elem = root.find(f"{{{TEI_NS}}}text")
+    if text_elem is None:
+        text_elem = root.find("text")
+    if text_elem is not None:
+        for part in text_elem:
+            walk(part, _local(part.tag))
+    return title, divisions
+
+
+def _oracle_prune(title, divisions, doc_id):
+    if not divisions:
+        raise EmptyDocument(f"{doc_id}: document has no divisions")
+    kept = [text for kind, text in divisions if kind in (_Kind.BODY, _Kind.OTHER)]
+    body_text = "\n\n".join(kept).strip()
+    if not body_text:
+        raise EmptyDocument(f"{doc_id}: no body text remains after pruning")
+    return title, body_text
+
+
+def _kept_only(xml):
+    clean = prune(parse_tei(xml), "d")
+    return clean.title, clean.body_text
+
+
+def _classifying(xml):
+    return _oracle_prune(*_oracle_parse_tei(xml), "d")
+
+
+def _outcome(clean, xml):
+    try:
+        return clean(xml)
+    except (EmptyDocument, MalformedXml, NotTei) as exc:
+        return type(exc)
+
+
+_PRUNED_DIV_TYPES = ["acknowledgement", "acknowledgment", "acknowledgements",
+                     "references", "bibliography"]
+
+
+@st.composite
+def _div_type(draw):
+    """No type, a kept one, or a pruned one with each letter in either case."""
+    name = draw(st.sampled_from(["", "annex", "introduction"] + _PRUNED_DIV_TYPES))
+    if not name:
+        return ""
+    mixed = "".join(c.upper() if draw(st.booleans()) else c for c in name)
+    return f' type="{mixed}"'
+
+
+_WORD = st.sampled_from(["Soil", "water.", "Biodiversity", "loss"])
+
+
+def _figure(draw):
+    return f"<figure><head>{draw(_XML_TEXT)}</head><figDesc>{draw(_inline())}</figDesc></figure>"
+
+
+def _list_bibl(draw):
+    refs = "".join(
+        f"<biblStruct><analytic><title>{draw(_XML_TEXT)}</title></analytic></biblStruct>"
+        for _ in range(draw(st.integers(0, 2)))
+    )
+    return f"<listBibl>{refs}<bibl>{draw(_XML_TEXT)}</bibl></listBibl>"
+
+
+@st.composite
+def _block(draw, depth=0):
+    """A div's child: a paragraph of GROBID-style sentences (possibly
+    holding a figure or listBibl), a head, a figure, a listBibl or a div."""
+    kinds = ["p", "p-figure", "p-bibl", "head", "figure", "listBibl"] + (["div"] if depth < 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "p":
+        sentences = draw(st.lists(st.tuples(_WORD, _inline()), max_size=3))
+        return "<p>" + "".join(f"<s>{word}{rest}</s>" for word, rest in sentences) + "</p>"
+    if kind == "p-figure":
+        return f"<p>{draw(_inline())}{_figure(draw)}{draw(_XML_TEXT)}</p>"
+    if kind == "p-bibl":
+        return f"<p>{draw(_inline())}{_list_bibl(draw)}</p>"
+    if kind == "head":
+        return f"<head>{draw(_XML_TEXT)}</head>"
+    if kind == "figure":
+        return _figure(draw)
+    if kind == "listBibl":
+        return _list_bibl(draw)
+    return draw(_div(depth + 1))
+
+
+@st.composite
+def _div(draw, depth=0):
+    blocks = draw(st.lists(_block(depth), min_size=1, max_size=4))
+    return f"<div{draw(_div_type())}>{''.join(blocks)}{draw(_XML_TEXT)}</div>"
+
+
+@st.composite
+def _part(draw):
+    """A <front>, <body> or <back> child of <text>: divs, with figures,
+    listBibls and paragraphs outside any div."""
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["div", "div", "figure", "listBibl", "p", "p-figure", "p-div"]))
+        if kind == "div":
+            items.append(draw(_div()))
+        elif kind == "figure":
+            items.append(_figure(draw))
+        elif kind == "listBibl":
+            items.append(_list_bibl(draw))
+        else:
+            inner = {"p": "", "p-figure": _figure(draw), "p-div": draw(_div())}[kind]
+            items.append(f"<p>{draw(_inline())}{inner}</p>")
+    return "".join(items)
+
+
+@st.composite
+def _tei_document(draw):
+    xmlns = draw(st.sampled_from(['xmlns="http://www.tei-c.org/ns/1.0"', ""]))
+    parts = "".join(
+        f"<{name}>{draw(_part())}</{name}>"
+        for name in ("front", "body", "back") if draw(st.booleans())
+    )
+    return (
+        f"<TEI {xmlns}><teiHeader><fileDesc><titleStmt><title>{draw(_inline())}</title>"
+        f"</titleStmt></fileDesc></teiHeader><text>{parts}</text></TEI>"
+    ).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tei_document())
+@example(TEI.encode())
+@example(TEI.replace('"acknowledgement"', '"AckNowledgments"').encode())
+@example(b"<TEI><text><back><div type='Bibliography'><p>refs</p></div></back></text></TEI>")
+@example(TEI.encode()[:50])
+@example(b"<article><body/></article>")
+def test_kept_only_parse_matches_the_classifying_parse(xml):
+    assert _outcome(_kept_only, xml) == _outcome(_classifying, xml)
+
+
+def test_text_of_never_reads_what_is_pruned(monkeypatch):
+    xml = b"""<TEI xmlns="http://www.tei-c.org/ns/1.0">
+     <teiHeader><fileDesc><titleStmt><title>T</title></titleStmt></fileDesc></teiHeader>
+     <text>
+      <front><div type="annex"><p>Front annex.</p></div></front>
+      <body>
+       <figure><figDesc>SKIPPED figure outside a div</figDesc></figure>
+       <div><p>Kept.</p><figure><figDesc>SKIPPED figure in a div</figDesc></figure>
+        <listBibl><bibl>SKIPPED listBibl in a div</bibl></listBibl></div>
+       <div type="Acknowledgement"><p>SKIPPED thanks</p><head>SKIPPED</head></div>
+      </body>
+      <back>
+       <div type="REFERENCES"><listBibl><bibl>SKIPPED ref</bibl></listBibl></div>
+       <div type="bibliography"><p>SKIPPED bibliography</p></div>
+       <listBibl><bibl>SKIPPED listBibl outside a div</bibl></listBibl>
+       <div><p>Back matter.</p></div>
+      </back>
+     </text>
+    </TEI>"""
+    read = []
+    text_of = corpus._text_of
+
+    def spy(elem):
+        read.append(elem)
+        return text_of(elem)
+
+    monkeypatch.setattr(corpus, "_text_of", spy)
+    doc = parse_tei(xml)
+    assert read
+    for elem in read:
+        assert elem.tag.rsplit("}", 1)[-1] not in ("figure", "listBibl")
+        assert "SKIPPED" not in "".join(elem.itertext())
+    assert doc.divisions == ("Front annex.", "Kept.", "Back matter.")
 
 
 # -- works client -----------------------------------------------------------
