@@ -27,7 +27,6 @@ import json
 import logging
 import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -75,13 +74,14 @@ class StageSpec:
     """What one stage asks for: its reply's list (also the key of its
     checkpoint payload), its template and its output budget; for a pair
     stage also the entry field that holds each pair's answer, and that
-    answer's vocabulary."""
+    answer's vocabulary; and the stages whose payloads it is built from."""
 
     payload_key: str
     template: str
     output_budget: int
     answer: str | None = None
     vocabulary: type[Enum] | None = None
+    needs: tuple[int, ...] = ()
 
 
 # generous output budgets; pair stages reason at length per pair. The
@@ -89,9 +89,9 @@ class StageSpec:
 STAGES = {
     1: StageSpec("sdgs", "sdg_allocation.txt", 4096),
     2: StageSpec("pbs", "pb_allocation.txt", 4096),
-    3: StageSpec("verdicts", "relationship.txt", 65536, "category", Category),
-    4: StageSpec("directions", "causality.txt", 16384, "direction", Direction),
-    5: StageSpec("refinements", "reasoner.txt", 65536, "label", RefinedLabel),
+    3: StageSpec("verdicts", "relationship.txt", 65536, "category", Category, (1, 2)),
+    4: StageSpec("directions", "causality.txt", 16384, "direction", Direction, (3,)),
+    5: StageSpec("refinements", "reasoner.txt", 65536, "label", RefinedLabel, (3,)),
 }
 
 # every accepted spelling of a pair answer, lower-cased: each vocabulary value
@@ -475,14 +475,23 @@ def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) 
     return [list(pairs[i : i + cap]) for i in range(0, len(pairs), cap)]
 
 
+def _categories(verdicts: list[dict]) -> tuple[dict[tuple[int, int], Category], list]:
+    """Each stage-3 pair's category, and the non-neutral pairs, which stages
+    4 and 5 answer, in verdict order."""
+    categories = {(v["sdg"], v["pb"]): Category(v["category"]) for v in verdicts}
+    return categories, [pair for pair, cat in categories.items() if cat is not Category.NEUTRAL]
+
+
 # --------------------------------------------------------------------------
 # Checkpoints
 
 
-def _checkpoint_entry(obj: dict) -> tuple[int, dict, str]:
-    """(stage, payload, template version) of a checkpoint line whose payload
-    holds its stage's list: ids in range, and pairs in range with an answer
-    in the stage's vocabulary."""
+def _checkpoint_entry(doc_id: str, obj: dict) -> tuple[int, dict, str]:
+    """(stage, payload, template version) of a line of `doc_id`'s checkpoint
+    file that names `doc_id` and whose payload holds its stage's list: ids
+    in range, and pairs in range with an answer in the stage's vocabulary."""
+    if obj["doc_id"] != doc_id:
+        raise ValueError(f"line names document {obj['doc_id']!r}")
     stage = obj["stage"]
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
@@ -500,18 +509,48 @@ def _checkpoint_entry(obj: dict) -> tuple[int, dict, str]:
     return stage, obj["payload"], obj["template_version"]
 
 
+def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, dict], str | None]:
+    """(payloads by stage, template version) of a checkpoint file's checked
+    lines, if they carry one template version, no stage appears twice or
+    without the stages it needs, stage 3 answers exactly the pairs of stages
+    1 and 2, and stages 4 and 5 exactly stage 3's non-neutral pairs, each
+    label legal for its pair's category; raises ValueError otherwise."""
+    versions = {version for _, _, version in entries}
+    if len(versions) > 1:
+        raise ValueError(f"lines carry template versions {sorted(versions)}")
+    payloads = {stage: payload for stage, payload, _ in entries}
+    if len(payloads) < len(entries):
+        raise ValueError(f"a stage appears twice in stages {[stage for stage, _, _ in entries]}")
+    for stage in payloads:
+        missing = [need for need in STAGES[stage].needs if need not in payloads]
+        if missing:
+            raise ValueError(f"stage {stage} appears without stages {missing}")
+    if 3 in payloads:
+        verdicts = payloads[3]["verdicts"]
+        candidates = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
+        if sorted((v["sdg"], v["pb"]) for v in verdicts) != candidates:
+            raise ValueError(f"stage 3's {len(verdicts)} verdicts do not answer exactly "
+                             f"the {len(candidates)} pairs of stages 1 and 2")
+        categories, active = _categories(verdicts)
+        for stage in sorted(payloads.keys() & {4, 5}):
+            key = STAGES[stage].payload_key
+            if sorted((e["sdg"], e["pb"]) for e in payloads[stage][key]) != sorted(active):
+                raise ValueError(f"stage {stage} {key} do not answer exactly "
+                                 f"stage 3's non-neutral pairs {sorted(active)}")
+        for e in payloads.get(5, {}).get("refinements", ()):
+            bucket(categories[e["sdg"], e["pb"]], RefinedLabel(e["label"]))
+    return payloads, versions.pop() if versions else None
+
+
 class CheckpointStore:
     """Per-document JSONL checkpoints under run_dir/checkpoints/.
 
-    A document's completed stages are the stages its file holds. Stages of
-    one wave may complete in any combination, so resume runs whichever are
-    missing rather than everything past the last one.
-
-    One store instance is the only writer for its run directory: it keeps
-    each document's completed stages in memory, filled by `load` (or by the
-    first `write` for a document it has not loaded) and updated by `write`,
-    so it never sees stages another writer appends. Worker threads may share
-    the instance.
+    A document's completed stages are the stages its file holds, and the
+    file is their only record: the store keeps no state, so threads may
+    share it. Stages of one wave may complete in any combination, so resume
+    runs whichever are missing rather than everything past the last one.
+    `load` checks each line alone and then the file whole, so a stage
+    written twice is refused when its file is next loaded.
 
     Each file is an appended store (`store`): `load` leaves out a final
     line torn by a kill mid-append, and the next `write` cuts it away.
@@ -521,42 +560,25 @@ class CheckpointStore:
         directory = Path(run_dir) / "checkpoints"
         directory.mkdir(parents=True, exist_ok=True)
         self._prefix = os.path.join(directory, "")
-        self._lock = threading.Lock()
-        # doc id -> bit mask with bit s set for each completed stage s; a
-        # small int costs nothing beyond its dict slot, a set 216 bytes
-        self._done: dict[str, int] = {}
 
     def path(self, doc_id: str) -> str:
         return f"{self._prefix}{doc_id}.jsonl"
 
     def load(self, doc_id: str) -> tuple[dict[int, dict], str | None]:
-        """Returns (payloads by completed stage, template_version)."""
-        entries = store.read(self.path(doc_id), _checkpoint_entry, appended=True,
+        """Returns (payloads by completed stage, template_version); raises
+        `CheckpointCorrupt` naming the file unless its stages agree."""
+        path = self.path(doc_id)
+        entries = store.read(path, partial(_checkpoint_entry, doc_id), appended=True,
                              error=CheckpointCorrupt)
-        payloads = {stage: payload for stage, payload, _ in entries}
-        version = entries[-1][2] if entries else None
-        with self._lock:
-            self._done[doc_id] = sum(1 << stage for stage in payloads)
-        return payloads, version
+        try:
+            return _agreeing_stages(entries)
+        except ValueError as exc:
+            raise CheckpointCorrupt(f"{path}: {exc}") from exc
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
         """Appends the stage's line; when this returns it has reached the kernel."""
-        with self._lock:
-            known = doc_id in self._done
-        if not known:
-            self.load(doc_id)
-        entry = {
-            "doc_id": doc_id,
-            "stage": stage,
-            "payload": payload,
-            "template_version": template_version,
-        }
-        with self._lock:
-            done = self._done[doc_id]
-            if done >> stage & 1:
-                raise ValueError(f"{doc_id}: checkpoint for stage {stage} already written")
-            store.append(self.path(doc_id), entry)
-            self._done[doc_id] = done | 1 << stage
+        store.append(self.path(doc_id), {"doc_id": doc_id, "stage": stage, "payload": payload,
+                                         "template_version": template_version})
 
 
 def _verdicts(doc: CleanDocument, verdicts: list[dict]) -> list[dict]:
@@ -597,10 +619,15 @@ def _verdicts(doc: CleanDocument, verdicts: list[dict]) -> list[dict]:
 # --------------------------------------------------------------------------
 # Document dependency graph
 
-# Stages 1 and 2 are independent, every stage-3 batch needs both, and stages
-# 4 and 5 need only stage 3's categories: each wave holds what the waves
-# before it unblock.
-_WAVES = ((1, 2), (3,), (4, 5))
+# a stage's wave is one past the last wave of the stages it needs: stages 1
+# and 2 run together, then 3, then 4 and 5
+def _wave(stage: int) -> int:
+    return max((_wave(need) + 1 for need in STAGES[stage].needs), default=0)
+
+
+_WAVES = tuple(
+    tuple(s for s in STAGES if _wave(s) == w) for w in sorted(set(map(_wave, STAGES)))
+)
 
 
 def _attempt(call: Callable[[], Iterable]) -> tuple[Iterable | None, Exception | None]:
@@ -673,10 +700,7 @@ class PipelineRunner:
             call = partial(self._call, build_relationship_prompt, parse_relationship, doc)
             calls = [partial(call, batch) for batch in chunk_pairs(pairs, self.batch_cap)]
             return calls, partial(_verdicts, doc)
-        categories = {
-            (v["sdg"], v["pb"]): Category(v["category"]) for v in payloads[3]["verdicts"]
-        }
-        active = [pair for pair, cat in categories.items() if cat is not Category.NEUTRAL]
+        categories, active = _categories(payloads[3]["verdicts"])
         batches = chunk_pairs(active, self.batch_cap)
         if stage == 4:
             call = partial(self._call, build_causality_prompt, parse_causality, doc)
@@ -732,31 +756,17 @@ class PipelineRunner:
                 payloads[stage] = {STAGES[stage].payload_key: adopt(parsed)}
                 self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
 
-        # each line was checked alone as it loaded; stages 4 and 5 must also
-        # answer exactly stage 3's non-neutral pairs, each label fitting its
-        # pair's category
-        path = self.checkpoints.path(doc.doc_id)
-        verdicts = payloads[3]["verdicts"]
-        active = sorted((v["sdg"], v["pb"]) for v in verdicts if v["category"] != _NEUTRAL)
-        answers = {}
-        for stage in (4, 5):
-            spec = STAGES[stage]
-            entries = payloads[stage][spec.payload_key]
-            if sorted((e["sdg"], e["pb"]) for e in entries) != active:
-                raise CheckpointCorrupt(
-                    f"{path}: stage {stage} {spec.payload_key} do not answer exactly "
-                    f"stage 3's non-neutral pairs {active}"
-                )
-            answers[stage] = {(e["sdg"], e["pb"]): e[spec.answer] for e in entries}
+        # `load` checked the stages it read, the parsers those run here
+        directions, labels = (
+            {(e["sdg"], e["pb"]): e[STAGES[s].answer] for e in payloads[s][STAGES[s].payload_key]}
+            for s in (4, 5)
+        )
         pairs = []
-        for v in verdicts:
+        for v in payloads[3]["verdicts"]:
             pair = (v["sdg"], v["pb"])
-            try:
-                pairs.append(PairClassification.from_json(
-                    v | {"refined": answers[5].get(pair), "direction": answers[4].get(pair)}
-                ))
-            except IllegalRefinement as exc:
-                raise CheckpointCorrupt(f"{path}: {exc}") from exc
+            pairs.append(PairClassification.from_json(
+                v | {"refined": labels.get(pair), "direction": directions.get(pair)}
+            ))
         return DocumentResult(
             doc_id=doc.doc_id,
             sdgs=frozenset(payloads[1]["sdgs"]),

@@ -354,6 +354,36 @@ def test_resume_on_stages_4_5_off_stage_3_pairs_exit_3(runner, tmp_path, stage, 
     assert str(path) in result.output
 
 
+def _rewrite_checkpoint(path, change):
+    """Rewrites a checkpoint file as `change` leaves its list of entries."""
+    entries = [json.loads(line) for line in path.read_bytes().splitlines()]
+    change(entries)
+    path.write_bytes(b"".join(json.dumps(entry).encode() + b"\n" for entry in entries))
+
+
+# apart from the copied file, whose lines name doc-001, every line stays
+# valid alone: only the file as a whole is wrong. doc-002's stages 1 and 2
+# hold SDGs 1, 5, 16, 17 and PBs 4, 7, 8: 12 pairs, all of them in its stage 3.
+@pytest.mark.parametrize("doc, damage", [
+    ("doc-000", lambda path: shutil.copyfile(path.with_name("doc-001.jsonl"), path)),
+    ("doc-000", lambda path: _rewrite_checkpoint(
+        path, lambda entries: entries[0].update(template_version="0" * 16))),
+    ("doc-000", lambda path: _rewrite_checkpoint(path, lambda entries: entries.append(entries[-1]))),
+    ("doc-000", lambda path: _rewrite_checkpoint(path, lambda entries: entries.pop(2))),
+    ("doc-002", lambda path: _rewrite_checkpoint(
+        path, lambda entries: entries[0]["payload"]["sdgs"].insert(1, 2))),
+], ids=["copied from another document", "two template versions", "a stage twice",
+        "stages 4 and 5 without stage 3", "an SDG without verdicts"])
+def test_resume_on_checkpoint_file_whose_stages_disagree_exit_3(runner, tmp_path, doc, damage):
+    config, _ = _finished_run(runner, tmp_path)
+    path = tmp_path / "run" / "checkpoints" / f"{doc}.jsonl"
+    damage(path)
+    result = runner.invoke(main, ["--config", str(config), "resume"])
+    assert result.exit_code == 3, result.output
+    assert "CheckpointCorrupt" in result.output
+    assert str(path) in result.output
+
+
 def test_failed_report_leaves_previous_reports(runner, tmp_path, monkeypatch):
     config, matrix_path = _golden_matrix_run(tmp_path)
     report_dir = tmp_path / "report"

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from sdgpb import corpus, pipeline
 from sdgpb.corpus import CleanDocument, estimate_tokens
 from sdgpb.errors import (
+    CheckpointCorrupt,
     IdOutOfRange,
     IllegalRefinement,
     OverContext,
@@ -853,17 +854,15 @@ def test_checkpoint_monotonicity(tmp_path):
     store = CheckpointStore(tmp_path)
     store.write("d", 1, {"sdgs": [1]}, "v1")
     store.write("d", 2, {"pbs": [2]}, "v1")
-    with pytest.raises(ValueError):
-        store.write("d", 2, {"pbs": [3]}, "v1")
     payloads, version = store.load("d")
-    assert set(payloads) == {1, 2} and payloads[1] == {"sdgs": [1]} and version == "v1"
-    # a second store on the same directory, never loaded, reads the file once
-    fresh = CheckpointStore(tmp_path)
-    with pytest.raises(ValueError):
-        fresh.write("d", 2, {"pbs": [3]}, "v1")
-    fresh.write("d", 3, {"verdicts": []}, "v1")
-    payloads, _ = CheckpointStore(tmp_path).load("d")
-    assert set(payloads) == {1, 2, 3} and payloads[2] == {"pbs": [2]}
+    assert payloads == {1: {"sdgs": [1]}, 2: {"pbs": [2]}} and version == "v1"
+    # the file is the only record of its stages: a stage written twice is
+    # refused when the file is next loaded, by any store on the directory
+    store.write("d", 2, {"pbs": [3]}, "v1")
+    named = re.escape(f"{store.path('d')}: a stage appears twice")
+    for reader in (store, CheckpointStore(tmp_path)):
+        with pytest.raises(CheckpointCorrupt, match=named):
+            reader.load("d")
 
 
 def _checkpoint_line(doc_id, stage, payload, version):
@@ -886,8 +885,13 @@ def test_megabyte_checkpoint_payload_round_trips(tmp_path):
         "sdg": 1, "pb": 1, "category": "synergy", "justification": "j" * 1_000_000,
         "evidence_quote": "caf\u00e9 \u2014 \U0001f30d\n",
     }]}
-    CheckpointStore(tmp_path).write("d", 3, payload, "v1")
-    assert CheckpointStore(tmp_path).load("d") == ({3: payload}, "v1")
+    store = CheckpointStore(tmp_path)
+    store.write("d", 1, {"sdgs": [1]}, "v1")
+    store.write("d", 2, {"pbs": [1]}, "v1")
+    store.write("d", 3, payload, "v1")
+    assert CheckpointStore(tmp_path).load("d") == (
+        {1: {"sdgs": [1]}, 2: {"pbs": [1]}, 3: payload}, "v1"
+    )
 
 
 def _open_descriptors():
