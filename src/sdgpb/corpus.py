@@ -158,20 +158,26 @@ class WorksClient:
         if self.mailto:
             params["mailto"] = self.mailto
 
-        payload = self._get_with_retry(f"{self.base_url}/works", params)
-        results = payload.get("results", [])
-        records = []
-        for item in results:
-            oa = item.get("open_access") or {}
-            records.append(
-                WorkRecord(
-                    work_id=str(item.get("id", "")),
-                    title=item.get("title") or "",
-                    publication_year=int(item.get("publication_year") or 0),
-                    open_access_url=oa.get("oa_url"),
+        url = f"{self.base_url}/works"
+        payload = self._get_with_retry(url, params)
+        try:
+            results = payload.get("results", [])
+            if not isinstance(results, list):
+                raise TypeError(f"results is a {type(results).__name__}, not a list")
+            records = []
+            for item in results:
+                oa = item.get("open_access") or {}
+                records.append(
+                    WorkRecord(
+                        work_id=str(item.get("id", "")),
+                        title=item.get("title") or "",
+                        publication_year=int(item.get("publication_year") or 0),
+                        open_access_url=oa.get("oa_url"),
+                    )
                 )
-            )
-        next_cursor = (payload.get("meta") or {}).get("next_cursor")
+            next_cursor = (payload.get("meta") or {}).get("next_cursor")
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise HttpFailure(f"malformed works page from {url}: {exc}") from exc
         if not results:
             next_cursor = None
         return records, next_cursor

@@ -159,24 +159,6 @@ class PairClassification:
             "evidence_quote": self.evidence_quote,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PairClassification":
-        category = Category(obj["category"])
-        refined = RefinedLabel(obj["refined"]) if obj.get("refined") else None
-        bucket(category, refined)  # a complete document's pair fits its category
-        direction = Direction(obj["direction"]) if obj.get("direction") else None
-        if direction is not None and category is Category.NEUTRAL:
-            raise ValueError("a neutral pair has no direction")
-        return cls(
-            sdg=id_in_range(obj["sdg"], SDG_COUNT, "sdg"),
-            pb=id_in_range(obj["pb"], PB_COUNT, "pb"),
-            category=category,
-            refined=refined,
-            direction=direction,
-            justification=obj.get("justification", ""),
-            evidence_quote=obj.get("evidence_quote", ""),
-        )
-
 
 @dataclass(frozen=True)
 class DocumentResult:
@@ -203,21 +185,54 @@ class DocumentResult:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DocumentResult":
-        if obj["status"] not in ("complete", "failed", "skipped"):
-            raise ValueError(f"unknown status {obj['status']!r}")
-        failed_stage = obj.get("failed_stage")
-        if failed_stage is not None:
+        """A results line, checked whole: a complete one as its document's five
+        stage payloads, by the rule a checkpoint file is held to, with no
+        failed stage and no reason; a failed or skipped one holds no pairs,
+        and only a failed one names the stage that failed."""
+        status, failed_stage, pairs = obj["status"], obj["failed_stage"], obj["pairs"]
+        if status not in ("complete", "failed", "skipped"):
+            raise ValueError(f"unknown status {status!r}")
+        if status == "failed":
             id_in_range(failed_stage, len(STAGES), "failed_stage")
-        return cls(
-            doc_id=obj["doc_id"],
-            sdgs=frozenset(id_in_range(i, SDG_COUNT, "sdg") for i in obj["sdgs"]),
-            pbs=frozenset(id_in_range(i, PB_COUNT, "pb") for i in obj["pbs"]),
-            pairs=tuple(PairClassification.from_json(p) for p in obj["pairs"]),
-            status=obj["status"],
-            template_version=obj["template_version"],
-            failed_stage=failed_stage,
-            reason=obj.get("reason", ""),
-        )
+        elif failed_stage is not None:
+            raise ValueError(f"a {status} line names failed_stage {failed_stage!r}")
+        sdgs, pbs = _payload(1, {"sdgs": obj["sdgs"]}), _payload(2, {"pbs": obj["pbs"]})
+        if status != "complete":
+            if pairs != []:
+                raise ValueError(f"a {status} line holds pairs")
+            return cls(obj["doc_id"], frozenset(sdgs["sdgs"]), frozenset(pbs["pbs"]), (), status,
+                       obj["template_version"], failed_stage, obj["reason"])
+        if obj["reason"] != "":
+            raise ValueError(f"a complete line gives reason {obj['reason']!r}")
+        version = obj["template_version"]
+        payloads = {1: sdgs, 2: pbs, 3: {"verdicts": [
+            {k: p[k] for k in ("sdg", "pb", "category", "justification", "evidence_quote")}
+            for p in pairs]}}
+        for stage, field in ((4, "direction"), (5, "refined")):
+            payloads[stage] = {STAGES[stage].payload_key: [
+                {"sdg": p["sdg"], "pb": p["pb"], STAGES[stage].answer: p[field]}
+                for p in pairs if p[field] is not None]}
+        entries = [(stage, _payload(stage, payload), version) for stage, payload in payloads.items()]
+        return _complete(obj["doc_id"], _agreeing_stages(entries)[0], version)
+
+
+def _complete(doc_id: str, payloads: dict[int, dict], version: str) -> DocumentResult:
+    """The complete result of a document from its five stage payloads, which agree."""
+    directions, labels = (
+        {(e["sdg"], e["pb"]): e[STAGES[s].answer] for e in payloads[s][STAGES[s].payload_key]}
+        for s in (4, 5)
+    )
+    pairs = []
+    for v in payloads[3]["verdicts"]:
+        pair = (v["sdg"], v["pb"])
+        pairs.append(PairClassification(
+            *pair, Category(v["category"]),
+            RefinedLabel(labels[pair]) if pair in labels else None,
+            Direction(directions[pair]) if pair in directions else None,
+            v.get("justification", ""), v.get("evidence_quote", ""),
+        ))
+    return DocumentResult(doc_id, frozenset(payloads[1]["sdgs"]), frozenset(payloads[2]["pbs"]),
+                          tuple(pairs), "complete", version)
 
 
 # --------------------------------------------------------------------------
@@ -486,17 +501,11 @@ def _categories(verdicts: list[dict]) -> tuple[dict[tuple[int, int], Category], 
 # Checkpoints
 
 
-def _checkpoint_entry(doc_id: str, obj: dict) -> tuple[int, dict, str]:
-    """(stage, payload, template version) of a line of `doc_id`'s checkpoint
-    file that names `doc_id` and whose payload holds its stage's list: ids
-    in range, and pairs in range with an answer in the stage's vocabulary."""
-    if obj["doc_id"] != doc_id:
-        raise ValueError(f"line names document {obj['doc_id']!r}")
-    stage = obj["stage"]
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
+def _payload(stage: int, payload: dict) -> dict:
+    """`payload` if it holds its stage's list: ids in range, and pairs in
+    range with an answer in the stage's vocabulary."""
     spec = STAGES[stage]
-    entries = obj["payload"][spec.payload_key]
+    entries = payload[spec.payload_key]
     if not isinstance(entries, list):
         raise TypeError(f"stage {stage} payload {spec.payload_key!r} is not a list")
     for entry in entries:
@@ -506,15 +515,27 @@ def _checkpoint_entry(doc_id: str, obj: dict) -> tuple[int, dict, str]:
             id_in_range(entry["sdg"], SDG_COUNT, "sdg")
             id_in_range(entry["pb"], PB_COUNT, "pb")
             spec.vocabulary(entry[spec.answer])
-    return stage, obj["payload"], obj["template_version"]
+    return payload
+
+
+def _checkpoint_entry(doc_id: str, obj: dict) -> tuple[int, dict, str]:
+    """(stage, payload, template version) of a line of `doc_id`'s checkpoint
+    file that names `doc_id` and whose payload holds its stage's list."""
+    if obj["doc_id"] != doc_id:
+        raise ValueError(f"line names document {obj['doc_id']!r}")
+    stage = obj["stage"]
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    return stage, _payload(stage, obj["payload"]), obj["template_version"]
 
 
 def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, dict], str | None]:
-    """(payloads by stage, template version) of a checkpoint file's checked
-    lines, if they carry one template version, no stage appears twice or
-    without the stages it needs, stage 3 answers exactly the pairs of stages
-    1 and 2, and stages 4 and 5 exactly stage 3's non-neutral pairs, each
-    label legal for its pair's category; raises ValueError otherwise."""
+    """(payloads by stage, template version) of a document's checked stages,
+    from its checkpoint file or its results line, if they carry one template
+    version, no stage appears twice or without the stages it needs, stage 3
+    answers exactly the pairs of stages 1 and 2, and stages 4 and 5 exactly
+    stage 3's non-neutral pairs, each label legal for its pair's category;
+    raises ValueError otherwise."""
     versions = {version for _, _, version in entries}
     if len(versions) > 1:
         raise ValueError(f"lines carry template versions {sorted(versions)}")
@@ -757,24 +778,7 @@ class PipelineRunner:
                 self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
 
         # `load` checked the stages it read, the parsers those run here
-        directions, labels = (
-            {(e["sdg"], e["pb"]): e[STAGES[s].answer] for e in payloads[s][STAGES[s].payload_key]}
-            for s in (4, 5)
-        )
-        pairs = []
-        for v in payloads[3]["verdicts"]:
-            pair = (v["sdg"], v["pb"])
-            pairs.append(PairClassification.from_json(
-                v | {"refined": labels.get(pair), "direction": directions.get(pair)}
-            ))
-        return DocumentResult(
-            doc_id=doc.doc_id,
-            sdgs=frozenset(payloads[1]["sdgs"]),
-            pbs=frozenset(payloads[2]["pbs"]),
-            pairs=tuple(pairs),
-            status="complete",
-            template_version=version,
-        )
+        return _complete(doc.doc_id, payloads, version)
 
     def _stopped(
         self, doc: CleanDocument, stage: int, error: Exception, payloads: dict[int, dict]

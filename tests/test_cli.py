@@ -229,6 +229,20 @@ def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
     assert f"results.jsonl: line {lines}" in result.output
 
 
+def _aggregate_with_line_5_changed(runner, tmp_path, change):
+    """`aggregate` of the golden results with line 5 (doc-004, sdgs 5 and 17,
+    pbs 1, 5 and 6) decoded, passed to `change` and encoded again."""
+    config = write_config(tmp_path)
+    results_path = tmp_path / "run" / "results" / "results.jsonl"
+    results_path.parent.mkdir(parents=True)
+    lines = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes().splitlines(keepends=True)
+    entry = json.loads(lines[4])
+    change(entry)
+    lines[4] = json.dumps(entry).encode() + b"\n"
+    results_path.write_bytes(b"".join(lines))
+    return runner.invoke(main, ["--config", str(config), "aggregate"])
+
+
 @pytest.mark.parametrize("field, value", [
     ("sdg", 99), ("sdg", 0), ("sdg", True), ("pb", 10), ("pb", "3"), ("sdgs", [18]),
     ("pbs", [0]), ("status", "bogus"), ("failed_stage", 0), ("failed_stage", 6),
@@ -236,20 +250,35 @@ def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
     # line 5's first pair is neutral: a refinement, a category that needs one,
     # or a direction
     ("refined", "Actual Synergy"), ("category", "synergy"), ("direction", "pb_to_sdg"),
+    # line 5 is complete: it names no failed stage and gives no reason, and
+    # only a complete line holds pairs
+    ("failed_stage", 3), ("status", "failed"), ("status", "skipped"), ("reason", "x"),
 ])
 def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, value):
-    config = write_config(tmp_path)
-    results_path = tmp_path / "run" / "results" / "results.jsonl"
-    results_path.parent.mkdir(parents=True)
-    lines = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes().splitlines(keepends=True)
-    entry = json.loads(lines[4])
-    if field in ("sdg", "pb", "refined", "category", "direction"):
-        entry["pairs"][0][field] = value
-    else:
-        entry[field] = value
-    lines[4] = json.dumps(entry).encode() + b"\n"
-    results_path.write_bytes(b"".join(lines))
-    result = runner.invoke(main, ["--config", str(config), "aggregate"])
+    def change(entry):
+        if field in ("sdg", "pb", "refined", "category", "direction"):
+            entry["pairs"][0][field] = value
+        else:
+            entry[field] = value
+
+    result = _aggregate_with_line_5_changed(runner, tmp_path, change)
+    assert result.exit_code == 3, result.output
+    assert "StoreCorrupt" in result.output
+    assert "results.jsonl: line 5" in result.output
+
+
+# line 5's second pair, (5, 5), is a synergy
+@pytest.mark.parametrize("change", [
+    lambda entry: entry["pairs"].pop(1),
+    lambda entry: entry["pairs"][1].update(direction=None),
+    lambda entry: entry["pairs"].append(entry["pairs"][1]),
+    lambda entry: entry["sdgs"].append(1),
+    lambda entry: entry["pairs"][1].pop("evidence_quote"),
+    lambda entry: entry.pop("failed_stage"),
+], ids=["pair dropped", "non-neutral pair without direction", "pair duplicated",
+        "sdg without its pairs", "pair without evidence_quote", "no failed_stage"])
+def test_aggregate_on_inconsistent_results_line_exit_3(runner, tmp_path, change):
+    result = _aggregate_with_line_5_changed(runner, tmp_path, change)
     assert result.exit_code == 3, result.output
     assert "StoreCorrupt" in result.output
     assert "results.jsonl: line 5" in result.output

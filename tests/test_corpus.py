@@ -645,6 +645,19 @@ def test_fetch_works_http_failure():
         WorksClient(session=session).fetch_works("climate")
 
 
+@pytest.mark.parametrize("payload", [
+    ["w1"],
+    {"results": {"id": "w1"}},
+    {"results": [{"id": "w1", "open_access": "yes"}]},
+    {"results": [{"id": "w1", "publication_year": "n/a"}]},
+], ids=["not an object", "results not a list", "open_access not an object", "year not a number"])
+def test_fetch_works_malformed_page_is_http_failure(payload):
+    session = FakeSession([FakeResponse(200, payload)])
+    with pytest.raises(HttpFailure, match="https://api.example/works") as caught:
+        WorksClient(base_url="https://api.example", session=session).fetch_works("climate")
+    assert caught.value.exit_code == 4
+
+
 def test_manifest_round_trip(tmp_path):
     records = [corpus.WorkRecord("w1", "title one", 2020, "https://oa/w1")]
     path = tmp_path / "manifest.jsonl"

@@ -970,6 +970,33 @@ def test_fixture_corpus_replay_integrity(replay_run_dir, fixture_docs, catalog, 
                 assert p.justification
 
 
+def test_golden_results_read_back_as_the_run_builds_them(
+    replay_run_dir, fixture_docs, catalog, templates
+):
+    # a run builds each complete result from its stage payloads, and reading
+    # results.jsonl back builds it from the payloads its lines split into
+    golden = FIXTURES_DIR / "golden" / "results.jsonl"
+    runner = make_replay_runner(replay_run_dir, catalog, templates)
+    assert pipeline.read_results(golden) == runner.run(fixture_docs)
+    for line in golden.read_text("utf-8").splitlines():
+        obj = json.loads(line)
+        assert pipeline.DocumentResult.from_json(obj).to_json() == obj
+
+
+def test_stopped_results_read_back(tmp_path, catalog, templates):
+    runner = make_runner(ScriptedBackend(seed=0), tmp_path, catalog, templates)
+    stopped = [
+        runner._stopped(make_doc(), 3, SchemaError("bad verdicts"), {1: {"sdgs": [2, 6]}, 2: {"pbs": [4]}}),
+        runner._stopped(make_doc(), 4, IllegalRefinement("bad label"), {2: {"pbs": [4]}}),
+        runner._stopped(make_doc(), 1, OverContext("too long"), {}),
+    ]
+    assert [res.status for res in stopped] == ["failed", "failed", "skipped"]
+    for res in stopped:
+        obj = json.loads(json.dumps(res.to_json()))
+        assert pipeline.DocumentResult.from_json(obj) == res
+        assert pipeline.DocumentResult.from_json(obj).to_json() == obj
+
+
 class _PromptLog:
     """The fixtures' scripted backend, keeping every prompt it answers."""
 
