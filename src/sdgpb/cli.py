@@ -6,7 +6,8 @@ becomes one JSON line on stderr and exits with its class's `exit_code`.
 Exit codes: 0 success, 2 `ConfigError`, 3 any other package error or a
 missing file (input error), 4 the `BackendFailure` family (`BackendError`,
 `TransientBackendError`, `RateLimited`, `Timeout`, `ReplayMiss`,
-`HttpFailure`, `QuotaExceeded`), 5 `GoldenMismatch`.
+`HttpFailure`; a works API or a completion backend that still answers 429
+once the retry budget is spent raises `RateLimited`), 5 `GoldenMismatch`.
 """
 
 from __future__ import annotations

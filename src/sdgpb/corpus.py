@@ -13,7 +13,7 @@ import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Callable, Iterator
 from xml.etree import ElementTree
 
 from .errors import (
@@ -22,8 +22,9 @@ from .errors import (
     InvalidCursor,
     MalformedXml,
     NotTei,
-    QuotaExceeded,
+    TransientBackendError,
 )
+from .gateway import parse_retry_after, retry
 
 if TYPE_CHECKING:
     import requests
@@ -32,11 +33,6 @@ logger = logging.getLogger(__name__)
 
 TEI_NS = "http://www.tei-c.org/ns/1.0"
 
-# a 429 is retried after 1, 2, 4 ... times this many seconds
-RATE_LIMIT_BACKOFF_S = 1.0
-# the longest Retry-After wait honoured
-MAX_RETRY_AFTER_S = 60.0
-
 
 @dataclass(frozen=True)
 class WorkRecord:
@@ -44,6 +40,16 @@ class WorkRecord:
     title: str
     publication_year: int
     open_access_url: str | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.work_id, str) and self.work_id):
+            raise ValueError(f"work_id {self.work_id!r} is not a non-empty string")
+        if not isinstance(self.title, str):
+            raise TypeError(f"title is {type(self.title).__name__}, not str")
+        if type(self.publication_year) is not int:
+            raise TypeError(f"publication_year {self.publication_year!r} is not an int")
+        if not isinstance(self.open_access_url, (str, type(None))):
+            raise TypeError(f"open_access_url is {type(self.open_access_url).__name__}, not str")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -159,7 +165,7 @@ class WorksClient:
             params["mailto"] = self.mailto
 
         url = f"{self.base_url}/works"
-        payload = self._get_with_retry(url, params)
+        payload, _ = retry(lambda: self._get(url, params), self.retry_budget, self._sleep)
         try:
             results = payload.get("results", [])
             if not isinstance(results, list):
@@ -167,11 +173,12 @@ class WorksClient:
             records = []
             for item in results:
                 oa = item.get("open_access") or {}
+                title, year = item.get("title"), item.get("publication_year")
                 records.append(
                     WorkRecord(
-                        work_id=str(item.get("id", "")),
-                        title=item.get("title") or "",
-                        publication_year=int(item.get("publication_year") or 0),
+                        work_id=item.get("id"),
+                        title="" if title is None else title,
+                        publication_year=0 if year is None else year,
                         open_access_url=oa.get("oa_url"),
                     )
                 )
@@ -195,40 +202,24 @@ class WorksClient:
             if cursor is None:
                 return
 
-    def _get_with_retry(self, url: str, params: dict) -> dict:
+    def _get(self, url: str, params: dict) -> dict:
+        """One GET; a 429 raises TransientBackendError for `retry`."""
         import requests
 
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                resp = self.session.get(url, params=params, timeout=60)
-            except requests.RequestException as exc:
-                raise HttpFailure(f"transport error calling {url}: {exc}") from exc
-            if resp.status_code == 400 and "cursor" in resp.text.lower():
-                raise InvalidCursor(f"server rejected cursor {params.get('cursor')!r}")
-            if resp.status_code == 429:
-                if attempts > self.retry_budget:
-                    raise QuotaExceeded(f"rate limited after {attempts} attempts")
-                wait = RATE_LIMIT_BACKOFF_S * 2 ** (attempts - 1)
-                asked = _retry_after_s(resp.headers)
-                if asked is not None:
-                    wait = max(wait, min(asked, MAX_RETRY_AFTER_S))
-                self._sleep(wait)
-                continue
-            if resp.status_code != 200:
-                raise HttpFailure(f"HTTP {resp.status_code} from {url}")
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise HttpFailure(f"non-JSON response from {url}") from exc
-
-
-def _retry_after_s(headers: Mapping[str, str]) -> float | None:
-    """The delay-seconds value of a Retry-After header (RFC 9110 10.2.3);
-    an HTTP-date or any other value counts as absent."""
-    value = headers.get("Retry-After", "").strip()
-    return float(value) if value.isascii() and value.isdigit() else None
+        try:
+            resp = self.session.get(url, params=params, timeout=60)
+        except requests.RequestException as exc:
+            raise HttpFailure(f"transport error calling {url}: {exc}") from exc
+        if resp.status_code == 400 and "cursor" in resp.text.lower():
+            raise InvalidCursor(f"server rejected cursor {params.get('cursor')!r}")
+        if resp.status_code == 429:
+            raise TransientBackendError(f"HTTP 429 from {url}", parse_retry_after(resp.headers))
+        if resp.status_code != 200:
+            raise HttpFailure(f"HTTP {resp.status_code} from {url}")
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise HttpFailure(f"non-JSON response from {url}") from exc
 
 
 # --------------------------------------------------------------------------

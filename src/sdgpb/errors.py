@@ -31,10 +31,6 @@ class InvalidCursor(SdgPbError):
     pass
 
 
-class QuotaExceeded(BackendFailure):
-    pass
-
-
 class MalformedXml(SdgPbError):
     pass
 
@@ -69,7 +65,12 @@ class BackendError(BackendFailure):
 
 
 class TransientBackendError(BackendError):
-    """Retryable backend failure (429, 5xx, transport hiccup)."""
+    """Retryable backend failure (429, 5xx, transport hiccup), with the delay
+    the server asked for in a Retry-After header, if any."""
+
+    def __init__(self, message: str, retry_after_s: float | None = None):
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class ReplayMiss(BackendFailure):

@@ -2,9 +2,10 @@
 
 One gateway wraps any backend with exponential-backoff retry and, for a
 live backend, a token-bucket rate limiter: offline backends skip only the
-limiter. Backends: a live HTTPS completion endpoint, a recording wrapper
-that persists (key, response) pairs as JSONL, and a replay backend that
-serves only recorded keys with zero network activity.
+limiter. The same retry rule, `retry`, serves the works-API client.
+Backends: a live HTTPS completion endpoint, a recording wrapper that
+persists (key, response) pairs as JSONL, and a replay backend that serves
+only recorded keys with zero network activity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, TypeVar
 
 from . import store
 from .errors import (
@@ -36,6 +37,10 @@ if TYPE_CHECKING:
 CACHE_SUBDIR = "llm_cache"
 CACHE_FILE = "cache.jsonl"
 SEND_TIMEOUT_S = 300.0
+# the longest Retry-After wait honoured
+MAX_RETRY_AFTER_S = 60.0
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,6 @@ class PromptRequest:
 @dataclass(frozen=True)
 class RawResponse:
     text: str
-    backend_id: str
-    latency_ms: int
     attempt_count: int
 
 
@@ -69,6 +72,34 @@ def record_key(req: PromptRequest) -> bytes:
     h.update(b"\x00")
     h.update(req.user_text.encode())
     return h.digest()
+
+
+def parse_retry_after(headers: Mapping[str, str]) -> float | None:
+    """The delay-seconds value of a Retry-After header (RFC 9110 10.2.3);
+    an HTTP-date or any other value counts as absent."""
+    value = headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
+def retry(attempt: Callable[[], T], budget: int, sleep: Callable[[float], None],
+          backoff_base: float = 1.0, jitter: Callable[[int], float] = lambda n: 0.0,
+          ) -> tuple[T, int]:
+    """(`attempt()`'s result, the number of the attempt that gave it), trying
+    attempts 1 ... budget+1. After a Timeout or TransientBackendError on
+    attempt n, sleeps backoff_base·2^(n-1) + jitter(n), or the error's
+    Retry-After delay (capped at MAX_RETRY_AFTER_S) if that is longer. No
+    sleep follows the last attempt: its Timeout is raised, or RateLimited."""
+    for n in range(1, budget + 2):
+        try:
+            return attempt(), n
+        except (Timeout, TransientBackendError) as exc:
+            last_exc = exc
+            if n <= budget:
+                asked = min(getattr(exc, "retry_after_s", None) or 0.0, MAX_RETRY_AFTER_S)
+                sleep(max(backoff_base * 2 ** (n - 1) + jitter(n), asked))
+    if isinstance(last_exc, Timeout):
+        raise last_exc
+    raise RateLimited(f"retry budget ({budget}) exhausted: {last_exc}")
 
 
 class Backend(Protocol):
@@ -123,7 +154,6 @@ class Gateway:
         self.retry_budget = retry_budget
         self.backoff_base = backoff_base
         self.jitter_seed = jitter_seed
-        self._clock = clock
         self._sleep = sleep
         self._bucket = TokenBucket(rpm, clock, sleep)
 
@@ -136,10 +166,12 @@ class Gateway:
     def max_in_flight(self) -> int:
         """The most calls that can hold a thread while the limiter would let
         one more through. A dispatch holds its thread for at most a send (the
-        backend's `timeout_s`, else LiveBackend's) and the backoff sleep after
-        it, and no 60 s window holds more than `rpm` dispatches."""
-        longest_backoff = self.backoff_base * 2**self.retry_budget  # > base·2^(budget-1) + jitter
-        hold_s = getattr(self.backend, "timeout_s", SEND_TIMEOUT_S) + longest_backoff
+        backend's `timeout_s`, else LiveBackend's) and the sleep after it, a
+        backoff or a Retry-After delay, and no 60 s window holds more than
+        `rpm` dispatches."""
+        # base·2^budget > base·2^(budget-1) + jitter, the longest backoff
+        longest_sleep = max(self.backoff_base * 2**self.retry_budget, MAX_RETRY_AFTER_S)
+        hold_s = getattr(self.backend, "timeout_s", SEND_TIMEOUT_S) + longest_sleep
         return self._bucket.rpm * math.ceil(hold_s / 60.0)
 
     def _jitter(self, req: PromptRequest, attempt: int) -> float:
@@ -149,25 +181,16 @@ class Gateway:
         return rng.uniform(0, self.backoff_base)
 
     def complete(self, req: PromptRequest) -> RawResponse:
-        last_exc: Exception | None = None
-        for attempt in range(1, self.retry_budget + 2):
+        def attempt() -> str:
             if self.live:  # replay and other offline backends skip only the limiter
                 self._bucket.acquire()
-            t0 = self._clock()
-            try:
-                text = self.backend.send(req)
-            except (Timeout, TransientBackendError) as exc:
-                last_exc = exc
-            else:
-                if not text:
-                    raise BackendError("backend returned empty completion")
-                latency = int((self._clock() - t0) * 1000)
-                return RawResponse(text, self.backend.backend_id, latency, attempt)
-            if attempt <= self.retry_budget:
-                self._sleep(self.backoff_base * (2 ** (attempt - 1)) + self._jitter(req, attempt))
-        if isinstance(last_exc, Timeout):
-            raise last_exc
-        raise RateLimited(f"retry budget ({self.retry_budget}) exhausted: {last_exc}")
+            text = self.backend.send(req)
+            if not text:
+                raise BackendError("backend returned empty completion")
+            return text
+
+        return RawResponse(*retry(attempt, self.retry_budget, self._sleep, self.backoff_base,
+                                  lambda n: self._jitter(req, n)))
 
 
 # --------------------------------------------------------------------------
@@ -217,7 +240,7 @@ class LiveBackend:
         except requests.RequestException as exc:
             raise TransientBackendError(f"transport error: {exc}") from exc
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code}")
+            raise TransientBackendError(f"HTTP {resp.status_code}", parse_retry_after(resp.headers))
         if resp.status_code != 200:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:

@@ -229,7 +229,7 @@ def _complete(doc_id: str, payloads: dict[int, dict], version: str) -> DocumentR
             *pair, Category(v["category"]),
             RefinedLabel(labels[pair]) if pair in labels else None,
             Direction(directions[pair]) if pair in directions else None,
-            v.get("justification", ""), v.get("evidence_quote", ""),
+            v["justification"], v["evidence_quote"],
         ))
     return DocumentResult(doc_id, frozenset(payloads[1]["sdgs"]), frozenset(payloads[2]["pbs"]),
                           tuple(pairs), "complete", version)
@@ -502,8 +502,9 @@ def _categories(verdicts: list[dict]) -> tuple[dict[tuple[int, int], Category], 
 
 
 def _payload(stage: int, payload: dict) -> dict:
-    """`payload` if it holds its stage's list: ids in range, and pairs in
-    range with an answer in the stage's vocabulary."""
+    """`payload` if it holds its stage's list: distinct ids in range, and
+    pairs in range with an answer in the stage's vocabulary, stage 3's with
+    a text justification and evidence quote."""
     spec = STAGES[stage]
     entries = payload[spec.payload_key]
     if not isinstance(entries, list):
@@ -515,6 +516,12 @@ def _payload(stage: int, payload: dict) -> dict:
             id_in_range(entry["sdg"], SDG_COUNT, "sdg")
             id_in_range(entry["pb"], PB_COUNT, "pb")
             spec.vocabulary(entry[spec.answer])
+            if stage == 3 and not (isinstance(entry["justification"], str)
+                                   and isinstance(entry["evidence_quote"], str)):
+                raise TypeError(f"pair {(entry['sdg'], entry['pb'])}'s justification "
+                                "or evidence_quote is not a string")
+    if spec.vocabulary is None and len(set(entries)) < len(entries):
+        raise ValueError(f"stage {stage} {spec.payload_key} {entries} repeat an id")
     return payload
 
 

@@ -90,7 +90,7 @@ def test_config_value_of_wrong_type_exit_2_naming_the_key(runner, tmp_path, over
 EXIT_CODES = {
     "ConfigError": 2,
     **dict.fromkeys(["BackendFailure", "BackendError", "TransientBackendError", "RateLimited",
-                     "Timeout", "ReplayMiss", "HttpFailure", "QuotaExceeded"], 4),
+                     "Timeout", "ReplayMiss", "HttpFailure"], 4),
     "GoldenMismatch": 5,
     **dict.fromkeys([
         "SdgPbError", "OutOfRange", "IllegalRefinement", "InvalidCursor", "MalformedXml",
@@ -275,8 +275,13 @@ def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, 
     lambda entry: entry["sdgs"].append(1),
     lambda entry: entry["pairs"][1].pop("evidence_quote"),
     lambda entry: entry.pop("failed_stage"),
+    lambda entry: entry["sdgs"].append(entry["sdgs"][0]),
+    lambda entry: entry["pbs"].append(entry["pbs"][-1]),
+    lambda entry: entry["pairs"][1].update(justification=5),
+    lambda entry: entry["pairs"][0].update(evidence_quote=None),
 ], ids=["pair dropped", "non-neutral pair without direction", "pair duplicated",
-        "sdg without its pairs", "pair without evidence_quote", "no failed_stage"])
+        "sdg without its pairs", "pair without evidence_quote", "no failed_stage",
+        "sdg repeated", "pb repeated", "justification a number", "evidence_quote null"])
 def test_aggregate_on_inconsistent_results_line_exit_3(runner, tmp_path, change):
     result = _aggregate_with_line_5_changed(runner, tmp_path, change)
     assert result.exit_code == 3, result.output
@@ -390,9 +395,10 @@ def _rewrite_checkpoint(path, change):
     path.write_bytes(b"".join(json.dumps(entry).encode() + b"\n" for entry in entries))
 
 
-# apart from the copied file, whose lines name doc-001, every line stays
-# valid alone: only the file as a whole is wrong. doc-002's stages 1 and 2
-# hold SDGs 1, 5, 16, 17 and PBs 4, 7, 8: 12 pairs, all of them in its stage 3.
+# apart from the copied file, whose lines name doc-001, and the repeated SDG,
+# every line stays valid alone: only the file as a whole is wrong. doc-002's
+# stages 1 and 2 hold SDGs 1, 5, 16, 17 and PBs 4, 7, 8: 12 pairs, all of
+# them in its stage 3.
 @pytest.mark.parametrize("doc, damage", [
     ("doc-000", lambda path: shutil.copyfile(path.with_name("doc-001.jsonl"), path)),
     ("doc-000", lambda path: _rewrite_checkpoint(
@@ -401,8 +407,10 @@ def _rewrite_checkpoint(path, change):
     ("doc-000", lambda path: _rewrite_checkpoint(path, lambda entries: entries.pop(2))),
     ("doc-002", lambda path: _rewrite_checkpoint(
         path, lambda entries: entries[0]["payload"]["sdgs"].insert(1, 2))),
+    ("doc-002", lambda path: _rewrite_checkpoint(
+        path, lambda entries: entries[0]["payload"]["sdgs"].insert(1, 5))),
 ], ids=["copied from another document", "two template versions", "a stage twice",
-        "stages 4 and 5 without stage 3", "an SDG without verdicts"])
+        "stages 4 and 5 without stage 3", "an SDG without verdicts", "an SDG twice"])
 def test_resume_on_checkpoint_file_whose_stages_disagree_exit_3(runner, tmp_path, doc, damage):
     config, _ = _finished_run(runner, tmp_path)
     path = tmp_path / "run" / "checkpoints" / f"{doc}.jsonl"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdgpb import corpus, store
+from sdgpb.gateway import MAX_RETRY_AFTER_S
 from sdgpb.corpus import (
     WorksClient,
     estimate_tokens,
@@ -23,7 +24,7 @@ from sdgpb.errors import (
     InvalidCursor,
     MalformedXml,
     NotTei,
-    QuotaExceeded,
+    RateLimited,
     StoreCorrupt,
 )
 
@@ -579,7 +580,7 @@ def test_fetch_works_invalid_cursor():
 
 def test_fetch_works_quota_exceeded_after_retries():
     session = FakeSession([FakeResponse(429)] * 4)
-    with pytest.raises(QuotaExceeded):
+    with pytest.raises(RateLimited):
         WorksClient(session=session, retry_budget=3, sleep=lambda s: None).fetch_works("climate")
 
 
@@ -593,7 +594,7 @@ def test_fetch_works_retries_past_429():
 def test_429_backoff_doubles_and_never_sleeps_after_final_attempt():
     waits = []
     session = FakeSession([FakeResponse(429)] * 4)
-    with pytest.raises(QuotaExceeded):
+    with pytest.raises(RateLimited):
         WorksClient(session=session, retry_budget=3, sleep=waits.append).fetch_works("climate")
     assert len(session.calls) == 4
     assert waits == [1.0, 2.0, 4.0]
@@ -618,7 +619,7 @@ def test_429_retry_after_is_capped():
         FakeResponse(200, _page(["w9"], None)),
     ])
     WorksClient(session=session, sleep=waits.append).fetch_works("climate")
-    assert waits == [corpus.MAX_RETRY_AFTER_S]
+    assert waits == [MAX_RETRY_AFTER_S]
 
 
 def test_429_retry_after_http_date_counts_as_absent():
@@ -650,7 +651,18 @@ def test_fetch_works_http_failure():
     {"results": {"id": "w1"}},
     {"results": [{"id": "w1", "open_access": "yes"}]},
     {"results": [{"id": "w1", "publication_year": "n/a"}]},
-], ids=["not an object", "results not a list", "open_access not an object", "year not a number"])
+    {"results": [{"id": None, "title": "t"}]},
+    {"results": [{"title": "t"}]},
+    {"results": [{"id": 7}]},
+    {"results": [{"id": ""}]},
+    {"results": [{"id": "w1", "title": ["a"]}]},
+    {"results": [{"id": "w1", "publication_year": 2021.9}]},
+    {"results": [{"id": "w1", "publication_year": 2021.0}]},
+    {"results": [{"id": "w1", "publication_year": True}]},
+    {"results": [{"id": "w1", "open_access": {"oa_url": 7}}]},
+], ids=["not an object", "results not a list", "open_access not an object", "year not a number",
+        "id null", "id missing", "id a number", "id empty", "title a list", "year a float",
+        "year a whole float", "year a bool", "oa_url a number"])
 def test_fetch_works_malformed_page_is_http_failure(payload):
     session = FakeSession([FakeResponse(200, payload)])
     with pytest.raises(HttpFailure, match="https://api.example/works") as caught:
@@ -674,10 +686,20 @@ _DOCUMENT_LINE = json.dumps(corpus.CleanDocument("d1", "title", "body", 1).to_js
 @pytest.mark.parametrize("reader, good_line, bad_line", [
     (_read_manifest, _MANIFEST_LINE, "not json"),
     (_read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": "t"}'),
+    (_read_manifest, _MANIFEST_LINE, '{"work_id": 1, "title": "t", "publication_year": 2020}'),
+    (_read_manifest, _MANIFEST_LINE, '{"work_id": "", "title": "t", "publication_year": 2020}'),
+    (_read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": 2, "publication_year": 2020}'),
+    (_read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": null, "publication_year": 2020}'),
+    (_read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": "t", "publication_year": "x"}'),
+    (_read_manifest, _MANIFEST_LINE, '{"work_id": "w2", "title": "t", "publication_year": false}'),
+    (_read_manifest, _MANIFEST_LINE,
+     '{"work_id": "w2", "title": "t", "publication_year": 2020, "open_access_url": 7}'),
     (_read_documents, _DOCUMENT_LINE, "[1, 2]"),
     (_read_documents, _DOCUMENT_LINE, '{"doc_id": "d2", "title": "t", "body_text": "b"'),
-], ids=["manifest-not-json", "manifest-missing-field", "documents-not-object",
-        "documents-truncated"])
+], ids=["manifest-not-json", "manifest-missing-field", "manifest-work-id-number",
+        "manifest-work-id-empty", "manifest-title-number", "manifest-title-null",
+        "manifest-year-string", "manifest-year-bool", "manifest-url-number",
+        "documents-not-object", "documents-truncated"])
 def test_jsonl_reader_names_file_and_line_of_a_bad_record(tmp_path, reader, good_line, bad_line):
     path = tmp_path / "store.jsonl"
     path.write_text(f"{good_line}\n\n{bad_line}\n{good_line}\n")

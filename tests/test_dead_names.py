@@ -1,5 +1,6 @@
-"""Every module-level function and class in src/sdgpb is named somewhere in
-src/ besides its own definition: a definition that nothing names is dead."""
+"""Every module-level function, class and constant in src/sdgpb is named
+somewhere in src/ besides its own definition: a definition that nothing
+names is dead. Dunder names such as `__version__` are exempt."""
 
 import ast
 from pathlib import Path
@@ -23,24 +24,43 @@ def _is_click_command(node: ast.AST) -> bool:
     return False
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or a class
+    that click does not register, or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [] if _is_click_command(node) else [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+        and not (name.id.startswith("__") and name.id.endswith("__"))
+    ]
+
+
 def _unnamed_definitions() -> set[str]:
     trees = {path.stem: ast.parse(path.read_text("utf-8")) for path in SRC.glob("*.py")}
     named = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name.rpartition(".")[2])
     return {
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in named
-        and not _is_click_command(node)
+        for name in _defined_names(node)
+        if name not in named
     }
 
 

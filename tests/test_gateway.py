@@ -1,6 +1,8 @@
 import json
 import shutil
 import threading
+from collections import deque
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
@@ -337,9 +339,11 @@ def test_live_backend_without_session_builds_requests_session():
 
 
 @pytest.mark.parametrize("timeout_s, backoff_base, retry_budget, minutes", [
-    (300.0, 1.0, 4, 6),  # LiveBackend's defaults: a 300 s send, then under 16 s asleep
-    (45.0, 0.5, 2, 1),
-    (120.0, 0.0, 4, 2),
+    (300.0, 1.0, 4, 6),  # LiveBackend's defaults: a 300 s send, then at most 60 s asleep
+    (45.0, 0.5, 2, 2),
+    (120.0, 0.0, 4, 3),
+    (250.0, 1.0, 4, 6),  # the 60 s Retry-After cap, not the 16 s backoff, adds a minute
+    (30.0, 8.0, 4, 3),  # a backoff of up to 128 s outlasts the cap
 ])
 def test_max_in_flight_is_rpm_for_each_minute_a_call_holds_its_thread(
     timeout_s, backoff_base, retry_budget, minutes
@@ -353,6 +357,68 @@ def test_max_in_flight_is_rpm_for_each_minute_a_call_holds_its_thread(
 def test_max_in_flight_holds_a_backend_without_timeout_to_the_live_default():
     gateway, _ = make_gateway(FlakyBackend(0), rpm=7, backoff_base=1.0, retry_budget=4)
     assert gateway.max_in_flight == 7 * 6
+
+
+# -- Retry-After over a real socket ---------------------------------------------
+
+
+@pytest.fixture
+def completion_server(monkeypatch):
+    """A LiveBackend on a 127.0.0.1 completion server, and the server's queue
+    of (status, Retry-After) replies: once the queue is empty, every POST
+    gets HTTP 200 with the text "ok"."""
+    replies = deque()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            status, retry_after = replies.popleft() if replies else (200, None)
+            body = b'{"text": "ok"}' if status == 200 else b"{}"
+            self.send_response(status)
+            if retry_after is not None:
+                self.send_header("Retry-After", retry_after)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    monkeypatch.setenv("SDGPB_API_KEY", "k")
+    backend = LiveBackend(f"http://127.0.0.1:{server.server_port}/complete", "model-x")
+    try:
+        yield backend, replies
+    finally:
+        backend.session.close()
+        server.shutdown()
+        serving.join()
+        server.server_close()
+
+
+@pytest.mark.parametrize("status, retry_after, asked, wait", [
+    (429, "3", 3.0, 3.0),  # longer than the 1-2 s backoff
+    (503, "86400", 86400.0, 60.0),  # capped
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", None, None),  # an HTTP-date: plain backoff
+], ids=["seconds", "capped", "http-date"])
+def test_live_backend_retry_after_sets_the_gateway_wait(completion_server, status, retry_after,
+                                                        asked, wait):
+    backend, replies = completion_server
+    replies.append((status, retry_after))
+    with pytest.raises(TransientBackendError, match=f"HTTP {status}") as caught:
+        backend.send(req())
+    assert caught.value.retry_after_s == asked
+
+    replies.append((status, retry_after))
+    waits = []
+    gateway = Gateway(backend, rpm=1000, sleep=waits.append)
+    assert gateway.complete(req()) == RawResponse("ok", 2)
+    assert waits == [wait if wait is not None else 1.0 + gateway._jitter(req(), 1)]
 
 
 # -- a torn or corrupt cache file ---------------------------------------------

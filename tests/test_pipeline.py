@@ -732,9 +732,10 @@ def test_live_call_threads_bounded_by_rpm(tmp_path, catalog, templates):
         checkpoints=CheckpointStore(tmp_path), catalog=catalog, templates=templates,
         batch_cap=4,
     )
-    # two minutes of dispatches can be in flight at once
+    # a 120 s send and a Retry-After wait of up to 60 s: three minutes of
+    # dispatches can be in flight at once
     bound = runner.gateway.max_in_flight
-    assert bound == 2 * rpm
+    assert bound == 3 * rpm
     before = set(threading.enumerate())
     results = []
     driver = threading.Thread(
