@@ -5,9 +5,9 @@ reporting together. Every command runs under one handler: an `SdgPbError`
 becomes one JSON line on stderr and exits with its class's `exit_code`.
 Exit codes: 0 success, 2 `ConfigError`, 3 any other package error or a
 missing file (input error), 4 the `BackendFailure` family (`BackendError`,
-`TransientBackendError`, `RateLimited`, `Timeout`, `ReplayMiss`,
-`HttpFailure`; a works API or a completion backend that still answers 429
-once the retry budget is spent raises `RateLimited`), 5 `GoldenMismatch`.
+`TransientBackendError`, `RateLimited`, `Timeout`, `ReplayMiss`; a works
+API or a completion backend that still fails transiently once the retry
+budget is spent raises `RateLimited`), 5 `GoldenMismatch`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import click
 
 from . import analytics, corpus, pipeline, reporting, store
 from .config import BACKEND_MODES, RunConfig, load_config
-from .errors import ConfigError, EmptyMatrix, GoldenMismatch, MissingInput, SdgPbError
+from .errors import ConfigError, EmptyMatrix, GoldenMismatch, MissingInput, SdgPbError, StoreCorrupt
 from .gateway import Gateway, LiveBackend, RecordingBackend, ReplayBackend, CACHE_SUBDIR, CACHE_FILE
 from .taxonomy import load_catalog
 from .testing import ScriptedBackend
@@ -112,9 +112,15 @@ def _ingest(cfg: RunConfig) -> list[corpus.CleanDocument]:
 
 def _load_corpus(cfg: RunConfig) -> list[corpus.CleanDocument]:
     docs_path = Path(cfg.run_dir) / "documents.jsonl"
-    if docs_path.exists():
-        return store.read(docs_path, corpus.CleanDocument.from_json)
-    return _ingest(cfg)
+    if not docs_path.exists():
+        return _ingest(cfg)
+    docs = store.read(docs_path, corpus.CleanDocument.from_json)
+    seen = set()
+    for doc in docs:
+        if doc.doc_id in seen:  # two documents would share one checkpoint file
+            raise StoreCorrupt(f"{docs_path}: doc_id {doc.doc_id!r} appears more than once")
+        seen.add(doc.doc_id)
+    return docs
 
 
 def _outputs(cfg: RunConfig) -> dict[str, Path]:

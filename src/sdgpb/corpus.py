@@ -16,15 +16,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 from xml.etree import ElementTree
 
-from .errors import (
-    EmptyDocument,
-    HttpFailure,
-    InvalidCursor,
-    MalformedXml,
-    NotTei,
-    TransientBackendError,
-)
-from .gateway import parse_retry_after, retry
+from .errors import BackendError, EmptyDocument, InvalidCursor, InvalidDocId, MalformedXml, NotTei
+from .gateway import http_json, http_session, retry
 
 if TYPE_CHECKING:
     import requests
@@ -77,6 +70,17 @@ class CleanDocument:
     body_text: str
     token_estimate: int
     source_path: str = ""
+
+    def __post_init__(self):
+        doc_id = self.doc_id
+        if not (isinstance(doc_id, str) and doc_id not in ("", ".", "..")
+                and "/" not in doc_id and "\\" not in doc_id and "\0" not in doc_id):
+            raise InvalidDocId(f"doc_id {doc_id!r} is not a plain file name")
+        for name in ("title", "body_text", "source_path"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} is {type(getattr(self, name)).__name__}, not str")
+        if type(self.token_estimate) is not int:
+            raise TypeError(f"token_estimate {self.token_estimate!r} is not an int")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -137,11 +141,7 @@ class WorksClient:
         self.mailto = mailto
         self.page_size = page_size
         self.retry_budget = retry_budget
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
+        self.session = http_session() if session is None else session
         self._sleep = sleep
 
     def fetch_works(
@@ -165,7 +165,14 @@ class WorksClient:
             params["mailto"] = self.mailto
 
         url = f"{self.base_url}/works"
-        payload, _ = retry(lambda: self._get(url, params), self.retry_budget, self._sleep)
+
+        def get() -> requests.Response:
+            resp = self.session.get(url, params=params, timeout=60)
+            if resp.status_code == 400 and "cursor" in resp.text.lower():
+                raise InvalidCursor(f"server rejected cursor {params['cursor']!r}")
+            return resp
+
+        payload, _ = retry(lambda: http_json(get, url), self.retry_budget, self._sleep)
         try:
             results = payload.get("results", [])
             if not isinstance(results, list):
@@ -184,7 +191,7 @@ class WorksClient:
                 )
             next_cursor = (payload.get("meta") or {}).get("next_cursor")
         except (AttributeError, TypeError, ValueError) as exc:
-            raise HttpFailure(f"malformed works page from {url}: {exc}") from exc
+            raise BackendError(f"malformed works page from {url}: {exc}") from exc
         if not results:
             next_cursor = None
         return records, next_cursor
@@ -201,25 +208,6 @@ class WorksClient:
                     yield rec
             if cursor is None:
                 return
-
-    def _get(self, url: str, params: dict) -> dict:
-        """One GET; a 429 raises TransientBackendError for `retry`."""
-        import requests
-
-        try:
-            resp = self.session.get(url, params=params, timeout=60)
-        except requests.RequestException as exc:
-            raise HttpFailure(f"transport error calling {url}: {exc}") from exc
-        if resp.status_code == 400 and "cursor" in resp.text.lower():
-            raise InvalidCursor(f"server rejected cursor {params.get('cursor')!r}")
-        if resp.status_code == 429:
-            raise TransientBackendError(f"HTTP 429 from {url}", parse_retry_after(resp.headers))
-        if resp.status_code != 200:
-            raise HttpFailure(f"HTTP {resp.status_code} from {url}")
-        try:
-            return resp.json()
-        except ValueError as exc:
-            raise HttpFailure(f"non-JSON response from {url}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -319,20 +307,19 @@ def prune(doc: TeiDocument, doc_id: str, source_path: str = "") -> CleanDocument
 def ingest_directory(corpus_dir: str | Path) -> list[CleanDocument]:
     """Parse and prune every .tei.xml file in a corpus directory.
 
-    A file that does not parse as TEI raises its error with the file's path
+    Doc ids come from filenames. A file that does not parse as TEI, or whose
+    name gives no doc id (`.tei.xml`), raises its error with the file's path
     first in the message; a file that prunes to nothing is skipped with a
-    warning. Doc ids come from filenames.
+    warning.
     """
     corpus_dir = Path(corpus_dir)
     docs = []
     for path in sorted(corpus_dir.glob("*.tei.xml")):
-        doc_id = path.name[: -len(".tei.xml")]
         try:
-            tei = parse_tei(path.read_bytes())
-        except (MalformedXml, NotTei) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
-        try:
-            docs.append(prune(tei, doc_id, source_path=str(path)))
+            docs.append(prune(parse_tei(path.read_bytes()), path.name[: -len(".tei.xml")],
+                              source_path=str(path)))
         except EmptyDocument:
             logger.warning("skipped %s: no body text remains after pruning", path)
+        except (MalformedXml, NotTei, InvalidDocId) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
     return docs

@@ -23,10 +23,6 @@ class IllegalRefinement(SdgPbError, ValueError):
 
 
 # corpus
-class HttpFailure(BackendFailure):
-    pass
-
-
 class InvalidCursor(SdgPbError):
     pass
 
@@ -41,6 +37,10 @@ class NotTei(SdgPbError):
 
 class EmptyDocument(SdgPbError):
     pass
+
+
+class InvalidDocId(SdgPbError, ValueError):
+    """A document id that is not a plain file name: it names the document's checkpoint file."""
 
 
 class OverContext(SdgPbError):

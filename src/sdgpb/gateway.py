@@ -2,7 +2,8 @@
 
 One gateway wraps any backend with exponential-backoff retry and, for a
 live backend, a token-bucket rate limiter: offline backends skip only the
-limiter. The same retry rule, `retry`, serves the works-API client.
+limiter. The same retry rule, `retry`, and the same HTTP exchange rule,
+`http_json`, serve the works-API client.
 Backends: a live HTTPS completion endpoint, a recording wrapper that
 persists (key, response) pairs as JSONL, and a replay backend that serves
 only recorded keys with zero network activity.
@@ -19,12 +20,13 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, TypeVar
 
 from . import store
 from .errors import (
     BackendError,
     CacheCorrupt,
+    ConfigError,
     RateLimited,
     ReplayMiss,
     Timeout,
@@ -79,6 +81,43 @@ def parse_retry_after(headers: Mapping[str, str]) -> float | None:
     an HTTP-date or any other value counts as absent."""
     value = headers.get("Retry-After", "").strip()
     return float(value) if value.isascii() and value.isdigit() else None
+
+
+def http_session() -> requests.Session:
+    """A new requests.Session for the works client or the live backend."""
+    try:
+        import requests
+    except ImportError as exc:
+        raise ConfigError(f"the works client and the live backend need the 'requests' "
+                          f"package, which cannot be imported: {exc}") from exc
+    return requests.Session()
+
+
+def http_json(exchange: Callable[[], requests.Response], url: str) -> Any:
+    """The decoded JSON body of one HTTP request to `url`, `exchange()`.
+
+    A timeout raises Timeout; any other transport error, a 429 or a 5xx
+    raises TransientBackendError with the Retry-After delay, for `retry`.
+    Any other status but 200, or a body that is not JSON, raises
+    BackendError.
+    """
+    import requests
+
+    try:
+        resp = exchange()
+    except requests.Timeout as exc:
+        raise Timeout(f"request to {url} timed out: {exc}") from exc
+    except requests.RequestException as exc:
+        raise TransientBackendError(f"transport error calling {url}: {exc}") from exc
+    status = resp.status_code
+    if status == 429 or status >= 500:
+        raise TransientBackendError(f"HTTP {status} from {url}", parse_retry_after(resp.headers))
+    if status != 200:
+        raise BackendError(f"HTTP {status} from {url}: {resp.text[:200]}")
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise BackendError(f"non-JSON response from {url}") from exc
 
 
 def retry(attempt: Callable[[], T], budget: int, sleep: Callable[[float], None],
@@ -208,16 +247,10 @@ class LiveBackend:
         self.model = model
         self.backend_id = model
         self.api_key_env = api_key_env
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
+        self.session = http_session() if session is None else session
         self.timeout_s = timeout_s
 
     def send(self, req: PromptRequest) -> str:
-        import requests
-
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
             raise BackendError(f"API key environment variable {self.api_key_env} not set")
@@ -228,27 +261,16 @@ class LiveBackend:
             "temperature": req.temperature,
             "max_output_tokens": req.max_output_tokens,
         }
-        try:
-            resp = self.session.post(
-                self.endpoint_url,
-                json=payload,
-                headers={"Authorization": f"Bearer {api_key}"},
-                timeout=self.timeout_s,
-            )
-        except requests.Timeout as exc:
-            raise Timeout(f"completion request timed out after {self.timeout_s}s") from exc
-        except requests.RequestException as exc:
-            raise TransientBackendError(f"transport error: {exc}") from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code}", parse_retry_after(resp.headers))
-        if resp.status_code != 200:
-            raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-        try:
-            text = resp.json()["text"]
-            if not isinstance(text, str):
-                raise TypeError(f"text is {type(text).__name__}, not str")
-        except (ValueError, KeyError, TypeError) as exc:
-            raise BackendError("malformed completion response") from exc
+        body = http_json(lambda: self.session.post(
+            self.endpoint_url,
+            json=payload,
+            headers={"Authorization": f"Bearer {api_key}"},
+            timeout=self.timeout_s,
+        ), self.endpoint_url)
+        text = body.get("text") if isinstance(body, dict) else None
+        if not isinstance(text, str):
+            raise BackendError(f"malformed completion response from {self.endpoint_url}: "
+                               f"no string text field")
         return text
 
 

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import sdgpb
-from sdgpb import analytics, errors, pipeline, reporting
+from sdgpb import analytics, errors, pipeline, reporting, store
 from sdgpb.cli import _make_gateway, _outputs, main
 from sdgpb.config import RunConfig, load_config
 from sdgpb.gateway import PromptRequest
@@ -90,11 +90,11 @@ def test_config_value_of_wrong_type_exit_2_naming_the_key(runner, tmp_path, over
 EXIT_CODES = {
     "ConfigError": 2,
     **dict.fromkeys(["BackendFailure", "BackendError", "TransientBackendError", "RateLimited",
-                     "Timeout", "ReplayMiss", "HttpFailure"], 4),
+                     "Timeout", "ReplayMiss"], 4),
     "GoldenMismatch": 5,
     **dict.fromkeys([
         "SdgPbError", "OutOfRange", "IllegalRefinement", "InvalidCursor", "MalformedXml",
-        "NotTei", "EmptyDocument", "OverContext", "StoreCorrupt", "CacheCorrupt",
+        "NotTei", "EmptyDocument", "InvalidDocId", "OverContext", "StoreCorrupt", "CacheCorrupt",
         "SchemaError", "IdOutOfRange", "PairSetMismatch", "UnknownCategory",
         "UnknownDirection", "TemplateVersionMismatch", "CheckpointCorrupt", "DuplicateRecord",
         "EmptyMatrix", "ZeroCorpus", "NoDirectedRecords", "EmptyPanel", "ZeroGlobal",
@@ -510,6 +510,73 @@ def test_run_on_corrupt_document_store_exit_3(runner, tmp_path, bad_line):
     assert result.exit_code == 3, result.output
     assert "StoreCorrupt" in result.output
     assert "documents.jsonl: line 2" in result.output
+
+
+def _ingested_documents(runner, tmp_path):
+    """A scripted run's config, after `ingest`, and its documents.jsonl lines as objects."""
+    config = write_config(tmp_path, backend="scripted")
+    assert runner.invoke(main, ["--config", str(config), "ingest"]).exit_code == 0
+    docs_path = tmp_path / "run" / "documents.jsonl"
+    return config, docs_path, [json.loads(line) for line in docs_path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("doc_id", "../../escaped"), ("doc_id", ""), ("doc_id", "."), ("doc_id", "a\\b"),
+    ("body_text", 5), ("title", None), ("token_estimate", "9"),
+], ids=["id a path", "id empty", "id dot", "id backslash", "body a number", "title null",
+        "tokens a string"])
+def test_run_on_document_store_with_bad_field_exit_3(runner, tmp_path, field, value):
+    config, docs_path, docs = _ingested_documents(runner, tmp_path)
+    docs[1][field] = value
+    store.write(docs_path, docs)
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 3, result.output
+    line = _error_line(result)
+    assert line["error"] == "StoreCorrupt" and "documents.jsonl: line 2" in line["message"]
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "run"]
+    assert not (tmp_path / "run" / "checkpoints").exists()
+
+
+def test_run_on_document_store_with_repeated_id_exit_3(runner, tmp_path):
+    config, docs_path, docs = _ingested_documents(runner, tmp_path)
+    docs[2]["doc_id"] = docs[1]["doc_id"]  # same id, another body
+    store.write(docs_path, docs)
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 3, result.output
+    line = _error_line(result)
+    assert line["error"] == "StoreCorrupt"
+    assert line["message"] == (f"{docs_path}: doc_id {docs[1]['doc_id']!r} "
+                               f"appears more than once")
+    assert not (tmp_path / "run" / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("name", [".tei.xml", "..tei.xml", "...tei.xml", "a\\b.tei.xml"])
+def test_run_names_the_corpus_file_whose_name_gives_no_doc_id(runner, tmp_path, name):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    good = sorted((FIXTURES_DIR / "corpus").glob("*.tei.xml"))[0]
+    shutil.copy(good, corpus_dir / good.name)
+    shutil.copy(good, corpus_dir / name)
+    config = write_config(tmp_path, corpus_dir=str(corpus_dir), backend="scripted")
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 3, result.output
+    line = _error_line(result)
+    assert line["error"] == "InvalidDocId"
+    assert line["message"].startswith(f"{corpus_dir / name}: doc_id ")
+    assert not (tmp_path / "run" / "checkpoints").exists()
+
+
+@pytest.mark.parametrize("args, overrides", [
+    (["fetch", "--query", "x"], {}),
+    (["run"], {"backend": "live", "endpoint_url": "http://127.0.0.1:9/complete"}),
+], ids=["fetch", "live run"])
+def test_http_commands_without_requests_exit_2(runner, tmp_path, monkeypatch, args, overrides):
+    monkeypatch.setitem(sys.modules, "requests", None)  # import requests fails
+    config = write_config(tmp_path, **overrides)
+    result = runner.invoke(main, ["--config", str(config)] + args)
+    assert result.exit_code == 2, result.output
+    line = _error_line(result)
+    assert line["error"] == "ConfigError" and "'requests' package" in line["message"]
 
 
 def test_validate_fixtures_ok(runner):

@@ -1,8 +1,12 @@
 import json
 import logging
 import math
+import socket
+import threading
+from collections import deque
 from enum import Enum
 from functools import partial
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
@@ -19,13 +23,14 @@ from sdgpb.corpus import (
     prune,
 )
 from sdgpb.errors import (
+    BackendError,
     EmptyDocument,
-    HttpFailure,
     InvalidCursor,
     MalformedXml,
     NotTei,
     RateLimited,
     StoreCorrupt,
+    Timeout,
 )
 
 TEI = """<?xml version="1.0"?>
@@ -533,7 +538,10 @@ class FakeSession:
 
     def get(self, url, params=None, timeout=None):
         self.calls.append((url, dict(params or {})))
-        return self.responses.pop(0)
+        reply = self.responses.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
 
 def _page(ids, next_cursor):
@@ -632,6 +640,30 @@ def test_429_retry_after_http_date_counts_as_absent():
     assert waits == [1.0]
 
 
+@pytest.mark.parametrize("failure", ["502", "503", "ConnectionError", "ReadTimeout"])
+def test_fetch_works_retries_past_a_transient_failure(failure):
+    import requests
+
+    first = {"502": FakeResponse(502), "503": FakeResponse(503),
+             "ConnectionError": requests.ConnectionError("connection reset"),
+             "ReadTimeout": requests.ReadTimeout("read timed out")}[failure]
+    waits = []
+    session = FakeSession([first, FakeResponse(200, _page(["w9"], None))])
+    records, _ = WorksClient(session=session, sleep=waits.append).fetch_works("climate")
+    assert [r.work_id for r in records] == ["w9"]
+    assert len(session.calls) == 2 and waits == [1.0]
+
+
+def test_fetch_works_read_timeouts_end_in_timeout():
+    import requests
+
+    session = FakeSession([requests.ReadTimeout("read timed out")] * 4)
+    with pytest.raises(Timeout, match="https://api.example/works timed out"):
+        WorksClient(base_url="https://api.example", session=session,
+                    sleep=lambda s: None).fetch_works("climate")
+    assert len(session.calls) == 4
+
+
 def test_works_client_without_session_builds_requests_session():
     import requests
 
@@ -641,9 +673,11 @@ def test_works_client_without_session_builds_requests_session():
 
 
 def test_fetch_works_http_failure():
-    session = FakeSession([FakeResponse(500)])
-    with pytest.raises(HttpFailure):
-        WorksClient(session=session).fetch_works("climate")
+    # a status that is neither 200, 429 nor 5xx is not retried
+    session = FakeSession([FakeResponse(404, text="no such route")])
+    with pytest.raises(BackendError, match="HTTP 404 from https://api.example/works: no such"):
+        WorksClient(base_url="https://api.example", session=session).fetch_works("climate")
+    assert len(session.calls) == 1
 
 
 @pytest.mark.parametrize("payload", [
@@ -665,9 +699,90 @@ def test_fetch_works_http_failure():
         "year a whole float", "year a bool", "oa_url a number"])
 def test_fetch_works_malformed_page_is_http_failure(payload):
     session = FakeSession([FakeResponse(200, payload)])
-    with pytest.raises(HttpFailure, match="https://api.example/works") as caught:
+    with pytest.raises(BackendError, match="https://api.example/works") as caught:
         WorksClient(base_url="https://api.example", session=session).fetch_works("climate")
     assert caught.value.exit_code == 4
+
+
+# -- works client over a real socket ------------------------------------------
+
+
+@pytest.fixture
+def works_server():
+    """A WorksClient on a 127.0.0.1 works API, the server's queue of
+    (status, headers) replies, the paths it was asked for and the client's
+    waits: once the queue is empty, every GET gets a page holding w9."""
+    replies, paths, waits = deque(), [], []
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive
+
+        def do_GET(self):
+            paths.append(self.path)
+            status, headers = replies.popleft() if replies else (200, {})
+            body = json.dumps(_page(["w9"], None) if status == 200 else {}).encode()
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    client = WorksClient(f"http://127.0.0.1:{server.server_port}", sleep=waits.append)
+    try:
+        yield client, replies, paths, waits
+    finally:
+        client.session.close()
+        server.shutdown()
+        serving.join()
+        server.server_close()
+
+
+@pytest.mark.parametrize("headers, wait", [({}, 1.0), ({"Retry-After": "3"}, 3.0)],
+                         ids=["backoff", "retry-after"])
+def test_works_api_503_then_200_yields_the_page(works_server, headers, wait):
+    client, replies, paths, waits = works_server
+    replies.append((503, headers))
+    records, cursor = client.fetch_works("climate")
+    assert [r.work_id for r in records] == ["w9"] and cursor is None
+    assert len(paths) == 2 and waits == [wait]
+
+
+def test_works_api_404_is_not_retried(works_server):
+    client, replies, paths, waits = works_server
+    replies.append((404, {}))
+    with pytest.raises(BackendError, match="HTTP 404 from http://127.0.0.1:"):
+        client.fetch_works("climate")
+    assert len(paths) == 1 and waits == []
+
+
+def test_works_api_on_a_closed_port_ends_in_rate_limited():
+    import requests
+
+    class CountingSession(requests.Session):
+        gets = 0
+
+        def get(self, *args, **kwargs):
+            self.gets += 1
+            return super().get(*args, **kwargs)
+
+    with socket.socket() as sock:  # a loopback port that nothing listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    waits = []
+    with CountingSession() as session:
+        client = WorksClient(f"http://127.0.0.1:{port}", retry_budget=3, session=session,
+                             sleep=waits.append)
+        with pytest.raises(RateLimited, match="transport error calling"):
+            client.fetch_works("climate")
+    assert session.gets == 4 and waits == [1.0, 2.0, 4.0]
 
 
 def test_manifest_round_trip(tmp_path):
@@ -696,10 +811,21 @@ _DOCUMENT_LINE = json.dumps(corpus.CleanDocument("d1", "title", "body", 1).to_js
      '{"work_id": "w2", "title": "t", "publication_year": 2020, "open_access_url": 7}'),
     (_read_documents, _DOCUMENT_LINE, "[1, 2]"),
     (_read_documents, _DOCUMENT_LINE, '{"doc_id": "d2", "title": "t", "body_text": "b"'),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"d1"', '"../d2"')),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"d1"', '""')),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"d1"', '".."')),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"d1"', '"a\\\\b"')),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"d1"', "7")),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"body"', "5")),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"title"', "null")),
+    (_read_documents, _DOCUMENT_LINE, _DOCUMENT_LINE.replace('"token_estimate": 1', '"token_estimate": 1.0')),
 ], ids=["manifest-not-json", "manifest-missing-field", "manifest-work-id-number",
         "manifest-work-id-empty", "manifest-title-number", "manifest-title-null",
         "manifest-year-string", "manifest-year-bool", "manifest-url-number",
-        "documents-not-object", "documents-truncated"])
+        "documents-not-object", "documents-truncated", "documents-id-a-path",
+        "documents-id-empty", "documents-id-dot-dot", "documents-id-backslash",
+        "documents-id-number", "documents-body-number", "documents-title-null",
+        "documents-tokens-float"])
 def test_jsonl_reader_names_file_and_line_of_a_bad_record(tmp_path, reader, good_line, bad_line):
     path = tmp_path / "store.jsonl"
     path.write_text(f"{good_line}\n\n{bad_line}\n{good_line}\n")
