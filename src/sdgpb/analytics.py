@@ -21,7 +21,6 @@ from .errors import (
     EmptyMatrix,
     EmptyPanel,
     NoDirectedRecords,
-    StoreCorrupt,
     ZeroCorpus,
     ZeroGlobal,
 )
@@ -115,56 +114,10 @@ def matrix_from_results(results: Sequence[DocumentResult]) -> InteractionMatrix:
     return build_matrix(flatten(results), sum(1 for r in results if r.status == "complete"))
 
 
-def _count(value: object) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"count {value!r} is not a non-negative int")
-    return value
-
-
-def _cells(entries: list[dict], kind: type[ReportBucket] | type[Direction], field: str) -> dict:
-    cells: dict = {}
-    for e in entries:
-        cell = (id_in_range(e["sdg"], SDG_COUNT, "sdg"), id_in_range(e["pb"], PB_COUNT, "pb"))
-        cells.setdefault(cell, {})[kind(e[field])] = _count(e["n"])
-    return cells
-
-
-def matrix_from_json(obj: dict) -> InteractionMatrix:
-    """ValueError, KeyError or TypeError for a missing field, an id out of range,
-    an unknown bucket or direction, cells that do not sum to total_records, or
-    a cell with more directed records than synergies and trade-offs."""
-    m = InteractionMatrix(
-        counts=_cells(obj["counts"], ReportBucket, "bucket"),
-        direction_counts=_cells(obj["direction_counts"], Direction, "direction"),
-        doc_presence_sdg={id_in_range(int(k), SDG_COUNT, "sdg"): _count(v)
-                          for k, v in obj["doc_presence_sdg"].items()},
-        doc_presence_pb={id_in_range(int(k), PB_COUNT, "pb"): _count(v)
-                         for k, v in obj["doc_presence_pb"].items()},
-        total_docs=_count(obj["total_docs"]),
-        total_records=_count(obj["total_records"]),
-    )
-    if m.total_records != sum(n for cell in m.counts.values() for n in cell.values()):
-        raise ValueError(f"total_records {m.total_records} is not the sum of the cells")
-    for (sdg, pb), directed in m.direction_counts.items():
-        row = cell_row(m, sdg, pb)
-        if sum(directed.values()) > row.synergy + row.tradeoff:
-            raise ValueError(f"cell ({sdg},{pb}) has more directed records than "
-                             "synergies and trade-offs")
-    return m
-
-
 def write_matrix(m: InteractionMatrix, path: str | Path) -> None:
     """Writes `matrix.json` whole (`store.replacing`)."""
     with store.replacing(path) as fh:
         fh.write(json.dumps(matrix_to_json(m), sort_keys=True, indent=2).encode("utf-8") + b"\n")
-
-
-def read_matrix(path: str | Path) -> InteractionMatrix:
-    """The matrix `write_matrix` wrote; StoreCorrupt, naming the file, if none."""
-    try:
-        return matrix_from_json(json.loads(Path(path).read_bytes()))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise StoreCorrupt(f"{path}: not a valid matrix: {exc!r}") from exc
 
 
 class CellRow(NamedTuple):

@@ -142,23 +142,25 @@ def _run_and_report(cfg: RunConfig) -> Path:
     return results_path
 
 
-def _aggregate(cfg: RunConfig) -> Path:
-    outputs = _outputs(cfg)
-    results_path = outputs["results.jsonl"]
+def _matrix(cfg: RunConfig) -> analytics.InteractionMatrix:
+    """The matrix of the run's results store: `aggregate` writes it, `report` renders it."""
+    results_path = _outputs(cfg)["results.jsonl"]
     if not results_path.exists():
         raise MissingInput(f"results store not found: {results_path}")
     matrix = analytics.matrix_from_results(pipeline.read_results(results_path))
     if matrix.total_records == 0:
         raise EmptyMatrix("aggregation produced zero interaction records")
-    analytics.write_matrix(matrix, outputs["matrix.json"])
-    return outputs["matrix.json"]
+    return matrix
+
+
+def _aggregate(cfg: RunConfig) -> Path:
+    matrix_path = _outputs(cfg)["matrix.json"]
+    analytics.write_matrix(_matrix(cfg), matrix_path)
+    return matrix_path
 
 
 def _report(cfg: RunConfig) -> Path:
-    matrix_path = _outputs(cfg)["matrix.json"]
-    if not matrix_path.exists():
-        raise MissingInput(f"matrix file not found: {matrix_path}; run `aggregate` first")
-    reporting.write_reports(analytics.read_matrix(matrix_path), cfg.report_dir)
+    reporting.write_reports(_matrix(cfg), cfg.report_dir)
     return Path(cfg.report_dir)
 
 
@@ -248,7 +250,7 @@ def aggregate(ctx):
 @main.command()
 @click.pass_context
 def report(ctx):
-    """Emit summary.json, matrix.csv, and figure1.svg."""
+    """Emit summary.json, matrix.csv, and figure1.svg from the results store."""
     cfg = _cfg(ctx)
     report_dir = _report(cfg)
     click.echo(f"wrote reports to {report_dir}")

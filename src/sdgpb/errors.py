@@ -13,7 +13,7 @@ class BackendFailure(SdgPbError):
     exit_code = 4
 
 
-# taxonomy: bad values, so a store line or matrix.json that holds one is corrupt
+# taxonomy: bad values, so a store line that holds one is corrupt
 class OutOfRange(SdgPbError, ValueError):
     pass
 
@@ -48,7 +48,7 @@ class OverContext(SdgPbError):
 
 
 class StoreCorrupt(SdgPbError):
-    """A store's line, or matrix.json, is not JSON or holds no valid record."""
+    """A store's line is not JSON or holds no valid record."""
 
 
 # gateway

@@ -19,6 +19,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from datetime import timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, TypeVar
 
@@ -76,11 +77,24 @@ def record_key(req: PromptRequest) -> bytes:
     return h.digest()
 
 
-def parse_retry_after(headers: Mapping[str, str]) -> float | None:
-    """The delay-seconds value of a Retry-After header (RFC 9110 10.2.3);
-    an HTTP-date or any other value counts as absent."""
+def parse_retry_after(headers: Mapping[str, str],
+                      now: Callable[[], float] = time.time) -> float | None:
+    """The delay a Retry-After header asks for (RFC 9110 10.2.3): its
+    delay-seconds, or the seconds from `now()` to its HTTP-date. A date
+    not in the future, or any other value, counts as absent."""
     value = headers.get("Retry-After", "").strip()
-    return float(value) if value.isascii() and value.isdigit() else None
+    if value.isascii() and value.isdigit():
+        return float(value)
+    from email.utils import parsedate_to_datetime  # imports socket: keep offline runs without it
+
+    try:
+        when = parsedate_to_datetime(value)
+    except ValueError:
+        return None
+    if when.tzinfo is None:  # the asctime form gives no zone; every HTTP-date is GMT
+        when = when.replace(tzinfo=timezone.utc)
+    delay = when.timestamp() - now()
+    return delay if delay > 0 else None
 
 
 def http_session() -> requests.Session:

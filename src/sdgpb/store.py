@@ -4,8 +4,9 @@ An appended store (a document's checkpoints, the recorded cache) grows a
 line at a time, so a kill mid-append can leave a final line with no
 newline: `read` leaves it out and `append` cuts it away first. Any other
 file (manifest, documents, results, matrix.json, reports) is written whole
-by `replacing`. A line or file that holds no valid record raises a
-`StoreCorrupt` subclass naming the file (and line).
+by `replacing`. `read` takes a store one line at a time, so a load holds
+no more than one line beyond the records it returns. A line that holds no
+valid record raises a `StoreCorrupt` subclass naming the file and line.
 """
 
 from __future__ import annotations
@@ -27,29 +28,27 @@ def _line(obj: Any) -> str:
 
 def read(path: str | Path, from_json: Callable[[Any], T], *, appended: bool = False,
          error: type[StoreCorrupt] = StoreCorrupt) -> list[T]:
-    """`from_json` of each non-blank line; a missing appended store is empty.
+    """`from_json` of each non-blank line, read one line at a time; a missing
+    appended store is empty.
 
-    ValueError, KeyError or TypeError from decoding a line or from
-    `from_json` becomes `error`, naming the file and line.
+    ValueError (bad UTF-8 or JSON), KeyError or TypeError from decoding a
+    line or from `from_json` becomes `error`, naming the file and line.
     """
     try:
-        with open(path, "rb", buffering=0) as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         if appended:
             return []
         raise
-    end = data.rfind(b"\n") + 1 if appended else len(data)
-    try:
-        text = data[:end].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        number = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {number} is not UTF-8: {exc}") from exc
     items = []
-    for number, line in enumerate(text.split("\n"), start=1):
-        if line.strip():
+    with fh:
+        for number, line in enumerate(fh, start=1):
+            if appended and not line.endswith(b"\n"):
+                break  # a torn final line
             try:
-                items.append(from_json(json.loads(line)))
+                text = line.decode("utf-8")
+                if text.strip():
+                    items.append(from_json(json.loads(text)))
             except (ValueError, KeyError, TypeError) as exc:
                 raise error(f"{path}: line {number} is not a valid record: {exc!r}") from exc
     return items

@@ -16,7 +16,6 @@ from sdgpb.analytics import (
     directionality,
     global_proportions,
     goal_tradeoff_shares,
-    matrix_from_json,
     matrix_to_json,
     normalize_bars,
     presence_share,
@@ -402,14 +401,6 @@ def test_cell_row_fields_name_every_category_and_bucket():
     # shares look each Category and ReportBucket member up by its lower-cased name
     for member in (*Category, *ReportBucket):
         assert member.name.lower() in CellRow._fields
-
-
-def test_matrix_json_round_trip():
-    rng = random.Random(4)
-    records = random_records(rng, 250)
-    m = build_matrix(records, 200)
-    again = matrix_from_json(matrix_to_json(m))
-    assert matrix_to_json(again) == matrix_to_json(m)
 
 
 @settings(max_examples=50)

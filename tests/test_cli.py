@@ -205,15 +205,19 @@ def test_aggregate_on_empty_results_nonzero(runner, tmp_path):
     results_path = tmp_path / "run" / "results" / "results.jsonl"
     results_path.parent.mkdir(parents=True)
     results_path.write_text("")
-    result = runner.invoke(main, ["--config", str(config), "aggregate"])
-    assert result.exit_code == 3
-    assert "EmptyMatrix" in result.output
+    for command in ("aggregate", "report"):
+        result = runner.invoke(main, ["--config", str(config), command])
+        assert result.exit_code == 3, command
+        assert "EmptyMatrix" in result.output
 
 
 def test_aggregate_missing_results_exit_3(runner, tmp_path):
     config = write_config(tmp_path)
-    result = runner.invoke(main, ["--config", str(config), "aggregate"])
-    assert result.exit_code == 3
+    for command in ("aggregate", "report"):
+        result = runner.invoke(main, ["--config", str(config), command])
+        assert result.exit_code == 3, command
+        assert _error_line(result)["error"] == "MissingInput"
+        assert "results store not found" in result.output and "results.jsonl" in result.output
 
 
 def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
@@ -229,18 +233,26 @@ def test_aggregate_on_truncated_results_exit_3(runner, tmp_path):
     assert f"results.jsonl: line {lines}" in result.output
 
 
-def _aggregate_with_line_5_changed(runner, tmp_path, change):
-    """`aggregate` of the golden results with line 5 (doc-004, sdgs 5 and 17,
-    pbs 1, 5 and 6) decoded, passed to `change` and encoded again."""
+def _golden_results_run(tmp_path):
+    """A config whose run dir holds only a copy of the golden results store."""
     config = write_config(tmp_path)
     results_path = tmp_path / "run" / "results" / "results.jsonl"
     results_path.parent.mkdir(parents=True)
-    lines = (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes().splitlines(keepends=True)
+    shutil.copy(FIXTURES_DIR / "golden" / "results.jsonl", results_path)
+    return config, results_path
+
+
+def _with_line_5_changed(tmp_path, change):
+    """A config whose results store is the golden one with line 5 (doc-004,
+    sdgs 5 and 17, pbs 1, 5 and 6) decoded, passed to `change` and encoded
+    again."""
+    config, results_path = _golden_results_run(tmp_path)
+    lines = results_path.read_bytes().splitlines(keepends=True)
     entry = json.loads(lines[4])
     change(entry)
     lines[4] = json.dumps(entry).encode() + b"\n"
     results_path.write_bytes(b"".join(lines))
-    return runner.invoke(main, ["--config", str(config), "aggregate"])
+    return config
 
 
 @pytest.mark.parametrize("field, value", [
@@ -261,7 +273,8 @@ def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, 
         else:
             entry[field] = value
 
-    result = _aggregate_with_line_5_changed(runner, tmp_path, change)
+    config = _with_line_5_changed(tmp_path, change)
+    result = runner.invoke(main, ["--config", str(config), "aggregate"])
     assert result.exit_code == 3, result.output
     assert "StoreCorrupt" in result.output
     assert "results.jsonl: line 5" in result.output
@@ -283,61 +296,20 @@ def test_aggregate_on_out_of_range_results_line_exit_3(runner, tmp_path, field, 
         "sdg without its pairs", "pair without evidence_quote", "no failed_stage",
         "sdg repeated", "pb repeated", "justification a number", "evidence_quote null"])
 def test_aggregate_on_inconsistent_results_line_exit_3(runner, tmp_path, change):
-    result = _aggregate_with_line_5_changed(runner, tmp_path, change)
-    assert result.exit_code == 3, result.output
-    assert "StoreCorrupt" in result.output
-    assert "results.jsonl: line 5" in result.output
-
-
-def _golden_matrix_run(tmp_path):
-    config = write_config(tmp_path)
-    matrix_path = tmp_path / "run" / "matrix.json"
-    matrix_path.parent.mkdir(parents=True)
-    shutil.copy(FIXTURES_DIR / "golden" / "matrix.json", matrix_path)
-    return config, matrix_path
+    config = _with_line_5_changed(tmp_path, change)
+    for command in ("aggregate", "report"):
+        result = runner.invoke(main, ["--config", str(config), command])
+        assert result.exit_code == 3, (command, result.output)
+        assert "StoreCorrupt" in result.output
+        assert "results.jsonl: line 5" in result.output
+    assert not (tmp_path / "run" / "matrix.json").exists()
+    assert not (tmp_path / "report").exists()
 
 
 def _set_first(key, field, value):
-    def change(matrix):
-        matrix[key][0][field] = value
+    def change(payload):
+        payload[key][0][field] = value
     return change
-
-
-@pytest.mark.parametrize("damage", [
-    "cut to 300 bytes", "no counts", "sdg 99", "sdg 0", "pb 10", "pb true", "unknown bucket",
-    "unknown direction", "count as a string", "negative count", "presence of sdg 18",
-    "total off by one", "a list", "more directed records than the cell holds",
-])
-def test_report_on_malformed_matrix_exit_3(runner, tmp_path, damage):
-    config, matrix_path = _golden_matrix_run(tmp_path)
-    golden = matrix_path.read_bytes()
-    changes = {
-        "no counts": lambda m: m.pop("counts"),
-        "sdg 99": _set_first("counts", "sdg", 99),
-        "sdg 0": _set_first("direction_counts", "sdg", 0),
-        "pb 10": _set_first("counts", "pb", 10),
-        "pb true": _set_first("counts", "pb", True),
-        "unknown bucket": _set_first("counts", "bucket", "Synergy"),
-        "unknown direction": _set_first("direction_counts", "direction", "both"),
-        "count as a string": _set_first("counts", "n", "2"),
-        "negative count": _set_first("direction_counts", "n", -1),
-        "presence of sdg 18": lambda m: m["doc_presence_sdg"].update({"18": 1}),
-        "total off by one": lambda m: m.update(total_records=m["total_records"] + 1),
-        "more directed records than the cell holds": _set_first("direction_counts", "n", 1000),
-    }
-    if damage == "cut to 300 bytes":
-        matrix_path.write_bytes(golden[:300])  # as a kill during an in-place write leaves it
-    elif damage == "a list":
-        matrix_path.write_text("[]")
-    else:
-        matrix = json.loads(golden)
-        changes[damage](matrix)
-        matrix_path.write_text(json.dumps(matrix))
-    result = runner.invoke(main, ["--config", str(config), "report"])
-    assert result.exit_code == 3, result.output
-    assert "StoreCorrupt" in result.output
-    assert f"{matrix_path}: not a valid matrix" in result.output
-    assert not (tmp_path / "report").exists()
 
 
 def _damage_checkpoint(path, stage, damage):
@@ -422,14 +394,14 @@ def test_resume_on_checkpoint_file_whose_stages_disagree_exit_3(runner, tmp_path
 
 
 def test_failed_report_leaves_previous_reports(runner, tmp_path, monkeypatch):
-    config, matrix_path = _golden_matrix_run(tmp_path)
+    config, results_path = _golden_results_run(tmp_path)
     report_dir = tmp_path / "report"
     assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
     previous = {path.name: path.read_bytes() for path in report_dir.iterdir()}
     assert sorted(previous) == sorted(reporting.REPORTS)
-    matrix = json.loads(matrix_path.read_bytes())
-    matrix["total_docs"] += 8
-    matrix_path.write_text(json.dumps(matrix))
+    lines = results_path.read_bytes().splitlines(keepends=True)
+    del lines[4]  # doc-004, a complete document with pairs
+    results_path.write_bytes(b"".join(lines))
 
     def fails(spec):
         raise RuntimeError("disk full")
@@ -439,18 +411,16 @@ def test_failed_report_leaves_previous_reports(runner, tmp_path, monkeypatch):
     assert isinstance(result.exception, RuntimeError)
     assert {path.name: path.read_bytes() for path in report_dir.iterdir()} == previous
     monkeypatch.undo()
-    # the new matrix changes the reports, so the old bytes above were kept
+    # the shorter results store changes the reports, so the old bytes above were kept
     assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
     assert (report_dir / "summary.json").read_bytes() != previous["summary.json"]
     assert (report_dir / "figure1.svg").read_bytes() != previous["figure1.svg"]
 
 
 def test_failed_aggregate_leaves_previous_matrix(runner, tmp_path, monkeypatch):
-    config, matrix_path = _golden_matrix_run(tmp_path)
+    config, _ = _golden_results_run(tmp_path)
+    matrix_path = tmp_path / "run" / "matrix.json"
     matrix_path.write_text("previous\n")
-    results_path = tmp_path / "run" / "results" / "results.jsonl"
-    results_path.parent.mkdir(parents=True)
-    shutil.copy(FIXTURES_DIR / "golden" / "results.jsonl", results_path)
     to_json = analytics.matrix_to_json
 
     def fails_after_encoding(m):
@@ -462,6 +432,36 @@ def test_failed_aggregate_leaves_previous_matrix(runner, tmp_path, monkeypatch):
     assert result.exit_code != 0
     assert matrix_path.read_text() == "previous\n"
     assert sorted(os.listdir(matrix_path.parent)) == ["matrix.json", "results"]
+
+
+def test_report_reads_the_results_store_without_a_matrix_file(runner, tmp_path):
+    config, _ = _golden_results_run(tmp_path)
+    result = runner.invoke(main, ["--config", str(config), "report"])
+    assert result.exit_code == 0, result.output
+    for name in reporting.REPORTS:
+        assert (tmp_path / "report" / name).read_bytes() == (
+            FIXTURES_DIR / "golden" / name).read_bytes(), name
+    assert not (tmp_path / "run" / "matrix.json").exists()
+
+
+def test_report_after_a_rerun_renders_the_new_results(runner, tmp_path):
+    """A rerun rewrites results.jsonl but not matrix.json; `report` alone
+    must render the new results, as `aggregate` then `report` would."""
+    config = write_config(tmp_path, backend="scripted")
+    for command in ("run", "aggregate", "report"):
+        assert runner.invoke(main, ["--config", str(config), command]).exit_code == 0, command
+    first = {name: (tmp_path / "report" / name).read_bytes() for name in reporting.REPORTS}
+    shutil.rmtree(tmp_path / "run" / "checkpoints")
+    config = write_config(tmp_path, backend="scripted", scripted_seed=1)
+    for command in ("run", "report"):
+        assert runner.invoke(main, ["--config", str(config), command]).exit_code == 0, command
+    rerun = {name: (tmp_path / "report" / name).read_bytes() for name in reporting.REPORTS}
+    assert rerun != first
+
+    fresh = write_config(tmp_path, backend="scripted", report_dir=str(tmp_path / "fresh"))
+    for command in ("aggregate", "report"):
+        assert runner.invoke(main, ["--config", str(fresh), command]).exit_code == 0, command
+    assert rerun == {name: (tmp_path / "fresh" / name).read_bytes() for name in reporting.REPORTS}
 
 
 @pytest.mark.parametrize("previous", [True, False], ids=["over a previous file", "first write"])

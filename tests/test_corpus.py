@@ -630,10 +630,10 @@ def test_429_retry_after_is_capped():
     assert waits == [MAX_RETRY_AFTER_S]
 
 
-def test_429_retry_after_http_date_counts_as_absent():
+def test_429_retry_after_past_date_counts_as_absent():
     waits = []
     session = FakeSession([
-        FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+        FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),  # past
         FakeResponse(200, _page(["w9"], None)),
     ])
     WorksClient(session=session, sleep=waits.append).fetch_works("climate")

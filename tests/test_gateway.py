@@ -1,7 +1,10 @@
 import json
 import shutil
 import threading
+import time
 from collections import deque
+from datetime import datetime, timezone
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
@@ -19,6 +22,7 @@ from sdgpb.errors import (
 from sdgpb.gateway import (
     CACHE_FILE,
     CACHE_SUBDIR,
+    MAX_RETRY_AFTER_S,
     Gateway,
     LiveBackend,
     PromptRequest,
@@ -26,6 +30,7 @@ from sdgpb.gateway import (
     RecordingBackend,
     ReplayBackend,
     TokenBucket,
+    parse_retry_after,
     record_key,
 )
 from sdgpb.testing import ScriptedBackend
@@ -359,14 +364,36 @@ def test_max_in_flight_holds_a_backend_without_timeout_to_the_live_default():
     assert gateway.max_in_flight == 7 * 6
 
 
+@pytest.mark.parametrize("value, delay", [
+    ("120", 120.0),
+    ("Wed, 21 Oct 2015 07:28:30 GMT", 30.0),
+    ("Wednesday, 21-Oct-15 07:28:30 GMT", 30.0),  # the obsolete RFC 850 form
+    ("Wed Oct 21 07:28:30 2015", 30.0),  # the asctime form, no zone: read as GMT
+    ("Wed, 21 Oct 2015 07:28:00 GMT", None),  # now: nothing to wait for
+    ("Wed, 21 Oct 2015 07:27:00 GMT", None),
+    ("Sun, 31 Feb 2099 07:28:00 GMT", None),
+    ("1.5", None), ("-5", None), ("soon", None), ("", None),
+])
+def test_parse_retry_after_reads_seconds_or_a_future_date(monkeypatch, value, delay):
+    now = datetime(2015, 10, 21, 7, 28, tzinfo=timezone.utc).timestamp
+    monkeypatch.setenv("TZ", "EST+05")  # a date with no zone is GMT, not local time
+    time.tzset()
+    try:
+        assert parse_retry_after({"Retry-After": value}, now) == delay
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+
+
 # -- Retry-After over a real socket ---------------------------------------------
 
 
 @pytest.fixture
 def completion_server(monkeypatch):
     """A LiveBackend on a 127.0.0.1 completion server, and the server's queue
-    of (status, Retry-After) replies: once the queue is empty, every POST
-    gets HTTP 200 with the text "ok"."""
+    of (status, Retry-After) replies, a Retry-After given as a string or as a
+    function called when the reply is sent: once the queue is empty, every
+    POST gets HTTP 200 with the text "ok"."""
     replies = deque()
 
     class Handler(BaseHTTPRequestHandler):
@@ -378,7 +405,7 @@ def completion_server(monkeypatch):
             body = b'{"text": "ok"}' if status == 200 else b"{}"
             self.send_response(status)
             if retry_after is not None:
-                self.send_header("Retry-After", retry_after)
+                self.send_header("Retry-After", retry_after() if callable(retry_after) else retry_after)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -401,11 +428,20 @@ def completion_server(monkeypatch):
         server.server_close()
 
 
+def _ahead(seconds):
+    """A Retry-After HTTP-date `seconds` after the server sends it."""
+    return lambda: formatdate(time.time() + seconds, usegmt=True)
+
+
+# an HTTP-date holds whole seconds, so a date 3 s ahead asks for 2-3 s
 @pytest.mark.parametrize("status, retry_after, asked, wait", [
     (429, "3", 3.0, 3.0),  # longer than the 1-2 s backoff
     (503, "86400", 86400.0, 60.0),  # capped
-    (429, "Wed, 21 Oct 2015 07:28:00 GMT", None, None),  # an HTTP-date: plain backoff
-], ids=["seconds", "capped", "http-date"])
+    (429, "Wed, 21 Oct 2015 07:28:00 GMT", None, None),  # a past date: plain backoff
+    (429, _ahead(3), pytest.approx(3.0, abs=1.1), pytest.approx(3.0, abs=1.1)),
+    (503, _ahead(86400), pytest.approx(86400.0, abs=1.1), MAX_RETRY_AFTER_S),
+    (429, "Sun, 31 Feb 2099 07:28:00 GMT", None, None),  # malformed: plain backoff
+], ids=["seconds", "capped", "past date", "date 3 s ahead", "date a day ahead", "malformed date"])
 def test_live_backend_retry_after_sets_the_gateway_wait(completion_server, status, retry_after,
                                                         asked, wait):
     backend, replies = completion_server

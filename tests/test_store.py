@@ -1,8 +1,10 @@
 import os
+import tracemalloc
 
 import pytest
 
 from sdgpb import store
+from sdgpb.corpus import CleanDocument
 from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, PromptRequest, RecordingBackend
 from sdgpb.pipeline import STAGES, CheckpointStore
 
@@ -63,3 +65,20 @@ def test_replacing_keeps_previous_file_when_block_raises(tmp_path, previous):
     with store.replacing(path) as fh:
         fh.write(b"new\n")
     assert path.read_bytes() == b"new\n" and os.listdir(path.parent) == ["out.json"]
+
+
+def test_read_holds_one_line_at_a_time(tmp_path):
+    path = tmp_path / "documents.jsonl"
+    store.write(path, (CleanDocument(f"d{n}", "t", "x" * 40_000, 10_000).to_json()
+                       for n in range(100)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        docs = store.read(path, CleanDocument.from_json)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == 100 and size > 4_000_000
+    # the records returned hold about the file's size; a read that held the
+    # whole file, its decoded text and its split lines would peak near 4x
+    assert peak < 2 * size
