@@ -1,11 +1,12 @@
 """Aggregation of pipeline results into the 17x9 interaction matrix.
 
-All statistics are pure functions of the record stream. Each share is
+All statistics are pure functions of the record stream. Each count is
 read from `cell_row`, one cell's counts, or from a sum of such rows over
 one goal or the whole matrix: per-cell and global category and
-refined-bucket proportions, per-goal trade-off shares, and per-SDG bar
-normalization for the figure. Document-presence and directionality
-shares read their own counters.
+refined-bucket proportions, directionality, per-goal trade-off shares,
+and per-SDG bar normalization for the figure. Document-presence shares
+read their own counters. A statistic over nothing (an empty cell or
+panel, no directed record) returns `None` or zeros.
 """
 
 from __future__ import annotations
@@ -16,14 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import store
-from .errors import (
-    DuplicateRecord,
-    EmptyMatrix,
-    EmptyPanel,
-    NoDirectedRecords,
-    ZeroCorpus,
-    ZeroGlobal,
-)
+from .errors import DuplicateRecord, EmptyMatrix, ZeroCorpus, ZeroGlobal
 from .pipeline import DocumentResult
 from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT, bucket, id_in_range
 
@@ -133,9 +127,11 @@ class CellRow(NamedTuple):
     tt: int
     dn: int
     generic_negative: int
+    sdg_to_pb: int
+    pb_to_sdg: int
 
 
-_EMPTY_ROW = CellRow(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+_EMPTY_ROW = CellRow._make([0] * len(CellRow._fields))
 
 
 def cell_row(m: InteractionMatrix, sdg: int, pb: int) -> CellRow:
@@ -152,14 +148,21 @@ def cell_row(m: InteractionMatrix, sdg: int, pb: int) -> CellRow:
     neutral = cell.get(ReportBucket.NEUTRAL, 0)
     synergy = ts + dp + generic_positive
     tradeoff = tt + dn + generic_negative
+    directed = m.direction_counts.get((sdg, pb), {})
     return CellRow(
         synergy + neutral + tradeoff, synergy, neutral, tradeoff,
         ts, dp, generic_positive, tt, dn, generic_negative,
+        directed.get(Direction.SDG_TO_PB, 0), directed.get(Direction.PB_TO_SDG, 0),
     )
 
 
 def _sum_rows(rows: Iterable[CellRow]) -> CellRow:
     return CellRow(*map(sum, zip(_EMPTY_ROW, *rows)))
+
+
+def _matrix_row(m: InteractionMatrix) -> CellRow:
+    """The counts of the whole matrix."""
+    return _sum_rows(cell_row(m, sdg, pb) for sdg, pb in m.counts)
 
 
 def _shares(row: CellRow, members: Iterable[Category | ReportBucket], n: int) -> dict:
@@ -168,37 +171,20 @@ def _shares(row: CellRow, members: Iterable[Category | ReportBucket], n: int) ->
     return {x: getattr(row, x.name.lower()) / n for x in members}
 
 
-@dataclass(frozen=True)
-class CellShares:
-    synergy: float
-    neutral: float
-    tradeoff: float
-    bucket_shares: dict[ReportBucket, float]
-    tradeoff_bucket_shares: dict[ReportBucket, float]
-    total: int
-
-
-def cell_proportions(m: InteractionMatrix, sdg: int, pb: int) -> CellShares | None:
+def cell_proportions(
+    m: InteractionMatrix, sdg: int, pb: int
+) -> dict[Category | ReportBucket, float] | None:
+    """Each Category and ReportBucket member's share of one cell; None for an empty cell."""
     row = cell_row(m, sdg, pb)
     if row.total == 0:
         return None
-    tradeoff_buckets = (ReportBucket.TT, ReportBucket.DN, ReportBucket.GENERIC_NEGATIVE)
-    return CellShares(
-        synergy=row.synergy / row.total,
-        neutral=row.neutral / row.total,
-        tradeoff=row.tradeoff / row.total,
-        bucket_shares=_shares(row, ReportBucket, row.total),
-        tradeoff_bucket_shares=(
-            _shares(row, tradeoff_buckets, row.tradeoff) if row.tradeoff else {}
-        ),
-        total=row.total,
-    )
+    return _shares(row, (*Category, *ReportBucket), row.total)
 
 
 def global_proportions(m: InteractionMatrix) -> tuple[dict[Category, float], dict[ReportBucket, float]]:
     if m.total_records == 0:
         raise EmptyMatrix("no records to aggregate")
-    row = _sum_rows(cell_row(m, sdg, pb) for sdg, pb in m.counts)
+    row = _matrix_row(m)
     return _shares(row, Category, m.total_records), _shares(row, ReportBucket, m.total_records)
 
 
@@ -223,24 +209,22 @@ def presence_share(m: InteractionMatrix, axis: str, goal_id: int) -> float:
     return docs / m.total_docs
 
 
-def directionality(m: InteractionMatrix) -> tuple[int, float]:
-    """(directed records, fraction of them driven PB-to-SDG)."""
-    directed = pb_driven = 0
-    for cell in m.direction_counts.values():
-        directed += sum(cell.values())
-        pb_driven += cell.get(Direction.PB_TO_SDG, 0)
+def directionality(m: InteractionMatrix) -> tuple[int, float] | None:
+    """(directed records, fraction of them driven PB-to-SDG); None when no
+    record carries a direction."""
+    row = _matrix_row(m)
+    directed = row.sdg_to_pb + row.pb_to_sdg
     if directed == 0:
-        raise NoDirectedRecords("no records carry a direction")
-    return directed, pb_driven / directed
+        return None
+    return directed, row.pb_to_sdg / directed
 
 
 def normalize_bars(m: InteractionMatrix, sdg: int) -> list[float]:
-    """Nine bar lengths for one SDG panel, scaled so the busiest cell is 1."""
+    """Nine bar lengths for one SDG panel, scaled so the busiest cell is 1;
+    nine zeros for a panel with no records."""
     counts = [cell_row(m, sdg, pb).total for pb in range(1, PB_COUNT + 1)]
     peak = max(counts)
-    if peak == 0:
-        raise EmptyPanel(f"SDG {sdg} has no records")
-    return [c / peak for c in counts]
+    return [c / peak if peak else 0.0 for c in counts]
 
 
 def ratio_to_global(cell_share: float, global_share: float) -> float:

@@ -71,7 +71,7 @@ def _make_gateway(cfg: RunConfig) -> Gateway:
     elif cfg.backend == "record":
         backend = RecordingBackend(ScriptedBackend(seed=cfg.scripted_seed), cfg.run_dir)
     else:
-        backend = LiveBackend(cfg.endpoint_url, cfg.models["1"], cfg.api_key_env)
+        backend = LiveBackend(cfg.endpoint_url, cfg.models["1"], cfg.temperature, cfg.api_key_env)
     gateway = Gateway(
         backend,
         rpm=cfg.rpm_limit,
@@ -132,14 +132,17 @@ def _outputs(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _run_and_report(cfg: RunConfig) -> Path:
-    """Shared body of `run` and `resume`: process corpus, write results."""
+    """Shared body of `run` and `resume`: process corpus, write results.
+    The previous `matrix.json` goes before the results are rewritten, so a
+    run dir never holds a matrix of other results; `aggregate` rebuilds it."""
     docs = _load_corpus(cfg)
     gateway = _make_gateway(cfg)
     runner = _make_runner(cfg, gateway)
     results = runner.run(docs, workers=cfg.worker_count)
-    results_path = _outputs(cfg)["results.jsonl"]
-    pipeline.write_results(results, results_path)
-    return results_path
+    outputs = _outputs(cfg)
+    outputs["matrix.json"].unlink(missing_ok=True)
+    pipeline.write_results(results, outputs["results.jsonl"])
+    return outputs["results.jsonl"]
 
 
 def _matrix(cfg: RunConfig) -> analytics.InteractionMatrix:

@@ -123,14 +123,6 @@ class ZeroCorpus(SdgPbError):
     pass
 
 
-class NoDirectedRecords(SdgPbError):
-    pass
-
-
-class EmptyPanel(SdgPbError):
-    pass
-
-
 class ZeroGlobal(SdgPbError):
     pass
 

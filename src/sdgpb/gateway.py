@@ -52,7 +52,6 @@ class PromptRequest:
     doc_id: str
     system_text: str
     user_text: str
-    temperature: float = 0.0
     max_output_tokens: int = 65536
 
     def __post_init__(self):
@@ -255,10 +254,12 @@ class LiveBackend:
 
     live = True
 
-    def __init__(self, endpoint_url: str, model: str, api_key_env: str = "SDGPB_API_KEY",
+    def __init__(self, endpoint_url: str, model: str, temperature: float = 0.0,
+                 api_key_env: str = "SDGPB_API_KEY",
                  session: requests.Session | None = None, timeout_s: float = SEND_TIMEOUT_S):
         self.endpoint_url = endpoint_url
         self.model = model
+        self.temperature = temperature
         self.backend_id = model
         self.api_key_env = api_key_env
         self.session = http_session() if session is None else session
@@ -272,7 +273,7 @@ class LiveBackend:
             "model": self.model,
             "system": req.system_text,
             "user": req.user_text,
-            "temperature": req.temperature,
+            "temperature": self.temperature,
             "max_output_tokens": req.max_output_tokens,
         }
         body = http_json(lambda: self.session.post(

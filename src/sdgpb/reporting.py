@@ -29,8 +29,8 @@ from .analytics import (
     normalize_bars,
     presence_share,
 )
-from .errors import EmptyMatrix, EmptyPanel, NoDirectedRecords
-from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT
+from .errors import EmptyMatrix
+from .taxonomy import Category, PB_COUNT, ReportBucket, SDG_COUNT
 
 STYLE = {
     "panel_cols": 4,
@@ -53,8 +53,10 @@ STYLE = {
     "text": "#222222",
 }
 
-# the direction columns are `sdg_to_pb`, `pb_to_sdg`
-CSV_HEADER = ["sdg", "pb", *CellRow._fields, *(d.value for d in Direction)]
+CSV_HEADER = ["sdg", "pb", *CellRow._fields]
+
+# the shares of a bar whose cell has no records
+_NO_SHARES = dict.fromkeys((*Category, *ReportBucket), 0.0)
 
 
 @dataclass(frozen=True)
@@ -62,13 +64,7 @@ class BarSpec:
     pb: int
     length: float
     link_count: int
-    synergy_share: float
-    neutral_share: float
-    tradeoff_share: float
-    ts_share: float
-    dp_share: float
-    tt_share: float
-    dn_share: float
+    shares: dict[Category | ReportBucket, float]  # `cell_proportions`
 
 
 @dataclass(frozen=True)
@@ -88,23 +84,13 @@ def figure_spec(m: InteractionMatrix) -> FigureSpec:
         raise EmptyMatrix("cannot build a figure from an empty matrix")
     panels = []
     for sdg in range(1, SDG_COUNT + 1):
-        try:
-            lengths = normalize_bars(m, sdg)
-        except EmptyPanel:
-            lengths = [0.0] * PB_COUNT
-        bars = []
-        for pb, length in enumerate(lengths, start=1):
-            shares = cell_proportions(m, sdg, pb)
-            if shares is None:
-                bars.append(BarSpec(pb, 0.0, 0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
-                continue
-            b = shares.bucket_shares
-            bars.append(BarSpec(
-                pb, length, shares.total, shares.synergy, shares.neutral, shares.tradeoff,
-                b[ReportBucket.TS], b[ReportBucket.DP], b[ReportBucket.TT], b[ReportBucket.DN],
-            ))
+        bars = tuple(
+            BarSpec(pb, length, cell_row(m, sdg, pb).total,
+                    cell_proportions(m, sdg, pb) or _NO_SHARES)
+            for pb, length in enumerate(normalize_bars(m, sdg), start=1)
+        )
         panels.append(
-            PanelSpec(sdg=sdg, doc_share=presence_share(m, "SDG", sdg), bars=tuple(bars))
+            PanelSpec(sdg=sdg, doc_share=presence_share(m, "SDG", sdg), bars=bars)
         )
     return FigureSpec(panels=tuple(panels))
 
@@ -163,22 +149,23 @@ def render_svg(spec: FigureSpec) -> bytes:
                 f'fill="{s["text"]}" text-anchor="start">{bar.link_count}</text>\n'
             )
             total_w = bar.length * bar_w
+            share = bar.shares
             x = s["label_w"]
-            syn_w = bar.synergy_share * total_w
-            neu_w = bar.neutral_share * total_w
-            ts_w = bar.ts_share * total_w
-            tt_w = bar.tt_share * total_w
+            syn_w = share[Category.SYNERGY] * total_w
+            neu_w = share[Category.NEUTRAL] * total_w
+            ts_w = share[ReportBucket.TS] * total_w
+            tt_w = share[ReportBucket.TT] * total_w
             tx = x + syn_w + neu_w
             # overlays sit inside their segment, so a zero-width segment
             # has zero-width overlays and draws nothing
             segments = (
                 ("seg-synergy", x, syn_w, s["synergy_light"]),
                 ("overlay-ts", x, ts_w, s["synergy_dark"]),
-                ("overlay-dp", x + ts_w, bar.dp_share * total_w, s["synergy_mid"]),
+                ("overlay-dp", x + ts_w, share[ReportBucket.DP] * total_w, s["synergy_mid"]),
                 ("seg-neutral", x + syn_w, neu_w, s["neutral"]),
-                ("seg-tradeoff", tx, bar.tradeoff_share * total_w, s["tradeoff_light"]),
+                ("seg-tradeoff", tx, share[Category.TRADEOFF] * total_w, s["tradeoff_light"]),
                 ("overlay-tt", tx, tt_w, s["tradeoff_dark"]),
-                ("overlay-dn", tx + tt_w, bar.dn_share * total_w, s["tradeoff_mid"]),
+                ("overlay-dn", tx + tt_w, share[ReportBucket.DN] * total_w, s["tradeoff_mid"]),
             )
             for cls, seg_x, seg_w, fill in segments:
                 if seg_w > 0:
@@ -201,9 +188,7 @@ def emit_matrix_csv(m: InteractionMatrix) -> str:
     writer.writerow(CSV_HEADER)
     for sdg in range(1, SDG_COUNT + 1):
         for pb in range(1, PB_COUNT + 1):
-            dcell = m.direction_counts.get((sdg, pb), {})
-            directed = [dcell.get(d, 0) for d in Direction]
-            writer.writerow([sdg, pb, *cell_row(m, sdg, pb), *directed])
+            writer.writerow([sdg, pb, *cell_row(m, sdg, pb)])
     return buf.getvalue()
 
 
@@ -225,11 +210,9 @@ def emit_summary_json(m: InteractionMatrix) -> str:
             "bucket_shares": {b.value: bucket_shares[b] for b in ReportBucket},
             "bucket_display": {b.value: _display(bucket_shares[b]) for b in ReportBucket},
         }
-    try:
-        directed, share = directionality(m)
-    except NoDirectedRecords:
-        pass
-    else:
+    direction = directionality(m)
+    if direction is not None:
+        directed, share = direction
         summary["directionality"] = {
             "directed_records": directed,
             "pb_to_sdg_share": share,

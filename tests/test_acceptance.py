@@ -79,8 +79,8 @@ def test_criterion_2_reference_arithmetic():
     cell = cell_records(14, 2, {ReportBucket.TT: 755, ReportBucket.TS: 145,
                                 ReportBucket.NEUTRAL: 100})
     shares = cell_proportions(build_matrix(cell, 1000), 14, 2)
-    assert abs(shares.tradeoff - 0.755) <= 0.0005
-    assert round(ratio_to_global(shares.tradeoff, 0.449), 2) == 1.68
+    assert abs(shares[Category.TRADEOFF] - 0.755) <= 0.0005
+    assert round(ratio_to_global(shares[Category.TRADEOFF], 0.449), 2) == 1.68
     report_line(2, True, "(33.8/44.9/19.5, TS 28.3, TT 21.1, cell 75.5%, ratio 1.68)")
 
 
@@ -229,10 +229,11 @@ def test_criterion_8_figure_structure(tmp_path, fixture_docs, catalog, templates
         for bar in panel.bars:
             if bar.link_count > 0:
                 nonempty += 1
-                total = bar.synergy_share + bar.neutral_share + bar.tradeoff_share
+                total = sum(bar.shares[c] for c in Category)
                 assert abs(total - 1.0) <= 1e-9
-            assert bar.ts_share + bar.dp_share <= bar.synergy_share + 1e-12
-            assert bar.tt_share + bar.dn_share <= bar.tradeoff_share + 1e-12
+            b = bar.shares
+            assert b[ReportBucket.TS] + b[ReportBucket.DP] <= b[Category.SYNERGY] + 1e-12
+            assert b[ReportBucket.TT] + b[ReportBucket.DN] <= b[Category.TRADEOFF] + 1e-12
     report_line(8, True, f"(17 panels, 153 bars, {nonempty} non-empty)")
 
 

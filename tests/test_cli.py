@@ -97,7 +97,7 @@ EXIT_CODES = {
         "NotTei", "EmptyDocument", "InvalidDocId", "OverContext", "StoreCorrupt", "CacheCorrupt",
         "SchemaError", "IdOutOfRange", "PairSetMismatch", "UnknownCategory",
         "UnknownDirection", "TemplateVersionMismatch", "CheckpointCorrupt", "DuplicateRecord",
-        "EmptyMatrix", "ZeroCorpus", "NoDirectedRecords", "EmptyPanel", "ZeroGlobal",
+        "EmptyMatrix", "ZeroCorpus", "ZeroGlobal",
         "MissingInput", "FileNotFoundError"], 3),
 }
 
@@ -445,16 +445,18 @@ def test_report_reads_the_results_store_without_a_matrix_file(runner, tmp_path):
 
 
 def test_report_after_a_rerun_renders_the_new_results(runner, tmp_path):
-    """A rerun rewrites results.jsonl but not matrix.json; `report` alone
-    must render the new results, as `aggregate` then `report` would."""
+    """A rerun rewrites results.jsonl and removes the previous matrix.json;
+    `report` alone must render the new results, as `aggregate` then `report`
+    would."""
     config = write_config(tmp_path, backend="scripted")
     for command in ("run", "aggregate", "report"):
         assert runner.invoke(main, ["--config", str(config), command]).exit_code == 0, command
     first = {name: (tmp_path / "report" / name).read_bytes() for name in reporting.REPORTS}
     shutil.rmtree(tmp_path / "run" / "checkpoints")
     config = write_config(tmp_path, backend="scripted", scripted_seed=1)
-    for command in ("run", "report"):
-        assert runner.invoke(main, ["--config", str(config), command]).exit_code == 0, command
+    assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
+    assert not (tmp_path / "run" / "matrix.json").exists()
+    assert runner.invoke(main, ["--config", str(config), "report"]).exit_code == 0
     rerun = {name: (tmp_path / "report" / name).read_bytes() for name in reporting.REPORTS}
     assert rerun != first
 
@@ -781,3 +783,40 @@ def test_live_run_keeps_a_connection_for_each_concurrent_send(monkeypatch):
         serving.join()
         server.server_close()
     assert len(connections) == in_flight
+
+
+def test_live_run_sends_the_configured_temperature(tmp_path, monkeypatch):
+    bodies = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            bodies.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            body = b'{"text": "ok"}'
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    monkeypatch.setenv("SDGPB_API_KEY", "key")
+    cfg = load_config(write_config(
+        tmp_path, backend="live", temperature=0.7,
+        endpoint_url=f"http://127.0.0.1:{server.server_port}/complete",
+    ))
+    cfg.validate()
+    backend = _make_gateway(cfg).backend
+    req = PromptRequest(stage=1, doc_id="d", system_text="sys", user_text="user")
+    try:
+        assert backend.send(req) == "ok"
+    finally:
+        backend.session.close()
+        server.shutdown()
+        serving.join()
+        server.server_close()
+    assert [body["temperature"] for body in bodies] == [0.7]

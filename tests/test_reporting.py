@@ -14,7 +14,7 @@ from sdgpb.reporting import (
     figure_spec,
     render_svg,
 )
-from sdgpb.taxonomy import ReportBucket
+from sdgpb.taxonomy import Category, ReportBucket
 
 from test_analytics import cell_records
 
@@ -58,7 +58,7 @@ def test_figure_spec_nonempty_bar_shares_sum_to_one():
     for panel in spec.panels:
         for bar in panel.bars:
             if bar.link_count > 0:
-                total = bar.synergy_share + bar.neutral_share + bar.tradeoff_share
+                total = sum(bar.shares[c] for c in Category)
                 assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -66,8 +66,9 @@ def test_figure_spec_overlays_within_parent_segments():
     spec = figure_spec(sample_matrix())
     for panel in spec.panels:
         for bar in panel.bars:
-            assert bar.ts_share + bar.dp_share <= bar.synergy_share + 1e-12
-            assert bar.tt_share + bar.dn_share <= bar.tradeoff_share + 1e-12
+            b = bar.shares
+            assert b[ReportBucket.TS] + b[ReportBucket.DP] <= b[Category.SYNERGY] + 1e-12
+            assert b[ReportBucket.TT] + b[ReportBucket.DN] <= b[Category.TRADEOFF] + 1e-12
 
 
 def test_figure_spec_max_bar_is_one():
@@ -93,6 +94,20 @@ def test_svg_well_formed_with_panel_and_bar_groups():
     assert len(bars) == 153
 
 
+def test_svg_draws_no_segment_in_a_panel_without_records():
+    svg = render_svg(figure_spec(sample_matrix()))
+    root = ElementTree.fromstring(svg)
+    ns = "{http://www.w3.org/2000/svg}"
+    panels = {g.get("id"): g for g in root.iter(f"{ns}g") if g.get("class") == "panel"}
+    # sample_matrix links SDG 2, 13 and 14 only
+    for sdg, panel in ((1, panels["sdg-1"]), (17, panels["sdg-17"])):
+        bars = [g for g in panel.iter(f"{ns}g") if g.get("class") == "bar"]
+        assert len(bars) == 9, sdg
+        assert [r.get("class") for bar in bars for r in bar.iter(f"{ns}rect")] == [], sdg
+    linked = [r for r in panels["sdg-2"].iter(f"{ns}rect") if r.get("class") == "seg-synergy"]
+    assert linked
+
+
 def test_svg_deterministic_bytes():
     m = sample_matrix()
     assert render_svg(figure_spec(m)) == render_svg(figure_spec(m))
@@ -106,9 +121,9 @@ def test_dark_overlay_width_is_product_of_shares():
     m = build_matrix(records, 10000)
     spec = figure_spec(m)
     bar = spec.panels[11].bars[5]
-    assert bar.synergy_share == pytest.approx(0.692, abs=1e-4)
-    assert bar.ts_share / bar.synergy_share == pytest.approx(0.888, abs=1e-3)
-    # rendered dark overlay width = ts_share x bar length in px
+    assert bar.shares[Category.SYNERGY] == pytest.approx(0.692, abs=1e-4)
+    assert bar.shares[ReportBucket.TS] / bar.shares[Category.SYNERGY] == pytest.approx(0.888, abs=1e-3)
+    # rendered dark overlay width = TS share x bar length in px
     svg = render_svg(spec).decode()
     ts_rects = [line for line in svg.splitlines() if 'class="overlay-ts"' in line]
     assert ts_rects  # dark overlay present for the TS portion
@@ -175,6 +190,14 @@ def test_summary_reports_both_tradeoff_columns():
     summary = json.loads(emit_summary_json(sample_matrix()))
     pb6 = summary["per_pb"]["6"]
     assert pb6["tradeoff_share_incl_dn"] > pb6["tradeoff_share_excl_dn"]
+
+
+def test_summary_of_an_all_neutral_matrix_has_no_directionality():
+    m = build_matrix(cell_records(3, 4, {ReportBucket.NEUTRAL: 6}), 10)
+    summary = json.loads(emit_summary_json(m))
+    assert "directionality" not in summary
+    assert summary["total_records"] == 6
+    assert "directionality" in json.loads(emit_summary_json(sample_matrix()))
 
 
 def test_reporting_pure_functions_of_matrix():
