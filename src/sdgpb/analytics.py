@@ -1,12 +1,15 @@
 """Aggregation of pipeline results into the 17x9 interaction matrix.
 
-All statistics are pure functions of the record stream. Each count is
-read from `cell_row`, one cell's counts, or from a sum of such rows over
-one goal or the whole matrix: per-cell and global category and
-refined-bucket proportions, directionality, per-goal trade-off shares,
-and per-SDG bar normalization for the figure. Document-presence shares
-read their own counters. A statistic over nothing (an empty cell or
-panel, no directed record) returns `None` or zeros.
+All statistics are pure functions of the record stream. The matrix holds
+one `CellRow` per non-empty cell, to which each record adds once: to the
+total, its category, its refined bucket and its direction (`neutral` is a
+neutral record's category and bucket alike). Every count is read from
+`cell_row` or from a sum of rows over one goal or the whole matrix:
+per-cell and global category and refined-bucket proportions,
+directionality, per-goal trade-off shares, and per-SDG bar normalization
+for the figure. Document-presence shares read their own counters. A
+statistic over nothing (an empty cell or panel, no directed record)
+returns `None` or zeros.
 """
 
 from __future__ import annotations
@@ -19,14 +22,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from . import store
 from .errors import DuplicateRecord, EmptyMatrix, ZeroCorpus, ZeroGlobal
 from .pipeline import DocumentResult
-from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT, bucket, id_in_range
+from .taxonomy import Category, Direction, PB_COUNT, ReportBucket, SDG_COUNT, id_in_range
+from .taxonomy import bucket, refined_labels_for
 
 @dataclass(frozen=True)
 class InteractionRecord:
     doc_id: str
     sdg: int
     pb: int
-    category: Category
     bucket: ReportBucket
     direction: Optional[Direction] = None
 
@@ -43,75 +46,11 @@ def flatten(results: Iterable[DocumentResult]) -> list[InteractionRecord]:
                     doc_id=res.doc_id,
                     sdg=pair.sdg,
                     pb=pair.pb,
-                    category=pair.category,
                     bucket=bucket(pair.category, pair.refined),
                     direction=pair.direction,
                 )
             )
     return records
-
-
-@dataclass
-class InteractionMatrix:
-    counts: dict[tuple[int, int], dict[ReportBucket, int]] = field(default_factory=dict)
-    direction_counts: dict[tuple[int, int], dict[Direction, int]] = field(default_factory=dict)
-    doc_presence_sdg: dict[int, int] = field(default_factory=dict)
-    doc_presence_pb: dict[int, int] = field(default_factory=dict)
-    total_docs: int = 0
-    total_records: int = 0
-
-
-def build_matrix(records: Iterable[InteractionRecord], total_docs: int) -> InteractionMatrix:
-    m = InteractionMatrix(total_docs=total_docs)
-    seen: set[tuple[str, int, int]] = set()
-    docs_by_sdg: dict[int, set[str]] = {}
-    docs_by_pb: dict[int, set[str]] = {}
-    for rec in records:
-        key = (rec.doc_id, rec.sdg, rec.pb)
-        if key in seen:
-            raise DuplicateRecord(f"duplicate record for {key}")
-        seen.add(key)
-        cell = m.counts.setdefault((rec.sdg, rec.pb), {})
-        cell[rec.bucket] = cell.get(rec.bucket, 0) + 1
-        if rec.direction is not None:
-            dcell = m.direction_counts.setdefault((rec.sdg, rec.pb), {})
-            dcell[rec.direction] = dcell.get(rec.direction, 0) + 1
-        docs_by_sdg.setdefault(rec.sdg, set()).add(rec.doc_id)
-        docs_by_pb.setdefault(rec.pb, set()).add(rec.doc_id)
-        m.total_records += 1
-    m.doc_presence_sdg = {s: len(d) for s, d in docs_by_sdg.items()}
-    m.doc_presence_pb = {p: len(d) for p, d in docs_by_pb.items()}
-    return m
-
-
-def matrix_to_json(m: InteractionMatrix) -> dict:
-    return {
-        "total_docs": m.total_docs,
-        "total_records": m.total_records,
-        "counts": [
-            {"sdg": s, "pb": p, "bucket": b.value, "n": n}
-            for (s, p), cell in sorted(m.counts.items())
-            for b, n in sorted(cell.items(), key=lambda kv: kv[0].value)
-        ],
-        "direction_counts": [
-            {"sdg": s, "pb": p, "direction": d.value, "n": n}
-            for (s, p), cell in sorted(m.direction_counts.items())
-            for d, n in sorted(cell.items(), key=lambda kv: kv[0].value)
-        ],
-        "doc_presence_sdg": {str(k): v for k, v in sorted(m.doc_presence_sdg.items())},
-        "doc_presence_pb": {str(k): v for k, v in sorted(m.doc_presence_pb.items())},
-    }
-
-
-def matrix_from_results(results: Sequence[DocumentResult]) -> InteractionMatrix:
-    """The matrix of every complete document's pairs."""
-    return build_matrix(flatten(results), sum(1 for r in results if r.status == "complete"))
-
-
-def write_matrix(m: InteractionMatrix, path: str | Path) -> None:
-    """Writes `matrix.json` whole (`store.replacing`)."""
-    with store.replacing(path) as fh:
-        fh.write(json.dumps(matrix_to_json(m), sort_keys=True, indent=2).encode("utf-8") + b"\n")
 
 
 class CellRow(NamedTuple):
@@ -133,27 +72,82 @@ class CellRow(NamedTuple):
 
 _EMPTY_ROW = CellRow._make([0] * len(CellRow._fields))
 
+# the CellRow column of each Category, ReportBucket and Direction member,
+# which is named after it
+_COLUMN = {x: CellRow._fields.index(x.name.lower()) for x in (*Category, *ReportBucket, *Direction)}
+
+# the columns a record of each bucket adds one to: the total, its category's
+# and its bucket's, which for a neutral record are the same column
+_CATEGORY = {bucket(c, label): c for c in Category for label in refined_labels_for(c) or (None,)}
+_ADDS = {b: {0, _COLUMN[c], _COLUMN[b]} for b, c in _CATEGORY.items()}
+
+
+@dataclass
+class InteractionMatrix:
+    rows: dict[tuple[int, int], CellRow] = field(default_factory=dict)
+    doc_presence_sdg: dict[int, int] = field(default_factory=dict)
+    doc_presence_pb: dict[int, int] = field(default_factory=dict)
+    total_docs: int = 0
+    total_records: int = 0
+
+
+def build_matrix(records: Iterable[InteractionRecord], total_docs: int) -> InteractionMatrix:
+    m = InteractionMatrix(total_docs=total_docs)
+    seen: set[tuple[str, int, int]] = set()
+    cells: dict[tuple[int, int], list[int]] = {}
+    docs_by_sdg: dict[int, set[str]] = {}
+    docs_by_pb: dict[int, set[str]] = {}
+    for rec in records:
+        key = (rec.doc_id, rec.sdg, rec.pb)
+        if key in seen:
+            raise DuplicateRecord(f"duplicate record for {key}")
+        seen.add(key)
+        row = cells.setdefault((rec.sdg, rec.pb), list(_EMPTY_ROW))
+        for column in _ADDS[rec.bucket]:
+            row[column] += 1
+        if rec.direction is not None:
+            row[_COLUMN[rec.direction]] += 1
+        docs_by_sdg.setdefault(rec.sdg, set()).add(rec.doc_id)
+        docs_by_pb.setdefault(rec.pb, set()).add(rec.doc_id)
+        m.total_records += 1
+    m.rows = {cell: CellRow._make(row) for cell, row in cells.items()}
+    m.doc_presence_sdg = {s: len(d) for s, d in docs_by_sdg.items()}
+    m.doc_presence_pb = {p: len(d) for p, d in docs_by_pb.items()}
+    return m
+
+
+def _nonzero(m: InteractionMatrix, members: Iterable[ReportBucket | Direction], name: str) -> list[dict]:
+    """Each non-zero count of `members` in each cell: cells sorted, members by value."""
+    columns = sorted((x.value, _COLUMN[x]) for x in members)
+    return [{"sdg": s, "pb": p, name: value, "n": row[i]}
+            for (s, p), row in sorted(m.rows.items()) for value, i in columns if row[i]]
+
+
+def matrix_to_json(m: InteractionMatrix) -> dict:
+    return {
+        "total_docs": m.total_docs,
+        "total_records": m.total_records,
+        "counts": _nonzero(m, ReportBucket, "bucket"),
+        "direction_counts": _nonzero(m, Direction, "direction"),
+        "doc_presence_sdg": {str(k): v for k, v in sorted(m.doc_presence_sdg.items())},
+        "doc_presence_pb": {str(k): v for k, v in sorted(m.doc_presence_pb.items())},
+    }
+
+
+def matrix_from_results(results: Sequence[DocumentResult]) -> InteractionMatrix:
+    """The matrix of every complete document's pairs."""
+    return build_matrix(flatten(results), sum(1 for r in results if r.status == "complete"))
+
+
+def write_matrix(m: InteractionMatrix, path: str | Path) -> None:
+    """Writes `matrix.json` whole (`store.replacing`)."""
+    with store.replacing(path) as fh:
+        fh.write(json.dumps(matrix_to_json(m), sort_keys=True, indent=2).encode("utf-8") + b"\n")
+
 
 def cell_row(m: InteractionMatrix, sdg: int, pb: int) -> CellRow:
     """The counts of one cell; every statistic and output reads cells here."""
-    cell = m.counts.get((sdg, pb))
-    if cell is None:
-        return _EMPTY_ROW
-    ts = cell.get(ReportBucket.TS, 0)
-    dp = cell.get(ReportBucket.DP, 0)
-    generic_positive = cell.get(ReportBucket.GENERIC_POSITIVE, 0)
-    tt = cell.get(ReportBucket.TT, 0)
-    dn = cell.get(ReportBucket.DN, 0)
-    generic_negative = cell.get(ReportBucket.GENERIC_NEGATIVE, 0)
-    neutral = cell.get(ReportBucket.NEUTRAL, 0)
-    synergy = ts + dp + generic_positive
-    tradeoff = tt + dn + generic_negative
-    directed = m.direction_counts.get((sdg, pb), {})
-    return CellRow(
-        synergy + neutral + tradeoff, synergy, neutral, tradeoff,
-        ts, dp, generic_positive, tt, dn, generic_negative,
-        directed.get(Direction.SDG_TO_PB, 0), directed.get(Direction.PB_TO_SDG, 0),
-    )
+    return m.rows.get((sdg, pb), _EMPTY_ROW)
 
 
 def _sum_rows(rows: Iterable[CellRow]) -> CellRow:
@@ -162,13 +156,12 @@ def _sum_rows(rows: Iterable[CellRow]) -> CellRow:
 
 def _matrix_row(m: InteractionMatrix) -> CellRow:
     """The counts of the whole matrix."""
-    return _sum_rows(cell_row(m, sdg, pb) for sdg, pb in m.counts)
+    return _sum_rows(m.rows.values())
 
 
 def _shares(row: CellRow, members: Iterable[Category | ReportBucket], n: int) -> dict:
-    """Each member's count over `n`; a row's fields are named after the
-    Category and ReportBucket members."""
-    return {x: getattr(row, x.name.lower()) / n for x in members}
+    """Each member's count over `n`."""
+    return {x: row[_COLUMN[x]] / n for x in members}
 
 
 def cell_proportions(

@@ -50,11 +50,18 @@ class RunConfig:
     api_key_env: str = "SDGPB_API_KEY"
 
     def validate(self) -> None:
-        for name, kinds in _field_types().items():
+        for name, (kinds, items) in _field_types().items():
             value = getattr(self, name)
-            if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            if not _accepts(kinds, value):
                 allowed = " or ".join(kind.__name__ for kind in kinds)
                 raise ConfigError(f"{name} must be {allowed}, got {type(value).__name__} {value!r}")
+            for key, item in value.items() if items else ():
+                if not (_accepts(items[:1], key) and _accepts(items[1:], item)):
+                    expected = " to ".join(kind.__name__ for kind in items)
+                    raise ConfigError(f"{name} must map {expected}, got {name}[{key!r}] = {item!r}")
+        for key in self.models:
+            if key not in DEFAULT_MODELS:
+                raise ConfigError(f"models[{key!r}] is not a stage number 1..5")
         if self.backend not in BACKEND_MODES:
             raise ConfigError(f"backend must be one of {BACKEND_MODES}, got {self.backend!r}")
         if self.batch_cap < 1:
@@ -67,18 +74,24 @@ class RunConfig:
             raise ConfigError("retry_budget must be >= 0")
         if self.backend == "live" and not self.endpoint_url:
             raise ConfigError("live backend requires endpoint_url")
-        if self.backend == "live" and not isinstance(self.models.get("1"), str):
+        if self.backend == "live" and "1" not in self.models:
             raise ConfigError('live backend requires models["1"], a model name')
 
 
-def _field_types() -> dict[str, tuple[type, ...]]:
-    """Each RunConfig field's accepted types, read from its annotation: an
-    int may stand for a float, and a bool is no int."""
+def _accepts(kinds: tuple[type, ...], value: object) -> bool:
+    return isinstance(value, kinds) and (bool in kinds or not isinstance(value, bool))
+
+
+def _field_types() -> dict[str, tuple[tuple[type, ...], tuple[type, ...]]]:
+    """Each RunConfig field's accepted types, read from its annotation, and a
+    dict field's key and value types: an int may stand for a float, and a
+    bool is no int."""
     kinds = {}
     for name, hint in typing.get_type_hints(RunConfig).items():
         union = typing.get_origin(hint) in (typing.Union, types.UnionType)
         args = tuple(typing.get_origin(arg) or arg for arg in (typing.get_args(hint) if union else (hint,)))
-        kinds[name] = args + (int,) if float in args else args
+        items = typing.get_args(hint) if typing.get_origin(hint) is dict else ()
+        kinds[name] = (args + (int,) if float in args else args, items)
     return kinds
 
 

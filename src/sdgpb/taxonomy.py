@@ -2,7 +2,7 @@
 
 Seventeen Sustainable Development Goals, nine Planetary Boundaries, the
 three-way interaction categories, the six reasoner refinement labels, and
-the mapping from (category, refinement) to reporting buckets.
+one table giving each refinement label its category and reporting bucket.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .errors import IllegalRefinement, OutOfRange
+from .errors import ConfigError, IllegalRefinement, OutOfRange
 
 SDG_COUNT = 17
 PB_COUNT = 9
@@ -56,28 +56,14 @@ class GoalDescriptor:
     definition: str
 
 
-_SYNERGY_LABELS = frozenset(
-    {
-        RefinedLabel.GENERALITY,
-        RefinedLabel.MISLED_BY_POSITIVITY,
-        RefinedLabel.ACTUAL_SYNERGY,
-    }
-)
-_TRADEOFF_LABELS = frozenset(
-    {
-        RefinedLabel.ACTUAL_TRADEOFF,
-        RefinedLabel.GENERIC_NEGATIVE_ASSOCIATION,
-        RefinedLabel.DOUBLE_NEGATIVE,
-    }
-)
-
-_BUCKET_TABLE = {
-    RefinedLabel.ACTUAL_SYNERGY: ReportBucket.TS,
-    RefinedLabel.MISLED_BY_POSITIVITY: ReportBucket.DP,
-    RefinedLabel.GENERALITY: ReportBucket.GENERIC_POSITIVE,
-    RefinedLabel.ACTUAL_TRADEOFF: ReportBucket.TT,
-    RefinedLabel.DOUBLE_NEGATIVE: ReportBucket.DN,
-    RefinedLabel.GENERIC_NEGATIVE_ASSOCIATION: ReportBucket.GENERIC_NEGATIVE,
+# each refinement label's category and reporting bucket
+_REFINES = {
+    RefinedLabel.ACTUAL_SYNERGY: (Category.SYNERGY, ReportBucket.TS),
+    RefinedLabel.MISLED_BY_POSITIVITY: (Category.SYNERGY, ReportBucket.DP),
+    RefinedLabel.GENERALITY: (Category.SYNERGY, ReportBucket.GENERIC_POSITIVE),
+    RefinedLabel.ACTUAL_TRADEOFF: (Category.TRADEOFF, ReportBucket.TT),
+    RefinedLabel.DOUBLE_NEGATIVE: (Category.TRADEOFF, ReportBucket.DN),
+    RefinedLabel.GENERIC_NEGATIVE_ASSOCIATION: (Category.TRADEOFF, ReportBucket.GENERIC_NEGATIVE),
 }
 
 
@@ -89,13 +75,10 @@ def id_in_range(value: object, count: int, name: str) -> int:
 
 
 class Catalog:
-    """Immutable SDG/PB descriptor catalog loaded from a JSON data file."""
+    """Immutable SDG/PB descriptor catalog loaded from a JSON data file by
+    `load_catalog`, which checks its goals are numbered 1..17 and 1..9."""
 
     def __init__(self, sdgs: dict[int, GoalDescriptor], pbs: dict[int, GoalDescriptor], version: str):
-        if len(sdgs) != SDG_COUNT:
-            raise ValueError(f"expected {SDG_COUNT} SDG entries, got {len(sdgs)}")
-        if len(pbs) != PB_COUNT:
-            raise ValueError(f"expected {PB_COUNT} PB entries, got {len(pbs)}")
         self._sdgs = dict(sdgs)
         self._pbs = dict(pbs)
         self.version = version
@@ -116,24 +99,51 @@ class Catalog:
 
 
 def load_catalog(path: str | Path | None = None) -> Catalog:
-    """Load the shipped catalog, or an override file for prompt experiments."""
+    """Load the shipped catalog, or an override file for prompt experiments.
+
+    Raises ConfigError, naming the file, when it is not JSON, lacks a field,
+    holds a field of the wrong type, or does not number its goals exactly
+    1..17 and 1..9.
+    """
     if path is None:
+        path = "the shipped catalog"
         raw = resources.files("sdgpb.data").joinpath("catalog.json").read_text("utf-8")
     else:
         raw = Path(path).read_text("utf-8")
-    data = json.loads(raw)
-    sdgs = {e["id"]: GoalDescriptor(e["id"], e["short_name"], e["definition"]) for e in data["sdgs"]}
-    pbs = {e["id"]: GoalDescriptor(e["id"], e["short_name"], e["definition"]) for e in data["pbs"]}
-    return Catalog(sdgs, pbs, data.get("version", "unversioned"))
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:
+        raise ConfigError(f"catalog {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("version", ""), str):
+        raise ConfigError(f"catalog {path} must hold a JSON object whose version, if any, is a string")
+    return Catalog(_goals(data, "sdgs", SDG_COUNT, path), _goals(data, "pbs", PB_COUNT, path),
+                   data.get("version", "unversioned"))
+
+
+def _goals(data: dict, key: str, count: int, path: str | Path) -> dict[int, GoalDescriptor]:
+    """The descriptors of one catalog list, whose ids must be 1..count once each."""
+    entries = data.get(key)
+    if not isinstance(entries, list):
+        raise ConfigError(f"catalog {path} needs {key!r}, a list of goals")
+    goals = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"catalog {path}: {key!r} holds {entry!r}, not a goal object")
+        for name, kind in (("id", int), ("short_name", str), ("definition", str)):
+            if name not in entry:
+                raise ConfigError(f"catalog {path}: an entry of {key!r} lacks {name!r}")
+            if type(entry[name]) is not kind:
+                raise ConfigError(f"catalog {path}: {key!r} {name} must be {kind.__name__}, got {entry[name]!r}")
+        goals.append(GoalDescriptor(entry["id"], entry["short_name"], entry["definition"]))
+    ids = sorted(goal.id for goal in goals)
+    if ids != list(range(1, count + 1)):
+        raise ConfigError(f"catalog {path}: {key!r} ids must be 1..{count} once each, got {ids}")
+    return {goal.id: goal for goal in goals}
 
 
 def refined_labels_for(category: Category) -> frozenset[RefinedLabel]:
     """Legal refinement labels for a category; neutral links are never refined."""
-    if category is Category.SYNERGY:
-        return _SYNERGY_LABELS
-    if category is Category.TRADEOFF:
-        return _TRADEOFF_LABELS
-    return frozenset()
+    return frozenset(label for label, (cat, _) in _REFINES.items() if cat is category)
 
 
 def bucket(category: Category, refined: RefinedLabel | None = None) -> ReportBucket:
@@ -148,6 +158,7 @@ def bucket(category: Category, refined: RefinedLabel | None = None) -> ReportBuc
         return ReportBucket.NEUTRAL
     if refined is None:
         raise IllegalRefinement(f"{category.value} requires a refinement label")
-    if refined not in refined_labels_for(category):
+    cat, report_bucket = _REFINES.get(refined, (None, None))
+    if cat is not category:
         raise IllegalRefinement(f"{refined.value!r} is not legal for category {category.value!r}")
-    return _BUCKET_TABLE[refined]
+    return report_bucket

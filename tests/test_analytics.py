@@ -43,7 +43,7 @@ BUCKET_CATEGORY = {
 
 
 def rec(doc, sdg, pb, bucket, direction=None):
-    return InteractionRecord(doc, sdg, pb, BUCKET_CATEGORY[bucket], bucket, direction)
+    return InteractionRecord(doc, sdg, pb, bucket, direction)
 
 
 def cell_records(sdg, pb, bucket_counts, direction=None, prefix="doc"):
@@ -76,9 +76,9 @@ def naive_stats(records, total_docs):
     pb_driven = 0
     for r in records:
         cells[(r.sdg, r.pb, r.bucket)] += 1
-        cat_cells[(r.sdg, r.pb, r.category)] += 1
+        cat_cells[(r.sdg, r.pb, BUCKET_CATEGORY[r.bucket])] += 1
         buckets[r.bucket] += 1
-        cats[r.category] += 1
+        cats[BUCKET_CATEGORY[r.bucket]] += 1
         docs_sdg.setdefault(r.sdg, set()).add(r.doc_id)
         docs_pb.setdefault(r.pb, set()).add(r.doc_id)
         if r.direction is not None:
@@ -172,7 +172,7 @@ def assert_matches_oracle(records, total_docs):
     else:
         assert directionality(m) is None
     # per-cell shares against naive per-cell recount
-    for (s, p), cell in m.counts.items():
+    for s, p in m.rows:
         shares = cell_proportions(m, s, p)
         total = sum(oracle["cells"][(s, p, b)] for b in ReportBucket)
         assert cell_row(m, s, p).total == total
@@ -205,6 +205,26 @@ def test_randomized_oracle_equivalence():
         n = rng.randint(1, 400)
         records = random_records(rng, n)
         assert_matches_oracle(records, total_docs=200)
+
+
+def naive_json_counts(oracle):
+    """matrix.json's count lists rebuilt from the oracle's counters."""
+    def entries(counter, members, name):
+        return [{"sdg": s, "pb": p, name: x.value, "n": counter[(s, p, x)]}
+                for s in range(1, 18) for p in range(1, 10)
+                for x in sorted(members, key=lambda x: x.value) if counter[(s, p, x)]]
+    return (entries(oracle["cells"], ReportBucket, "bucket"),
+            entries(oracle["dir_cells"], Direction, "direction"))
+
+
+def test_randomized_matrix_json_counts_match_naive_recount():
+    rng = random.Random(4242)
+    for trial in range(60):
+        records = random_records(rng, rng.randint(1, 400))
+        doc = matrix_to_json(build_matrix(records, 200))
+        counts, direction_counts = naive_json_counts(naive_stats(records, 200))
+        assert doc["counts"] == counts
+        assert doc["direction_counts"] == direction_counts
 
 
 def test_order_invariance():

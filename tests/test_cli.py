@@ -76,14 +76,56 @@ def _error_line(result) -> dict:
       "models": {"2": "flash-large-context"}}, 'models["1"]'),
     ({"backend": "scripted", "batch_cap": True}, "batch_cap"),
     ({"backend": "scripted", "worker_count": 2.5}, "worker_count"),
+    ({"backend": "scripted", "models": {"5": 3}}, "models['5']"),
+    ({"backend": "scripted", "models": {"reasoner": "x"}}, "models['reasoner']"),
+    ({"backend": "scripted", "api_filters": {"type": ["article"]}}, "api_filters['type']"),
 ], ids=["str rpm_limit", "int corpus_dir", "float batch_cap", "str context_budget",
-        "live without models 1", "bool batch_cap", "float worker_count"])
+        "live without models 1", "bool batch_cap", "float worker_count", "int model name",
+        "models key not a stage", "list api filter"])
 def test_config_value_of_wrong_type_exit_2_naming_the_key(runner, tmp_path, overrides, key):
     config = write_config(tmp_path, **overrides)
     result = runner.invoke(main, ["--config", str(config), "run"])
     assert result.exit_code == 2, result.output
     error = _error_line(result)
     assert error["error"] == "ConfigError" and key in error["message"]
+
+
+SHIPPED = json.loads((Path(sdgpb.__file__).parent / "data" / "catalog.json").read_text("utf-8"))
+
+
+def _catalog(**changes) -> str:
+    return json.dumps(SHIPPED | changes)
+
+
+@pytest.mark.parametrize("content, complaint", [
+    ("{not json", "not valid JSON"),
+    (json.dumps({"sdgs": [], "pbs": []}), "1..17"),
+    (_catalog(sdgs=[{**g, "id": g["id"] - 1} for g in SHIPPED["sdgs"]]), "1..17"),
+    (_catalog(pbs=SHIPPED["pbs"][:8] + SHIPPED["pbs"][:1]), "1..9"),
+    (json.dumps({"sdgs": SHIPPED["sdgs"]}), "'pbs'"),
+    (_catalog(pbs=[{"id": 1, "definition": "d"}]), "'short_name'"),
+    (_catalog(sdgs=[{**g, "definition": None} for g in SHIPPED["sdgs"]]), "definition"),
+    (_catalog(pbs=[{**g, "id": str(g["id"])} for g in SHIPPED["pbs"]]), "id"),
+    (_catalog(version=2025), "version"),
+    (json.dumps([SHIPPED]), "JSON object"),
+], ids=["not json", "empty lists", "ids 0-16", "repeated pb id", "no pbs", "no short_name",
+        "null definition", "str id", "int version", "list"])
+def test_run_on_bad_catalog_exit_2_naming_the_file(runner, tmp_path, content, complaint):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(content, "utf-8")
+    config = write_config(tmp_path, backend="scripted", catalog_path=str(catalog))
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, result.output
+    error = _error_line(result)
+    assert error["error"] == "ConfigError"
+    assert str(catalog) in error["message"] and complaint in error["message"]
+
+
+def test_run_on_missing_catalog_exit_3(runner, tmp_path):
+    config = write_config(tmp_path, backend="scripted", catalog_path=str(tmp_path / "nope.json"))
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 3, result.output
+    assert _error_line(result)["error"] == "FileNotFoundError"
 
 
 # the CLI's exit code for every class in sdgpb.errors, and for a missing file
