@@ -21,10 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from sdgpb import analytics, corpus, pipeline, reporting, store
-from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR, Gateway, RecordingBackend
-from sdgpb.taxonomy import load_catalog
-from sdgpb.testing import ScriptedBackend
+from sdgpb import corpus, store
+from sdgpb.gateway import CACHE_FILE, CACHE_SUBDIR
 
 N_DOCS = 32
 CORPUS_SEED = 20240501
@@ -106,29 +104,28 @@ def make_corpus(fixtures: Path) -> None:
 
 
 def record_and_golden(fixtures: Path) -> None:
-    docs = corpus.ingest_directory(fixtures / "corpus")
+    """Records the scripted backend's replies and writes the goldens through
+    the chain `sdgpb validate-fixtures` checks them with: run, aggregate,
+    report."""
+    # imported here, not at the top: bench/corpusgen.py loads this module for
+    # its corpus tables, and the benchmark's memory should not count click
+    from sdgpb import cli
+    from sdgpb.config import RunConfig
+
     with tempfile.TemporaryDirectory() as tmp:
-        run_dir = Path(tmp)
-        backend = RecordingBackend(ScriptedBackend(seed=BACKEND_SEED), run_dir)
-        runner = pipeline.PipelineRunner(
-            gateway=Gateway(backend),
-            checkpoints=pipeline.CheckpointStore(run_dir),
-            catalog=load_catalog(),
-            templates=pipeline.PromptTemplates(),
-        )
-        results = runner.run(docs)
-        golden = fixtures / "golden"
-        pipeline.write_results(results, golden / "results.jsonl")
-        matrix = analytics.matrix_from_results(results)
-        analytics.write_matrix(matrix, golden / "matrix.json")
-        reporting.write_reports(matrix, golden)
-
-        cache_dst = fixtures / CACHE_SUBDIR
-        cache_dst.mkdir(parents=True, exist_ok=True)
-        shutil.copy(run_dir / CACHE_SUBDIR / CACHE_FILE, cache_dst / CACHE_FILE)
-
-        print(f"{len(docs)} docs, {matrix.total_records} records, "
-              f"{matrix.total_docs} complete; cache and goldens written to {fixtures}")
+        cfg = RunConfig(corpus_dir=str(fixtures / "corpus"), run_dir=str(Path(tmp) / "run"),
+                        report_dir=str(Path(tmp) / "report"), backend="record",
+                        scripted_seed=BACKEND_SEED)
+        cli._run_and_report(cfg)
+        cli._aggregate(cfg)
+        cli._report(cfg)
+        copies = {path: fixtures / "golden" / name for name, path in cli._outputs(cfg).items()}
+        cache = Path(CACHE_SUBDIR) / CACHE_FILE
+        copies[Path(cfg.run_dir) / cache] = fixtures / cache
+        for source, target in copies.items():
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(source, target)
+    print(f"cache and goldens written to {fixtures}")
 
 
 def main() -> None:

@@ -78,7 +78,7 @@ def _make_gateway(cfg: RunConfig) -> Gateway:
         retry_budget=cfg.retry_budget,
         jitter_seed=cfg.jitter_seed,
     )
-    if cfg.backend == "live":
+    if gateway.live:
         from requests.adapters import HTTPAdapter
 
         # a pooled connection for each send that can be in flight: the run's
@@ -132,13 +132,12 @@ def _outputs(cfg: RunConfig) -> dict[str, Path]:
 
 
 def _run_and_report(cfg: RunConfig) -> Path:
-    """Shared body of `run` and `resume`: process corpus, write results.
-    The previous `matrix.json` goes before the results are rewritten, so a
-    run dir never holds a matrix of other results; `aggregate` rebuilds it."""
-    docs = _load_corpus(cfg)
-    gateway = _make_gateway(cfg)
-    runner = _make_runner(cfg, gateway)
-    results = runner.run(docs, workers=cfg.worker_count)
+    """Shared body of `run` and `resume`: build the runner, so a bad catalog,
+    template or replay cache fails before any document is read; process the
+    corpus; write results. The previous `matrix.json` goes first, so a run dir
+    never holds a matrix of other results; `aggregate` rebuilds it."""
+    runner = _make_runner(cfg, _make_gateway(cfg))
+    results = runner.run(_load_corpus(cfg), workers=cfg.worker_count)
     outputs = _outputs(cfg)
     outputs["matrix.json"].unlink(missing_ok=True)
     pipeline.write_results(results, outputs["results.jsonl"])
@@ -222,8 +221,8 @@ def ingest(ctx, corpus_dir):
 @click.option("--backend", default=None, type=click.Choice(BACKEND_MODES))
 @click.option("--batch-cap", default=None, type=int)
 @click.option("--workers", "worker_count", default=None, type=int,
-              help="Documents processed at once; a live backend also overlaps "
-                   "the calls within each document.")
+              help="Documents a live backend processes at once, each also "
+                   "overlapping its own calls; offline runs take one at a time.")
 @click.pass_context
 def run(ctx, backend, batch_cap, worker_count):
     """Process the corpus through all five stages."""

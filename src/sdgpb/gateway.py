@@ -303,9 +303,7 @@ class RecordingBackend:
         self.inner = inner
         self.live = inner.live
         self.backend_id = inner.backend_id
-        cache_dir = Path(run_dir) / CACHE_SUBDIR
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        self._path = cache_dir / CACHE_FILE
+        self._path = Path(run_dir) / CACHE_SUBDIR / CACHE_FILE
         self._lock = threading.Lock()
         entries = store.read(self._path, _cache_entry, appended=True, error=CacheCorrupt)
         self._seen: set[str] = {key for key, _ in entries}

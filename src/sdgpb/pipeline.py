@@ -8,9 +8,10 @@ batch pairs (default cap 20 per request).
 
 A document's calls follow their dependencies in three waves: stages 1 and
 2 together, then every stage-3 batch, then every stage-4 and stage-5 batch.
-In a `run` with a live backend the calls of a wave overlap. Offline backends
-(replay, scripted) answer in microseconds, so their waves run inline, in
-order, as do those of a `process_document` call made outside `run`.
+Offline backends (replay, scripted) answer in microseconds, so an offline
+`run` takes its documents in order on the calling thread and starts no
+thread. A live `run` takes `workers` documents at once and overlaps the
+calls of each wave. `process_document` called alone runs waves inline.
 Only the calls (build the request, send it, parse the reply) leave the
 document's thread. The rest runs on it after each wave, in (stage, batch)
 order: replies are adopted into stage payloads (stage 3's evidence-quote
@@ -28,7 +29,6 @@ import logging
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -585,9 +585,7 @@ class CheckpointStore:
     """
 
     def __init__(self, run_dir: str | Path):
-        directory = Path(run_dir) / "checkpoints"
-        directory.mkdir(parents=True, exist_ok=True)
-        self._prefix = os.path.join(directory, "")
+        self._prefix = os.path.join(run_dir, "checkpoints", "")  # made by the first write
 
     def path(self, doc_id: str) -> str:
         return f"{self._prefix}{doc_id}.jsonl"
@@ -810,21 +808,21 @@ class PipelineRunner:
     def run(self, docs: Sequence[CleanDocument], workers: int = 1) -> list[DocumentResult]:
         """Process a corpus; results come back sorted by doc_id.
 
-        `workers` documents run at once. With a live backend each document
-        also overlaps its own calls, wave by wave, on one executor that lives
-        as long as the run. It starts threads on demand, up to the gateway's
-        `max_in_flight`: with every thread in a send or a backoff sleep, the
-        limiter would let no further call through.
+        Offline, documents run in order on this thread, whatever `workers` is.
+        Live, `workers` pool threads run documents, and each overlaps its own
+        calls on one executor that lives as long as the run. That starts
+        threads on demand, up to the gateway's `max_in_flight`: with every
+        thread in a send or a backoff sleep, the limiter would let no further
+        call through. An interrupt or error cancels the queued documents; those
+        in flight finish and write their checkpoints before it propagates.
         """
-        with (ThreadPoolExecutor(max_workers=self.gateway.max_in_flight, thread_name_prefix="sdgpb-wave")
-              if self.gateway.live else nullcontext()) as calls:
+        if not self.gateway.live:
+            return sorted(map(self.process_document, docs), key=lambda r: r.doc_id)
+        with ThreadPoolExecutor(max_workers=self.gateway.max_in_flight, thread_name_prefix="sdgpb-wave") as calls:
             self._calls = calls
             try:
-                if workers <= 1:
-                    results = [self.process_document(d) for d in docs]
-                else:
-                    with ThreadPoolExecutor(max_workers=workers) as pool:
-                        results = list(pool.map(self.process_document, docs))
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(self.process_document, docs))
             finally:
                 self._calls = None
         return sorted(results, key=lambda r: r.doc_id)

@@ -55,11 +55,16 @@ def read(path: str | Path, from_json: Callable[[Any], T], *, appended: bool = Fa
 
 
 def append(path: str | Path, *objs: Any) -> None:
-    """Appends a line per object (none: only cuts a torn line). When this
-    returns they have reached the kernel, in one `write(2)` repeated only
-    for the rest of a short one; they are not fsynced."""
+    """Appends a line per object (none: only cuts a torn line), making the
+    file and its directory if need be. When this returns they have reached
+    the kernel, in one `write(2)` repeated only for the rest of a short one;
+    they are not fsynced."""
     data = "".join(map(_line, objs)).encode("utf-8")
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
         end = os.lseek(fd, 0, os.SEEK_END)
         if end and os.pread(fd, 1, end - 1) != b"\n":

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import sdgpb
-from sdgpb import analytics, errors, pipeline, reporting, store
+from sdgpb import analytics, corpus, errors, pipeline, reporting, store
 from sdgpb.cli import _make_gateway, _outputs, main
 from sdgpb.config import RunConfig, load_config
 from sdgpb.gateway import PromptRequest
@@ -79,11 +79,26 @@ def _error_line(result) -> dict:
     ({"backend": "scripted", "models": {"5": 3}}, "models['5']"),
     ({"backend": "scripted", "models": {"reasoner": "x"}}, "models['reasoner']"),
     ({"backend": "scripted", "api_filters": {"type": ["article"]}}, "api_filters['type']"),
+    ({"backend": "offline"}, "backend"),
+    ({"backend": "scripted", "worker_count": 0}, "worker_count"),
+    ({"backend": "scripted", "rpm_limit": 0}, "rpm_limit"),
+    ({"backend": "scripted", "retry_budget": -1}, "retry_budget"),
+    ({"backend": "live"}, "endpoint_url"),
+    ({"backend": "scripted", "workers": 2}, "'workers'"),
+    ('{"backend": "scripted",', "config file is not valid JSON"),
+    ('[{"backend": "scripted"}]', "config file must hold a JSON object"),
 ], ids=["str rpm_limit", "int corpus_dir", "float batch_cap", "str context_budget",
         "live without models 1", "bool batch_cap", "float worker_count", "int model name",
-        "models key not a stage", "list api filter"])
+        "models key not a stage", "list api filter", "unknown backend", "zero worker_count",
+        "zero rpm_limit", "negative retry_budget", "live without endpoint_url", "unknown key",
+        "file not json", "file a list"])
 def test_config_value_of_wrong_type_exit_2_naming_the_key(runner, tmp_path, overrides, key):
-    config = write_config(tmp_path, **overrides)
+    """`overrides` is a dict of config fields, or a config file's whole text."""
+    if isinstance(overrides, dict):
+        config = write_config(tmp_path, **overrides)
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(overrides)
     result = runner.invoke(main, ["--config", str(config), "run"])
     assert result.exit_code == 2, result.output
     error = _error_line(result)
@@ -119,6 +134,19 @@ def test_run_on_bad_catalog_exit_2_naming_the_file(runner, tmp_path, content, co
     error = _error_line(result)
     assert error["error"] == "ConfigError"
     assert str(catalog) in error["message"] and complaint in error["message"]
+
+
+def test_run_checks_the_catalog_before_it_parses_any_document(runner, tmp_path, monkeypatch):
+    def parse_tei(data):
+        raise AssertionError("a TEI file was parsed before the configuration was checked")
+
+    monkeypatch.setattr(corpus, "parse_tei", parse_tei)
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text("{not json", "utf-8")
+    config = write_config(tmp_path, backend="scripted", catalog_path=str(catalog))
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, result.output
+    assert _error_line(result)["error"] == "ConfigError"
 
 
 def test_run_on_missing_catalog_exit_3(runner, tmp_path):
@@ -545,6 +573,7 @@ def test_interrupted_results_write_leaves_no_partial_file(runner, tmp_path, monk
 @pytest.mark.parametrize("bad_line", [b'{"doc_id": "cut\n', b'{"doc_id": "no-body"}\n'])
 def test_run_on_corrupt_document_store_exit_3(runner, tmp_path, bad_line):
     config = write_config(tmp_path)
+    seeded_run_dir(tmp_path)  # replay checks its cache before it reads documents.jsonl
     docs_path = tmp_path / "run" / "documents.jsonl"
     assert runner.invoke(main, ["--config", str(config), "ingest"]).exit_code == 0
     lines = docs_path.read_bytes().splitlines(keepends=True)
@@ -579,6 +608,21 @@ def test_run_on_document_store_with_bad_field_exit_3(runner, tmp_path, field, va
     assert line["error"] == "StoreCorrupt" and "documents.jsonl: line 2" in line["message"]
     assert sorted(os.listdir(tmp_path)) == ["config.json", "run"]
     assert not (tmp_path / "run" / "checkpoints").exists()
+
+
+def test_run_from_document_store_equals_run_from_tei(runner, tmp_path, monkeypatch):
+    for name in ("ingested", "fresh"):
+        (tmp_path / name).mkdir()
+    ingested, _, _ = _ingested_documents(runner, tmp_path / "ingested")
+    fresh = write_config(tmp_path / "fresh", backend="scripted")
+    with monkeypatch.context() as patch:  # the ingested run reads only documents.jsonl
+        patch.setattr(corpus, "parse_tei", None)
+        result = runner.invoke(main, ["--config", str(ingested), "run"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["--config", str(fresh), "run"])
+    assert result.exit_code == 0, result.output
+    produced = [path.parent / "run" / "results" / "results.jsonl" for path in (ingested, fresh)]
+    assert produced[0].read_bytes() == produced[1].read_bytes()
 
 
 def test_run_on_document_store_with_repeated_id_exit_3(runner, tmp_path):

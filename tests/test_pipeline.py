@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import threading
 import time
 from collections import Counter
@@ -43,7 +44,7 @@ from sdgpb.taxonomy import Category, Direction, RefinedLabel, refined_labels_for
 from sdgpb.testing import ScriptedBackend
 
 from conftest import FIXTURES_DIR, make_replay_runner
-from test_acceptance import InterruptingStore
+from test_acceptance import InterruptingStore, output_files
 from test_gateway import SimClock
 
 BODY = (
@@ -763,12 +764,61 @@ def test_live_call_threads_bounded_by_rpm(tmp_path, catalog, templates):
     assert set(threading.enumerate()) <= before
 
 
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="no pthread_kill to send SIGINT")
+def test_live_interrupt_lets_the_document_in_flight_finish(tmp_path, catalog, templates):
+    main_thread = threading.main_thread().ident
+
+    class InterruptingOnA(LiveStageBackend):
+        """Sends SIGINT, as Ctrl-C would, during document a's first call."""
+
+        def send(self, req):
+            if (req.doc_id, req.stage) == ("a", 1):
+                signal.pthread_kill(main_thread, signal.SIGINT)
+                time.sleep(0.05)  # the interrupt lands while the wave is in flight
+            return super().send(req)
+
+    backend = InterruptingOnA(happy_replies("Irrigation programs improved water access"))
+    runner = make_runner(backend, tmp_path, catalog, templates)
+    with pytest.raises(KeyboardInterrupt):
+        runner.run([make_doc("a"), make_doc("b")], workers=1)
+    assert sorted(runner.checkpoints.load("a")[0]) == [1, 2, 3, 4, 5]
+    assert runner.checkpoints.load("b") == ({}, None)
+
+
 def test_direct_process_document_starts_no_thread(tmp_path, catalog, templates):
     runner = make_runner(LiveStageBackend(happy_replies("Irrigation programs improved water access")),
                          tmp_path, catalog, templates, batch_cap=1)
     before = set(threading.enumerate())
     assert runner.process_document(make_doc()).status == "complete"
     assert set(threading.enumerate()) <= before
+
+
+class ThreadLoggingReplay(ReplayBackend):
+    """The recorded cache, noting for each send its thread and the threads alive."""
+
+    def __init__(self, run_dir):
+        super().__init__(run_dir)
+        self.sends = []  # (sending thread, set of live threads)
+
+    def send(self, req):
+        self.sends.append((threading.current_thread(), set(threading.enumerate())))
+        return super().send(req)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_offline_run_starts_no_thread_whatever_the_workers(replay_run_dir, fixture_docs, catalog,
+                                                           templates, workers):
+    backend = ThreadLoggingReplay(replay_run_dir)
+    runner = PipelineRunner(gateway=Gateway(backend), checkpoints=CheckpointStore(replay_run_dir),
+                            catalog=catalog, templates=templates)
+    before = set(threading.enumerate())
+    results = runner.run(fixture_docs, workers=workers)
+    assert len(backend.sends) == 148  # every recorded call
+    assert all(thread is threading.current_thread() and alive == before
+               for thread, alive in backend.sends)
+    assert set(threading.enumerate()) == before
+    goldens = {path.name: path.read_bytes() for path in (FIXTURES_DIR / "golden").iterdir()}
+    assert output_files(results, replay_run_dir) == goldens
 
 
 def test_schema_repair_then_success(tmp_path, catalog, templates):
