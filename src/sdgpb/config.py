@@ -72,6 +72,8 @@ class RunConfig:
             raise ConfigError("rpm_limit must be >= 1")
         if self.retry_budget < 0:
             raise ConfigError("retry_budget must be >= 0")
+        if self.context_budget < 1:
+            raise ConfigError("context_budget must be >= 1")
         if self.backend == "live" and not self.endpoint_url:
             raise ConfigError("live backend requires endpoint_url")
         if self.backend == "live" and "1" not in self.models:

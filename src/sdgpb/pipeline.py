@@ -104,8 +104,16 @@ _SPELLINGS = {
 # the error an answer outside its stage's vocabulary raises
 _UNKNOWN_ANSWER = {Category: UnknownCategory, Direction: UnknownDirection, RefinedLabel: SchemaError}
 
-# a neutral stage-3 entry's category, read once: an enum's .value is a property call
-_NEUTRAL = Category.NEUTRAL.value
+# each pair stage's vocabulary's members by value, and every member's value
+# (None's is None): an enum call and an enum's .value are Python-level calls
+_MEMBERS = {
+    spec.vocabulary: {member.value: member for member in spec.vocabulary}
+    for spec in STAGES.values() if spec.vocabulary
+}
+_VALUES = {None: None} | {m: v for members in _MEMBERS.values() for v, m in members.items()}
+_CATEGORIES, _DIRECTIONS, _LABELS = _MEMBERS[Category], _MEMBERS[Direction], _MEMBERS[RefinedLabel]
+
+_NEUTRAL = _VALUES[Category.NEUTRAL]
 
 _SYSTEM_TEXT = (
     "You classify interactions between Sustainable Development Goals and "
@@ -152,9 +160,9 @@ class PairClassification:
         return {
             "sdg": self.sdg,
             "pb": self.pb,
-            "category": self.category.value,
-            "refined": self.refined.value if self.refined else None,
-            "direction": self.direction.value if self.direction else None,
+            "category": _VALUES[self.category],
+            "refined": _VALUES[self.refined],
+            "direction": _VALUES[self.direction],
             "justification": self.justification,
             "evidence_quote": self.evidence_quote,
         }
@@ -226,9 +234,9 @@ def _complete(doc_id: str, payloads: dict[int, dict], version: str) -> DocumentR
     for v in payloads[3]["verdicts"]:
         pair = (v["sdg"], v["pb"])
         pairs.append(PairClassification(
-            *pair, Category(v["category"]),
-            RefinedLabel(labels[pair]) if pair in labels else None,
-            Direction(directions[pair]) if pair in directions else None,
+            *pair, _CATEGORIES[v["category"]],
+            _LABELS[labels[pair]] if pair in labels else None,
+            _DIRECTIONS[directions[pair]] if pair in directions else None,
             v["justification"], v["evidence_quote"],
         ))
     return DocumentResult(doc_id, frozenset(payloads[1]["sdgs"]), frozenset(payloads[2]["pbs"]),
@@ -426,7 +434,7 @@ def _answers(
         answer = _SPELLINGS.get(str(raw).strip().lower())
         if type(answer) is not vocabulary:
             raise _UNKNOWN_ANSWER[vocabulary](f"unknown {field} {raw!r} for pair {(s, p)}")
-        yield {"sdg": s, "pb": p, field: answer.value}, answer, entry
+        yield {"sdg": s, "pb": p, field: _VALUES[answer]}, answer, entry
 
 
 def parse_allocation(text: str, axis: str) -> frozenset[int]:
@@ -493,7 +501,7 @@ def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) 
 def _categories(verdicts: list[dict]) -> tuple[dict[tuple[int, int], Category], list]:
     """Each stage-3 pair's category, and the non-neutral pairs, which stages
     4 and 5 answer, in verdict order."""
-    categories = {(v["sdg"], v["pb"]): Category(v["category"]) for v in verdicts}
+    categories = {(v["sdg"], v["pb"]): _CATEGORIES[v["category"]] for v in verdicts}
     return categories, [pair for pair, cat in categories.items() if cat is not Category.NEUTRAL]
 
 
@@ -509,13 +517,15 @@ def _payload(stage: int, payload: dict) -> dict:
     entries = payload[spec.payload_key]
     if not isinstance(entries, list):
         raise TypeError(f"stage {stage} payload {spec.payload_key!r} is not a list")
+    members = _MEMBERS.get(spec.vocabulary)
     for entry in entries:
-        if spec.vocabulary is None:
+        if members is None:
             id_in_range(entry, SDG_COUNT if stage == 1 else PB_COUNT, spec.payload_key)
         else:
             id_in_range(entry["sdg"], SDG_COUNT, "sdg")
             id_in_range(entry["pb"], PB_COUNT, "pb")
-            spec.vocabulary(entry[spec.answer])
+            if entry[spec.answer] not in members:
+                raise ValueError(f"{entry[spec.answer]!r} is not a valid {spec.vocabulary.__qualname__}")
             if stage == 3 and not (isinstance(entry["justification"], str)
                                    and isinstance(entry["evidence_quote"], str)):
                 raise TypeError(f"pair {(entry['sdg'], entry['pb'])}'s justification "
@@ -566,7 +576,7 @@ def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, di
                 raise ValueError(f"stage {stage} {key} do not answer exactly "
                                  f"stage 3's non-neutral pairs {sorted(active)}")
         for e in payloads.get(5, {}).get("refinements", ()):
-            bucket(categories[e["sdg"], e["pb"]], RefinedLabel(e["label"]))
+            bucket(categories[e["sdg"], e["pb"]], _LABELS[e["label"]])
     return payloads, versions.pop() if versions else None
 
 
@@ -574,37 +584,61 @@ class CheckpointStore:
     """Per-document JSONL checkpoints under run_dir/checkpoints/.
 
     A document's completed stages are the stages its file holds, and the
-    file is their only record: the store keeps no state, so threads may
-    share it. Stages of one wave may complete in any combination, so resume
-    runs whichever are missing rather than everything past the last one.
-    `load` checks each line alone and then the file whole, so a stage
-    written twice is refused when its file is next loaded.
+    file is their only record. Stages of one wave may complete in any
+    combination, so resume runs whichever are missing rather than everything
+    past the last one. `load` checks each line alone and then the file
+    whole, so a stage written twice is refused when its file is next loaded.
 
-    Each file is an appended store (`store`): `load` leaves out a final
-    line torn by a kill mid-append, and the next `write` cuts it away.
+    The store holds one descriptor for each document being processed, from
+    `load` to `close`: `load` opens the file (without making it) and reads
+    it in one read, and each `write` appends through that descriptor. A
+    `write` with no `load` before it opens the file for that line alone.
+    Threads may share the store, each with its own documents.
+
+    Each file is an appended store (`store`), so the crash contract is the
+    one every appended store keeps: `load` leaves out a final line torn by
+    a kill mid-append, the first `write` after it cuts that line away, and
+    a stage's line has reached the kernel when `write` returns.
     """
 
     def __init__(self, run_dir: str | Path):
         self._prefix = os.path.join(run_dir, "checkpoints", "")  # made by the first write
+        self._open: dict[str, store.Appended] = {}
 
     def path(self, doc_id: str) -> str:
         return f"{self._prefix}{doc_id}.jsonl"
 
     def load(self, doc_id: str) -> tuple[dict[int, dict], str | None]:
-        """Returns (payloads by completed stage, template_version); raises
-        `CheckpointCorrupt` naming the file unless its stages agree."""
-        path = self.path(doc_id)
-        entries = store.read(path, partial(_checkpoint_entry, doc_id), appended=True,
-                             error=CheckpointCorrupt)
+        """Returns (payloads by completed stage, template_version) and keeps
+        the file open for `write` until `close`; raises `CheckpointCorrupt`
+        naming the file, and closes it, unless its stages agree."""
+        self.close(doc_id)
+        file = self._open[doc_id] = store.Appended(self.path(doc_id))
         try:
-            return _agreeing_stages(entries)
-        except ValueError as exc:
-            raise CheckpointCorrupt(f"{path}: {exc}") from exc
+            entries = file.read(partial(_checkpoint_entry, doc_id), CheckpointCorrupt)
+            try:
+                return _agreeing_stages(entries)
+            except ValueError as exc:
+                raise CheckpointCorrupt(f"{file.path}: {exc}") from exc
+        except BaseException:
+            self.close(doc_id)
+            raise
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
         """Appends the stage's line; when this returns it has reached the kernel."""
-        store.append(self.path(doc_id), {"doc_id": doc_id, "stage": stage, "payload": payload,
-                                         "template_version": template_version})
+        line = {"doc_id": doc_id, "stage": stage, "payload": payload,
+                "template_version": template_version}
+        file = self._open.get(doc_id)
+        if file is None:
+            store.append(self.path(doc_id), line)
+        else:
+            file.append(line)
+
+    def close(self, doc_id: str) -> None:
+        """Closes the file `load` opened, if it is open."""
+        file = self._open.pop(doc_id, None)
+        if file is not None:
+            file.close()
 
 
 def _verdicts(doc: CleanDocument, verdicts: list[dict]) -> list[dict]:
@@ -756,8 +790,17 @@ class PipelineRunner:
     # -- document driver --------------------------------------------------
 
     def process_document(self, doc: CleanDocument) -> DocumentResult:
-        version = self.templates.version
         payloads, ckpt_version = self.checkpoints.load(doc.doc_id)
+        try:
+            return self._run_stages(doc, payloads, ckpt_version)
+        finally:
+            self.checkpoints.close(doc.doc_id)
+
+    def _run_stages(
+        self, doc: CleanDocument, payloads: dict[int, dict], ckpt_version: str | None
+    ) -> DocumentResult:
+        """Runs the stages `payloads` lacks, checkpointing each."""
+        version = self.templates.version
         if ckpt_version is not None and ckpt_version != version:
             raise TemplateVersionMismatch(
                 f"{doc.doc_id}: checkpoint was written with template version "

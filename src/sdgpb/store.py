@@ -2,16 +2,19 @@
 
 An appended store (a document's checkpoints, the recorded cache) grows a
 line at a time, so a kill mid-append can leave a final line with no
-newline: `read` leaves it out and `append` cuts it away first. Any other
-file (manifest, documents, results, matrix.json, reports) is written whole
-by `replacing`. `read` takes a store one line at a time, so a load holds
-no more than one line beyond the records it returns. A line that holds no
-valid record raises a `StoreCorrupt` subclass naming the file and line.
+newline: reading leaves it out and the next append cuts it away first.
+`append` opens the file for one append; an `Appended` holds it open from
+its `read` to its `close`, for a run of appends. Any other file (manifest,
+documents, results, matrix.json, reports) is written whole by `replacing`.
+`read` takes a store one line at a time, so a load holds no more than one
+line beyond the records it returns. A line that holds no valid record
+raises a `StoreCorrupt` subclass naming the file and line.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 from pathlib import Path
@@ -21,59 +24,120 @@ from .errors import StoreCorrupt
 
 T = TypeVar("T")
 
+# one encoder for every stored line: json.dumps with a keyword builds a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+_APPENDING = os.O_RDWR | os.O_APPEND
+
 
 def _line(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    return _ENCODER.encode(obj) + "\n"
+
+
+def _records(path: str | Path, lines: Iterable[bytes], from_json: Callable[[Any], T],
+             appended: bool, error: type[StoreCorrupt]) -> list[T]:
+    """`from_json` of each non-blank line, up to a torn final line of an
+    appended store. ValueError (bad UTF-8 or JSON), KeyError or TypeError
+    from decoding a line or from `from_json` becomes `error`, naming the
+    file and line."""
+    items = []
+    for number, line in enumerate(lines, start=1):
+        if appended and not line.endswith(b"\n"):
+            break  # a torn final line
+        try:
+            text = line.decode("utf-8")
+            if text.strip():
+                items.append(from_json(json.loads(text)))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise error(f"{path}: line {number} is not a valid record: {exc!r}") from exc
+    return items
 
 
 def read(path: str | Path, from_json: Callable[[Any], T], *, appended: bool = False,
          error: type[StoreCorrupt] = StoreCorrupt) -> list[T]:
     """`from_json` of each non-blank line, read one line at a time; a missing
-    appended store is empty.
-
-    ValueError (bad UTF-8 or JSON), KeyError or TypeError from decoding a
-    line or from `from_json` becomes `error`, naming the file and line.
-    """
+    appended store is empty."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         if appended:
             return []
         raise
-    items = []
     with fh:
-        for number, line in enumerate(fh, start=1):
-            if appended and not line.endswith(b"\n"):
-                break  # a torn final line
+        return _records(path, fh, from_json, appended, error)
+
+
+class Appended:
+    """An appended store held open from `read` to `close`.
+
+    `read` opens the file without making it and reads it whole in one read;
+    each `append` writes through the same descriptor, the first one making
+    the file (and its directory) if it was missing and cutting a torn final
+    line away. Not for two threads at once.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._fd: int | None = None
+        self._keep: int | None = None  # the length a torn file is cut to by the next append
+        self._tail_known = False
+
+    def read(self, from_json: Callable[[Any], T], error: type[StoreCorrupt] = StoreCorrupt) -> list[T]:
+        """`from_json` of each whole non-blank line; a missing file is empty."""
+        self._tail_known = True
+        try:
+            self._fd = os.open(self.path, _APPENDING)
+        except FileNotFoundError:
+            return []
+        size = os.fstat(self._fd).st_size
+        data = b""
+        while len(data) < size:
+            chunk = os.read(self._fd, size - len(data))
+            if not chunk:
+                break
+            data += chunk
+        if data and not data.endswith(b"\n"):
+            self._keep = data.rfind(b"\n") + 1
+        return _records(self.path, io.BytesIO(data), from_json, True, error)
+
+    def append(self, *objs: Any) -> None:
+        """Appends a line per object (none: only cuts a torn line). When this
+        returns they have reached the kernel, in one `write(2)` repeated only
+        for the rest of a short one; they are not fsynced."""
+        data = "".join(map(_line, objs)).encode("utf-8")
+        fd = self._fd
+        if fd is None:
             try:
-                text = line.decode("utf-8")
-                if text.strip():
-                    items.append(from_json(json.loads(text)))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise error(f"{path}: line {number} is not a valid record: {exc!r}") from exc
-    return items
-
-
-def append(path: str | Path, *objs: Any) -> None:
-    """Appends a line per object (none: only cuts a torn line), making the
-    file and its directory if need be. When this returns they have reached
-    the kernel, in one `write(2)` repeated only for the rest of a short one;
-    they are not fsynced."""
-    data = "".join(map(_line, objs)).encode("utf-8")
-    try:
-        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-    except FileNotFoundError:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-    try:
-        end = os.lseek(fd, 0, os.SEEK_END)
-        if end and os.pread(fd, 1, end - 1) != b"\n":
-            os.ftruncate(fd, os.pread(fd, end, 0).rfind(b"\n") + 1)
+                fd = os.open(self.path, _APPENDING | os.O_CREAT, 0o666)
+            except FileNotFoundError:
+                Path(self.path).parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, _APPENDING | os.O_CREAT, 0o666)
+            self._fd = fd
+        if not self._tail_known:
+            end = os.lseek(fd, 0, os.SEEK_END)
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                self._keep = os.pread(fd, end, 0).rfind(b"\n") + 1
+            self._tail_known = True
+        if self._keep is not None:
+            os.ftruncate(fd, self._keep)
+            self._keep = None
         written = os.write(fd, data)
         while written < len(data):
             written += os.write(fd, data[written:])
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+
+def append(path: str | Path, *objs: Any) -> None:
+    """`Appended.append` through a descriptor opened for it alone."""
+    file = Appended(path)
+    try:
+        file.append(*objs)
     finally:
-        os.close(fd)
+        file.close()
 
 
 @contextlib.contextmanager

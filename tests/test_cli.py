@@ -83,6 +83,7 @@ def _error_line(result) -> dict:
     ({"backend": "scripted", "worker_count": 0}, "worker_count"),
     ({"backend": "scripted", "rpm_limit": 0}, "rpm_limit"),
     ({"backend": "scripted", "retry_budget": -1}, "retry_budget"),
+    ({"backend": "scripted", "context_budget": 0}, "context_budget"),
     ({"backend": "live"}, "endpoint_url"),
     ({"backend": "scripted", "workers": 2}, "'workers'"),
     ('{"backend": "scripted",', "config file is not valid JSON"),
@@ -90,8 +91,8 @@ def _error_line(result) -> dict:
 ], ids=["str rpm_limit", "int corpus_dir", "float batch_cap", "str context_budget",
         "live without models 1", "bool batch_cap", "float worker_count", "int model name",
         "models key not a stage", "list api filter", "unknown backend", "zero worker_count",
-        "zero rpm_limit", "negative retry_budget", "live without endpoint_url", "unknown key",
-        "file not json", "file a list"])
+        "zero rpm_limit", "negative retry_budget", "zero context_budget",
+        "live without endpoint_url", "unknown key", "file not json", "file a list"])
 def test_config_value_of_wrong_type_exit_2_naming_the_key(runner, tmp_path, overrides, key):
     """`overrides` is a dict of config fields, or a config file's whole text."""
     if isinstance(overrides, dict):
@@ -234,12 +235,18 @@ def _finished_run(runner, tmp_path):
     return config, five_stages
 
 
-@pytest.mark.parametrize("kept", ["first byte", "half", "all but the newline"])
-def test_resume_drops_torn_final_checkpoint_line(runner, tmp_path, kept):
+@pytest.mark.parametrize("torn, kept", [
+    pytest.param(torn, kept, id=kept if torn == 5 else f"stage {torn} {kept}")
+    for torn in (5, 2) for kept in ("first byte", "half", "all but the newline")
+])
+def test_resume_drops_torn_final_checkpoint_line(runner, tmp_path, torn, kept):
+    """A kill mid-append of stage `torn`'s line of a five-stage file, after
+    which resume cuts the torn bytes once and appends the later stages."""
     config, path = _finished_run(runner, tmp_path)
     whole = path.read_bytes()
-    start = whole.rstrip(b"\n").rfind(b"\n") + 1
-    length = len(whole) - start
+    lines = whole.splitlines(keepends=True)
+    start = sum(map(len, lines[: torn - 1]))
+    length = len(lines[torn - 1])
     cut = {"first byte": 1, "half": length // 2, "all but the newline": length - 1}[kept]
     path.write_bytes(whole[: start + cut])  # a kill mid-append
 
@@ -248,7 +255,7 @@ def test_resume_drops_torn_final_checkpoint_line(runner, tmp_path, kept):
         assert result.exit_code == 0, (args, result.output)
     for name, produced_path in _outputs(load_config(config)).items():
         assert produced_path.read_bytes() == (FIXTURES_DIR / "golden" / name).read_bytes(), name
-    # the torn bytes were cut away and the stage re-appended once
+    # the torn bytes were cut away and each lost stage appended once
     assert path.read_bytes() == whole
 
 

@@ -19,6 +19,7 @@ from sdgpb.errors import (
     IllegalRefinement,
     OverContext,
     PairSetMismatch,
+    ReplayMiss,
     SchemaError,
     TemplateVersionMismatch,
     UnknownCategory,
@@ -46,6 +47,7 @@ from sdgpb.testing import ScriptedBackend
 from conftest import FIXTURES_DIR, make_replay_runner
 from test_acceptance import InterruptingStore, output_files
 from test_gateway import SimClock
+from test_waves import LiveReplay, live_runner
 
 BODY = (
     "Agricultural expansion for food security measurably increased pressure on "
@@ -964,6 +966,65 @@ def test_run_leaves_no_descriptor_open(replay_run_dir, fixture_docs, catalog, te
     else:
         assert not interrupt
     assert _open_descriptors() <= before
+
+
+def _checkpoint_descriptors(run_dir):
+    """The targets of this process's descriptors that lie in run_dir/checkpoints/."""
+    prefix = os.path.join(os.path.realpath(run_dir / "checkpoints"), "")
+    targets = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(os.path.join("/proc/self/fd", fd))
+        except OSError:  # the descriptor listdir itself used is gone
+            continue
+        if target.startswith(prefix):
+            targets.append(target)
+    return targets
+
+
+class MissAtStage3:
+    """The recorded cache, with every stage-3 request missing from it. The
+    missing send checks that its document's checkpoint file, made by the
+    stage-1 write, is the one held open meanwhile."""
+
+    live = False
+    backend_id = "replay"
+
+    def __init__(self, run_dir):
+        self.inner = ReplayBackend(run_dir)
+        self.run_dir = run_dir
+        self.missed = None
+
+    def send(self, req):
+        if req.stage != 3:
+            return self.inner.send(req)
+        path = self.run_dir / "checkpoints" / f"{req.doc_id}.jsonl"
+        assert _checkpoint_descriptors(self.run_dir) == [os.path.realpath(path)]
+        self.missed = req.doc_id
+        raise ReplayMiss(f"{req.doc_id}: no recorded stage-3 reply")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list descriptors")
+@pytest.mark.parametrize("case", ["offline run", "live run at 2 workers", "call raises ReplayMiss"])
+def test_no_checkpoint_descriptor_outlives_its_document(replay_run_dir, fixture_docs, catalog,
+                                                        templates, case):
+    if case == "offline run":
+        runner = make_replay_runner(replay_run_dir, catalog, templates)
+        assert len(runner.run(fixture_docs)) == len(fixture_docs)
+    elif case == "live run at 2 workers":
+        runner = live_runner(replay_run_dir, LiveReplay(replay_run_dir, 0.0), catalog, templates)
+        assert len(runner.run(fixture_docs, workers=2)) == len(fixture_docs)
+    else:
+        backend = MissAtStage3(replay_run_dir)
+        runner = PipelineRunner(gateway=Gateway(backend), checkpoints=CheckpointStore(replay_run_dir),
+                                catalog=catalog, templates=templates)
+        with pytest.raises(ReplayMiss):
+            runner.run(fixture_docs)
+        # stages 1 and 2 were appended through the descriptor that was then closed
+        lines = (replay_run_dir / "checkpoints" / f"{backend.missed}.jsonl").read_text("utf-8")
+        assert [json.loads(line)["stage"] for line in lines.splitlines()] == [1, 2]
+    assert _checkpoint_descriptors(replay_run_dir) == []
+    assert runner.checkpoints._open == {}
 
 
 def test_template_version_mismatch(tmp_path, catalog, templates):
