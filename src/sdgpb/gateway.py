@@ -297,17 +297,21 @@ def _cache_entry(obj: dict) -> tuple[str, str]:
 
 
 class RecordingBackend:
-    """Wraps another backend and persists every (key, response) pair."""
+    """Wraps another backend and persists every (key, response) pair. Building
+    one reads the cache and cuts a torn final line away; the first recorded
+    reply makes the file, and no descriptor outlives a `send`."""
 
     def __init__(self, inner: Backend, run_dir: str | Path):
         self.inner = inner
         self.live = inner.live
         self.backend_id = inner.backend_id
-        self._path = Path(run_dir) / CACHE_SUBDIR / CACHE_FILE
+        self._cache = store.Appended(Path(run_dir) / CACHE_SUBDIR / CACHE_FILE)
         self._lock = threading.Lock()
-        entries = store.read(self._path, _cache_entry, appended=True, error=CacheCorrupt)
-        self._seen: set[str] = {key for key, _ in entries}
-        store.append(self._path)  # cut a torn final line away now
+        try:
+            self._seen: set[str] = set(self._cache.read(lambda obj: _cache_entry(obj)[0], CacheCorrupt))
+            self._cache.append()  # cut a torn final line away now
+        finally:
+            self._cache.close()
 
     def send(self, req: PromptRequest) -> str:
         text = self.inner.send(req)
@@ -322,7 +326,10 @@ class RecordingBackend:
         with self._lock:
             if key not in self._seen:
                 self._seen.add(key)
-                store.append(self._path, entry)
+                try:
+                    self._cache.append(entry)
+                finally:
+                    self._cache.close()
         return text
 
 

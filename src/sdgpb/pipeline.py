@@ -146,7 +146,7 @@ class PromptTemplates:
         return self._texts[name]
 
 
-@dataclass(frozen=True)
+@dataclass
 class PairClassification:
     sdg: int
     pb: int
@@ -589,11 +589,12 @@ class CheckpointStore:
     past the last one. `load` checks each line alone and then the file
     whole, so a stage written twice is refused when its file is next loaded.
 
-    The store holds one descriptor for each document being processed, from
-    `load` to `close`: `load` opens the file (without making it) and reads
-    it in one read, and each `write` appends through that descriptor. A
-    `write` with no `load` before it opens the file for that line alone.
-    Threads may share the store, each with its own documents.
+    A document's file is loaded before it is written: the store holds one
+    descriptor for each document being processed, from `load` to `close`.
+    `load` opens the file (without making it) and reads it in one read, and
+    each `write` appends through that descriptor, the first one making the
+    file of a new document. Threads may share the store, each with its own
+    documents.
 
     Each file is an appended store (`store`), so the crash contract is the
     one every appended store keeps: `load` leaves out a final line torn by
@@ -625,14 +626,11 @@ class CheckpointStore:
             raise
 
     def write(self, doc_id: str, stage: int, payload: dict, template_version: str) -> None:
-        """Appends the stage's line; when this returns it has reached the kernel."""
-        line = {"doc_id": doc_id, "stage": stage, "payload": payload,
-                "template_version": template_version}
-        file = self._open.get(doc_id)
-        if file is None:
-            store.append(self.path(doc_id), line)
-        else:
-            file.append(line)
+        """Appends the stage's line through the descriptor `load` opened (a
+        document never loaded raises KeyError); when this returns it has
+        reached the kernel."""
+        self._open[doc_id].append({"doc_id": doc_id, "stage": stage, "payload": payload,
+                                   "template_version": template_version})
 
     def close(self, doc_id: str) -> None:
         """Closes the file `load` opened, if it is open."""

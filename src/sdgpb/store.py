@@ -2,10 +2,10 @@
 
 An appended store (a document's checkpoints, the recorded cache) grows a
 line at a time, so a kill mid-append can leave a final line with no
-newline: reading leaves it out and the next append cuts it away first.
-`append` opens the file for one append; an `Appended` holds it open from
-its `read` to its `close`, for a run of appends. Any other file (manifest,
-documents, results, matrix.json, reports) is written whole by `replacing`.
+newline. An appended store is read before it is appended to: `Appended.read`
+leaves a torn final line out, and the first `append` through the same
+descriptor cuts it away. Any other file (manifest, documents, results,
+matrix.json, reports) is written whole by `replacing`.
 `read` takes a store one line at a time, so a load holds no more than one
 line beyond the records it returns. A line that holds no valid record
 raises a `StoreCorrupt` subclass naming the file and line.
@@ -68,23 +68,23 @@ def read(path: str | Path, from_json: Callable[[Any], T], *, appended: bool = Fa
 
 
 class Appended:
-    """An appended store held open from `read` to `close`.
+    """An appended store, read before it is appended to.
 
-    `read` opens the file without making it and reads it whole in one read;
-    each `append` writes through the same descriptor, the first one making
-    the file (and its directory) if it was missing and cutting a torn final
-    line away. Not for two threads at once.
+    `read` opens the file without making it and reads it whole in one read,
+    leaving a torn final line out; each `append` writes through the same
+    descriptor, the first one cutting that line away and the first one with
+    a line to write making the file (and its directory) if it was missing.
+    An `append` after `close` opens the file again. Not for two threads at
+    once.
     """
 
     def __init__(self, path: str | Path):
         self.path = path
         self._fd: int | None = None
         self._keep: int | None = None  # the length a torn file is cut to by the next append
-        self._tail_known = False
 
     def read(self, from_json: Callable[[Any], T], error: type[StoreCorrupt] = StoreCorrupt) -> list[T]:
         """`from_json` of each whole non-blank line; a missing file is empty."""
-        self._tail_known = True
         try:
             self._fd = os.open(self.path, _APPENDING)
         except FileNotFoundError:
@@ -101,9 +101,15 @@ class Appended:
         return _records(self.path, io.BytesIO(data), from_json, True, error)
 
     def append(self, *objs: Any) -> None:
-        """Appends a line per object (none: only cuts a torn line). When this
-        returns they have reached the kernel, in one `write(2)` repeated only
-        for the rest of a short one; they are not fsynced."""
+        """Cuts away a torn line `read` left out, then appends a line per
+        object; with none and nothing to cut, does nothing. When this returns
+        the lines have reached the kernel, in one `write(2)` repeated only for
+        the rest of a short one; they are not fsynced."""
+        if self._keep is not None:
+            os.ftruncate(self._fd, self._keep)
+            self._keep = None
+        if not objs:
+            return
         data = "".join(map(_line, objs)).encode("utf-8")
         fd = self._fd
         if fd is None:
@@ -113,14 +119,6 @@ class Appended:
                 Path(self.path).parent.mkdir(parents=True, exist_ok=True)
                 fd = os.open(self.path, _APPENDING | os.O_CREAT, 0o666)
             self._fd = fd
-        if not self._tail_known:
-            end = os.lseek(fd, 0, os.SEEK_END)
-            if end and os.pread(fd, 1, end - 1) != b"\n":
-                self._keep = os.pread(fd, end, 0).rfind(b"\n") + 1
-            self._tail_known = True
-        if self._keep is not None:
-            os.ftruncate(fd, self._keep)
-            self._keep = None
         written = os.write(fd, data)
         while written < len(data):
             written += os.write(fd, data[written:])
@@ -129,15 +127,6 @@ class Appended:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-
-
-def append(path: str | Path, *objs: Any) -> None:
-    """`Appended.append` through a descriptor opened for it alone."""
-    file = Appended(path)
-    try:
-        file.append(*objs)
-    finally:
-        file.close()
 
 
 @contextlib.contextmanager

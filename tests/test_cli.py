@@ -708,6 +708,47 @@ def test_ingest_writes_document_store(runner, tmp_path):
     assert len(store.read_text().splitlines()) >= 30
 
 
+def test_ingest_corpus_dir_option_without_config(runner, tmp_path, monkeypatch):
+    """With no --config every field takes its default (run_dir "run", under
+    the working directory) and --corpus-dir overrides corpus_dir."""
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["ingest", "--corpus-dir", str(FIXTURES_DIR / "corpus")])
+    assert result.exit_code == 0, result.output
+    (tmp_path / "config").mkdir()
+    config = write_config(tmp_path / "config")
+    assert runner.invoke(main, ["--config", str(config), "ingest"]).exit_code == 0
+    produced = (tmp_path / "run" / "documents.jsonl").read_bytes()
+    assert produced == (tmp_path / "config" / "run" / "documents.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("make_dir", [False, True], ids=["missing", "empty"])
+def test_ingest_on_missing_or_empty_corpus_dir_exit_3(runner, tmp_path, make_dir):
+    corpus_dir = tmp_path / "corpus"
+    if make_dir:
+        corpus_dir.mkdir()
+    config = write_config(tmp_path, corpus_dir=str(corpus_dir))
+    result = runner.invoke(main, ["--config", str(config), "ingest"])
+    assert result.exit_code == 3, result.output
+    line = _error_line(result)
+    assert line["error"] == "MissingInput" and str(corpus_dir) in line["message"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_options_override_the_config(runner, tmp_path):
+    (tmp_path / "options").mkdir()
+    (tmp_path / "config").mkdir()
+    options = write_config(tmp_path / "options")
+    result = runner.invoke(main, ["--config", str(options), "run", "--backend", "scripted",
+                                  "--batch-cap", "3", "--workers", "2"])
+    assert result.exit_code == 0, result.output
+    config = write_config(tmp_path / "config", backend="scripted", batch_cap=3, worker_count=2)
+    assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
+    produced = [path.parent / "run" / "results" / "results.jsonl" for path in (options, config)]
+    assert produced[0].read_bytes() == produced[1].read_bytes()
+    # the goldens are the scripted replies at the default batch_cap of 20
+    assert produced[0].read_bytes() != (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
+
+
 @pytest.mark.parametrize("content, error", [
     (b"<TEI xmlns", "MalformedXml"),
     (b"<article><body/></article>", "NotTei"),
@@ -772,6 +813,20 @@ def test_record_after_torn_cache_line_restores_cache(runner, tmp_path, kept):
     assert path.read_bytes() == whole
     results = (tmp_path / "run" / "results" / "results.jsonl").read_bytes()
     assert results == (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
+
+
+def test_record_stopped_by_its_preflight_leaves_no_cache(runner, tmp_path):
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text("{not json", "utf-8")
+    config = write_config(tmp_path, backend="record", catalog_path=str(catalog))
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "run" / "llm_cache").exists()
+    # so a replay in the same run dir finds no recorded cache, not an empty one
+    result = runner.invoke(main, ["--config", str(write_config(tmp_path)), "run"])
+    assert result.exit_code == 3, result.output
+    line = _error_line(result)
+    assert line["error"] == "MissingInput" and "requires a recorded cache" in line["message"]
 
 
 def test_run_on_corrupt_cache_line_exit_3(runner, tmp_path):

@@ -335,6 +335,37 @@ def test_live_backend_rejects_reply_without_string_text(monkeypatch, payload):
         backend.send(req())
 
 
+@pytest.mark.parametrize("key", [None, ""], ids=["unset", "empty"])
+def test_live_backend_without_api_key_sends_nothing(monkeypatch, key):
+    if key is None:
+        monkeypatch.delenv("SDGPB_TEST_KEY", raising=False)
+    else:
+        monkeypatch.setenv("SDGPB_TEST_KEY", key)
+    posts = []
+    session = SimpleNamespace(post=lambda *args, **kwargs: posts.append(args))
+    backend = LiveBackend("https://llm.invalid/v1/complete", "model-x",
+                          api_key_env="SDGPB_TEST_KEY", session=session)
+    with pytest.raises(BackendError, match="SDGPB_TEST_KEY not set"):
+        backend.send(req())
+    assert posts == []
+
+
+class _HtmlReply:
+    status_code = 200
+    text = "<html>busy</html>"
+
+    def json(self):
+        return json.loads(self.text)
+
+
+def test_live_backend_rejects_a_200_reply_that_is_not_json(monkeypatch):
+    monkeypatch.setenv("SDGPB_API_KEY", "k")
+    session = SimpleNamespace(post=lambda *args, **kwargs: _HtmlReply())
+    backend = LiveBackend("https://llm.invalid/v1/complete", "model-x", session=session)
+    with pytest.raises(BackendError, match="non-JSON response from https://llm.invalid/v1/complete"):
+        backend.send(req())
+
+
 def test_live_backend_without_session_builds_requests_session():
     import requests
 
@@ -496,6 +527,16 @@ def test_recording_after_torn_line_appends_whole_lines(tmp_path):
     assert b"\n".join(lines[:-1]) + b"\n" == b"".join(whole.splitlines(keepends=True)[:-1])
     assert json.loads(lines[-1])["doc_id"] == "new-doc"
     assert ReplayBackend(tmp_path).send(req(doc_id="new-doc")) == json.dumps({"echo": "new-doc"})
+
+
+def test_recorder_makes_its_cache_on_its_first_reply(tmp_path):
+    run_dir = tmp_path / "run"
+    recorder = RecordingBackend(ScriptedOnce(), run_dir)
+    assert not run_dir.exists()
+    Gateway(recorder).complete(req())
+    lines = (run_dir / CACHE_SUBDIR / CACHE_FILE).read_bytes().splitlines()
+    assert [json.loads(line)["key"] for line in lines] == [record_key(req()).hex()]
+    assert recorder._cache._fd is None  # closed before send returned
 
 
 @pytest.mark.parametrize("bad", [

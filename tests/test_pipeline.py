@@ -842,6 +842,25 @@ def test_persistent_schema_error_fails_stage(tmp_path, catalog, templates):
     assert backend.calls_by_stage[1] == 2  # original, repair
 
 
+def test_non_neutral_verdict_without_justification_sends_one_repair(tmp_path, catalog, templates):
+    replies = happy_replies("Irrigation programs improved water access")
+    stage3 = replies[3]
+    sent = []
+
+    def unjustified(req):
+        sent.append(req.user_text)
+        reply = json.loads(stage3(req))
+        reply["verdicts"][0]["justification"] = ""
+        return json.dumps(reply)
+
+    replies[3] = unjustified
+    runner = make_runner(StageBackend(replies), tmp_path, catalog, templates)
+    res = runner.process_document(make_doc())
+    assert res.status == "failed" and res.failed_stage == 3
+    assert res.reason == "SchemaError: missing justification for non-neutral pair (2, 2)"
+    assert [text.endswith(pipeline._REPAIR_SUFFIX) for text in sent] == [False, True]
+
+
 def test_persistent_schema_error_live_sends_full_retry(tmp_path, catalog, templates):
     backend = LiveStageBackend({}, bad_first=10**6)
     runner = make_runner(backend, tmp_path, catalog, templates)
@@ -905,6 +924,7 @@ def test_pair_stage_over_context_skips_document(tmp_path, catalog, templates, te
 
 def test_checkpoint_monotonicity(tmp_path):
     store = CheckpointStore(tmp_path)
+    store.load("d")  # a document is loaded before it is written
     store.write("d", 1, {"sdgs": [1]}, "v1")
     store.write("d", 2, {"pbs": [2]}, "v1")
     payloads, version = store.load("d")
@@ -918,6 +938,12 @@ def test_checkpoint_monotonicity(tmp_path):
             reader.load("d")
 
 
+def test_checkpoint_write_of_a_document_never_loaded_raises(tmp_path):
+    with pytest.raises(KeyError):
+        CheckpointStore(tmp_path).write("d", 1, {"sdgs": [1]}, "v1")
+    assert not (tmp_path / "checkpoints").exists()
+
+
 def _checkpoint_line(doc_id, stage, payload, version):
     entry = {"doc_id": doc_id, "stage": stage, "payload": payload, "template_version": version}
     return (json.dumps(entry, sort_keys=True) + "\n").encode("utf-8")
@@ -925,12 +951,14 @@ def _checkpoint_line(doc_id, stage, payload, version):
 
 def test_checkpoint_line_is_whole_when_write_returns(tmp_path):
     store = CheckpointStore(tmp_path)
+    store.load("d")
     expected = b""
     for stage, payload in ((1, {"sdgs": [1]}), (3, {"verdicts": []}), (2, {"pbs": [9]})):
         store.write("d", stage, payload, "v1")
         expected += _checkpoint_line("d", stage, payload, "v1")
         with open(tmp_path / "checkpoints" / "d.jsonl", "rb") as fh:
             assert fh.read() == expected
+    store.close("d")
 
 
 def test_megabyte_checkpoint_payload_round_trips(tmp_path):
@@ -939,9 +967,11 @@ def test_megabyte_checkpoint_payload_round_trips(tmp_path):
         "evidence_quote": "caf\u00e9 \u2014 \U0001f30d\n",
     }]}
     store = CheckpointStore(tmp_path)
+    store.load("d")
     store.write("d", 1, {"sdgs": [1]}, "v1")
     store.write("d", 2, {"pbs": [1]}, "v1")
     store.write("d", 3, payload, "v1")
+    store.close("d")
     assert CheckpointStore(tmp_path).load("d") == (
         {1: {"sdgs": [1]}, 2: {"pbs": [1]}, 3: payload}, "v1"
     )
@@ -1029,7 +1059,9 @@ def test_no_checkpoint_descriptor_outlives_its_document(replay_run_dir, fixture_
 
 def test_template_version_mismatch(tmp_path, catalog, templates):
     store = CheckpointStore(tmp_path)
+    store.load("doc-x")
     store.write("doc-x", 1, {"sdgs": [1]}, "stale-version")
+    store.close("doc-x")
     runner = make_runner(StageBackend(happy_replies("q")), tmp_path, catalog, templates)
     with pytest.raises(TemplateVersionMismatch):
         runner.process_document(make_doc())

@@ -22,7 +22,10 @@ class Echo:
 
 
 def _append_checkpoint(run_dir, n):
-    CheckpointStore(run_dir).write("d", n, {STAGES[n].payload_key: [n]}, "v1")
+    checkpoints = CheckpointStore(run_dir)
+    checkpoints.load("d")
+    checkpoints.write("d", n, {STAGES[n].payload_key: [n]}, "v1")
+    checkpoints.close("d")
     return run_dir / "checkpoints" / "d.jsonl"
 
 
