@@ -8,16 +8,20 @@ batch pairs (default cap 20 per request).
 
 A document's calls follow their dependencies in three waves: stages 1 and
 2 together, then every stage-3 batch, then every stage-4 and stage-5 batch.
-Offline backends (replay, scripted) answer in microseconds, so an offline
-`run` takes its documents in order on the calling thread and starts no
-thread. A live `run` takes `workers` documents at once and overlaps the
-calls of each wave. `process_document` called alone runs waves inline.
-Only the calls (build the request, send it, parse the reply) leave the
-document's thread. The rest runs on it after each wave, in (stage, batch)
-order: replies are adopted into stage payloads (stage 3's evidence-quote
-check among them), checkpoints are written, and the first failing call
-decides a failed document. So neither results nor logs depend on
-completion order. Resume runs only the missing stages.
+`_pairs` names the pairs each of stages 3-5 answers, both for the batches
+sent and for the check of a stored record. Offline backends (replay,
+scripted) answer in microseconds, so an offline `run` takes its documents in
+order on the calling thread and starts no thread. A live `run` takes
+`workers` documents at once and overlaps the calls of each wave.
+`process_document` called alone runs waves inline. Only the calls (build
+the request, send it, parse the reply) leave the document's thread. The rest
+runs on it, in (stage, batch) order: it takes each call's reply (offline, by
+running the call then), adopts a stage's replies into its payload (stage 3's
+evidence-quote check among them) and writes the stage's checkpoint. The
+first call that raises decides a failed document: offline, no later call is
+sent; live, calls already in flight finish on the run's executor and their
+replies are dropped. So neither results nor logs depend on completion order.
+Resume runs only the missing stages.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from . import store
 from .corpus import CleanDocument, estimate_tokens, normalize_ws
 from .errors import (
     CheckpointCorrupt,
+    ConfigError,
     IdOutOfRange,
     IllegalRefinement,
     OverContext,
@@ -72,12 +77,14 @@ DEFAULT_CONTEXT_BUDGET = 1_000_000
 @dataclass(frozen=True)
 class StageSpec:
     """What one stage asks for: its reply's list (also the key of its
-    checkpoint payload), its template and its output budget; for a pair
-    stage also the entry field that holds each pair's answer, and that
-    answer's vocabulary; and the stages whose payloads it is built from."""
+    checkpoint payload), its template, the fields it fills in that template
+    besides `body_text`, and its output budget; for a pair stage also the
+    entry field that holds each pair's answer, and that answer's vocabulary;
+    and the stages whose payloads it is built from."""
 
     payload_key: str
     template: str
+    fields: tuple[str, ...]
     output_budget: int
     answer: str | None = None
     vocabulary: type[Enum] | None = None
@@ -87,11 +94,14 @@ class StageSpec:
 # generous output budgets; pair stages reason at length per pair. The
 # template version hashes the templates in this order.
 STAGES = {
-    1: StageSpec("sdgs", "sdg_allocation.txt", 4096),
-    2: StageSpec("pbs", "pb_allocation.txt", 4096),
-    3: StageSpec("verdicts", "relationship.txt", 65536, "category", Category, (1, 2)),
-    4: StageSpec("directions", "causality.txt", 16384, "direction", Direction, (3,)),
-    5: StageSpec("refinements", "reasoner.txt", 65536, "label", RefinedLabel, (3,)),
+    1: StageSpec("sdgs", "sdg_allocation.txt", ("definitions",), 4096),
+    2: StageSpec("pbs", "pb_allocation.txt", ("definitions",), 4096),
+    3: StageSpec("verdicts", "relationship.txt", ("pairs_json", "sdg_definitions", "pb_definitions"),
+                 65536, "category", Category, (1, 2)),
+    4: StageSpec("directions", "causality.txt", ("pairs_json", "pair_block"),
+                 16384, "direction", Direction, (3,)),
+    5: StageSpec("refinements", "reasoner.txt", ("pairs_json", "pair_block"),
+                 65536, "label", RefinedLabel, (3,)),
 }
 
 # every accepted spelling of a pair answer, lower-cased: each vocabulary value
@@ -128,14 +138,28 @@ _REPAIR_SUFFIX = (
 
 
 class PromptTemplates:
-    """Versioned stage templates; the version hash keys replay and resume."""
+    """Versioned stage templates; the version hash keys replay and resume.
+
+    Raises ConfigError, naming the file, when a template is not UTF-8 or does
+    not format with its stage's fields: an unmatched brace, or a field its
+    stage does not fill (a positional one among them). A template need not
+    use every field."""
 
     def __init__(self, template_dir: str | Path | None = None):
         source = resources.files("sdgpb.templates") if template_dir is None else Path(template_dir)
         self._texts: dict[str, str] = {}
         h = hashlib.sha256()
-        for spec in STAGES.values():
-            text = source.joinpath(spec.template).read_text("utf-8")
+        for stage, spec in STAGES.items():
+            path = source.joinpath(spec.template)
+            try:
+                text = path.read_text("utf-8")
+                text.format(body_text="", **dict.fromkeys(spec.fields, ""))
+            except KeyError as exc:
+                raise ConfigError(f"template {path} names field {exc}, "
+                                  f"which stage {stage} does not fill") from exc
+            except (ValueError, IndexError, AttributeError) as exc:  # not UTF-8 among them
+                raise ConfigError(f"template {path} is not a UTF-8 format string "
+                                  f"for stage {stage}: {exc}") from exc
             self._texts[spec.template] = text
             h.update(spec.template.encode())
             h.update(b"\x00")
@@ -498,11 +522,19 @@ def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) 
     return [list(pairs[i : i + cap]) for i in range(0, len(pairs), cap)]
 
 
-def _categories(verdicts: list[dict]) -> tuple[dict[tuple[int, int], Category], list]:
-    """Each stage-3 pair's category, and the non-neutral pairs, which stages
-    4 and 5 answer, in verdict order."""
-    categories = {(v["sdg"], v["pb"]): _CATEGORIES[v["category"]] for v in verdicts}
-    return categories, [pair for pair, cat in categories.items() if cat is not Category.NEUTRAL]
+def _pairs(stage: int, payloads: dict[int, dict]) -> list[tuple[int, int]]:
+    """The pairs a pair stage answers, in the order it batches them. Record
+    keys hash each PAIRS line as sent, so recorded replies rely on this
+    order: stage 3 answers the sorted pairs of stages 1 and 2, and stages 4
+    and 5 stage 3's non-neutral pairs in verdict order."""
+    if stage == 3:
+        return pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
+    return [(v["sdg"], v["pb"]) for v in payloads[3]["verdicts"] if v["category"] != _NEUTRAL]
+
+
+def _categories(verdicts: list[dict]) -> dict[tuple[int, int], Category]:
+    """Each stage-3 pair's category, which stage 5's labels must fit."""
+    return {(v["sdg"], v["pb"]): _CATEGORIES[v["category"]] for v in verdicts}
 
 
 # --------------------------------------------------------------------------
@@ -549,10 +581,9 @@ def _checkpoint_entry(doc_id: str, obj: dict) -> tuple[int, dict, str]:
 def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, dict], str | None]:
     """(payloads by stage, template version) of a document's checked stages,
     from its checkpoint file or its results line, if they carry one template
-    version, no stage appears twice or without the stages it needs, stage 3
-    answers exactly the pairs of stages 1 and 2, and stages 4 and 5 exactly
-    stage 3's non-neutral pairs, each label legal for its pair's category;
-    raises ValueError otherwise."""
+    version, no stage appears twice or without the stages it needs, each of
+    stages 3-5 answers exactly its `_pairs`, and each label is legal for its
+    pair's category; raises ValueError otherwise."""
     versions = {version for _, _, version in entries}
     if len(versions) > 1:
         raise ValueError(f"lines carry template versions {sorted(versions)}")
@@ -563,19 +594,13 @@ def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, di
         missing = [need for need in STAGES[stage].needs if need not in payloads]
         if missing:
             raise ValueError(f"stage {stage} appears without stages {missing}")
-    if 3 in payloads:
-        verdicts = payloads[3]["verdicts"]
-        candidates = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
-        if sorted((v["sdg"], v["pb"]) for v in verdicts) != candidates:
-            raise ValueError(f"stage 3's {len(verdicts)} verdicts do not answer exactly "
-                             f"the {len(candidates)} pairs of stages 1 and 2")
-        categories, active = _categories(verdicts)
-        for stage in sorted(payloads.keys() & {4, 5}):
-            key = STAGES[stage].payload_key
-            if sorted((e["sdg"], e["pb"]) for e in payloads[stage][key]) != sorted(active):
-                raise ValueError(f"stage {stage} {key} do not answer exactly "
-                                 f"stage 3's non-neutral pairs {sorted(active)}")
-        for e in payloads.get(5, {}).get("refinements", ()):
+    for stage in sorted(payloads.keys() & {3, 4, 5}):  # stage 3 first: 4 and 5 answer its pairs
+        key, expected = STAGES[stage].payload_key, sorted(_pairs(stage, payloads))
+        if sorted((e["sdg"], e["pb"]) for e in payloads[stage][key]) != expected:
+            raise ValueError(f"stage {stage} {key} do not answer exactly its pairs {expected}")
+    if 5 in payloads:
+        categories = _categories(payloads[3]["verdicts"])
+        for e in payloads[5]["refinements"]:
             bucket(categories[e["sdg"], e["pb"]], _LABELS[e["label"]])
     return payloads, versions.pop() if versions else None
 
@@ -688,13 +713,6 @@ _WAVES = tuple(
 )
 
 
-def _attempt(call: Callable[[], Iterable]) -> tuple[Iterable | None, Exception | None]:
-    try:
-        return call(), None
-    except Exception as exc:  # the document's thread acts on it in (stage, batch) order
-        return None, exc
-
-
 class PipelineRunner:
     """Drives documents through the five stages with checkpoint/resume."""
 
@@ -750,40 +768,36 @@ class PipelineRunner:
         if stage in (1, 2):
             axis = "SDG" if stage == 1 else "PB"
             return [partial(self._call, build_allocation_prompt, parse_allocation, doc, axis)], sorted
-        # Record keys hash each PAIRS line as sent, so recorded replies rely on
-        # this order: stage 3 batches the sorted candidates, and stages 4 and 5
-        # batch the non-neutral pairs in stage-3 verdict order.
+        batches = chunk_pairs(_pairs(stage, payloads), self.batch_cap)
         if stage == 3:
-            pairs = pair_candidates(payloads[1]["sdgs"], payloads[2]["pbs"])
             call = partial(self._call, build_relationship_prompt, parse_relationship, doc)
-            calls = [partial(call, batch) for batch in chunk_pairs(pairs, self.batch_cap)]
-            return calls, partial(_verdicts, doc)
-        categories, active = _categories(payloads[3]["verdicts"])
-        batches = chunk_pairs(active, self.batch_cap)
+            return [partial(call, batch) for batch in batches], partial(_verdicts, doc)
         if stage == 4:
             call = partial(self._call, build_causality_prompt, parse_causality, doc)
             return [partial(call, batch) for batch in batches], list
         call = partial(self._call, build_reasoner_prompt, parse_reasoner, doc)
+        categories = _categories(payloads[3]["verdicts"])
         return [partial(call, batch, categories) for batch in batches], list
 
     # -- wave dispatch ----------------------------------------------------
 
-    def _run_wave(
-        self, calls: list[Callable[[], Iterable]]
-    ) -> list[tuple[Iterable | None, Exception | None]]:
-        """Runs one wave; returns each call's (parsed reply, error) in call order.
+    def _run_wave(self, calls: list[Callable[[], Iterable]]) -> list[Callable[[], Iterable]]:
+        """Starts one wave; returns, in call order, one callable per call that
+        returns the call's parsed reply or raises its error.
 
-        In a live `run`, calls overlap: all but the first go to the run's
-        executor, and the first runs on this thread. Otherwise they run here,
-        in order: offline backends answer in microseconds, less than a thread
-        handoff costs, and a `process_document` call outside `run` has no
-        executor to outlive it.
+        In a live `run`, calls overlap: all but the first are submitted to the
+        run's executor now, and the first runs on this thread when its
+        callable is called. Otherwise the calls themselves come back, each to
+        run here when called: offline backends answer in microseconds, less
+        than a thread handoff costs, and a `process_document` call outside
+        `run` has no executor to outlive it. A document stops calling these at
+        its first failing call: offline, no later call is sent; live, the
+        submitted ones finish on the executor, and their outcomes are dropped.
         """
         executor = self._calls
-        if len(calls) < 2 or executor is None:
-            return [_attempt(call) for call in calls]
-        futures = [executor.submit(_attempt, call) for call in calls[1:]]
-        return [_attempt(calls[0])] + [f.result() for f in futures]
+        if executor is None:
+            return calls
+        return calls[:1] + [executor.submit(call).result for call in calls[1:]]
 
     # -- document driver --------------------------------------------------
 
@@ -812,14 +826,13 @@ class PipelineRunner:
                 if stage not in payloads
             ]
             outcomes = iter(self._run_wave([call for _, calls, _ in stages for call in calls]))
-            # only the calls left this thread: adopt and checkpoint here, in
-            # (stage, batch) order, up to the first failure
+            # only the calls leave this thread: adopt and checkpoint here, in
+            # (stage, batch) order; the first call that raises decides
             for stage, calls, adopt in stages:
-                parsed = []
-                for part, error in islice(outcomes, len(calls)):
-                    if error is not None:
-                        return self._stopped(doc, stage, error, payloads)
-                    parsed.extend(part)
+                try:
+                    parsed = [entry for outcome in islice(outcomes, len(calls)) for entry in outcome()]
+                except Exception as error:
+                    return self._stopped(doc, stage, error, payloads)
                 payloads[stage] = {STAGES[stage].payload_key: adopt(parsed)}
                 self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
 

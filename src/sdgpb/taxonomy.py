@@ -101,18 +101,17 @@ class Catalog:
 def load_catalog(path: str | Path | None = None) -> Catalog:
     """Load the shipped catalog, or an override file for prompt experiments.
 
-    Raises ConfigError, naming the file, when it is not JSON, lacks a field,
-    holds a field of the wrong type, or does not number its goals exactly
-    1..17 and 1..9.
+    Raises ConfigError, naming the file, when it is not UTF-8 JSON, lacks a
+    field, holds a field of the wrong type, or does not number its goals
+    exactly 1..17 and 1..9.
     """
     if path is None:
-        path = "the shipped catalog"
-        raw = resources.files("sdgpb.data").joinpath("catalog.json").read_text("utf-8")
+        path, source = "the shipped catalog", resources.files("sdgpb.data").joinpath("catalog.json")
     else:
-        raw = Path(path).read_text("utf-8")
+        source = Path(path)
     try:
-        data = json.loads(raw)
-    except ValueError as exc:
+        data = json.loads(source.read_text("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError among them
         raise ConfigError(f"catalog {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("version", ""), str):
         raise ConfigError(f"catalog {path} must hold a JSON object whose version, if any, is a string")

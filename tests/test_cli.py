@@ -157,6 +157,38 @@ def test_run_on_missing_catalog_exit_3(runner, tmp_path):
     assert _error_line(result)["error"] == "FileNotFoundError"
 
 
+def _templates_with_relationship(tmp_path, change):
+    """A template dir of the shipped templates, relationship.txt's bytes changed."""
+    template_dir = tmp_path / "templates"
+    shutil.copytree(Path(sdgpb.__file__).parent / "templates", template_dir)
+    path = template_dir / "relationship.txt"
+    path.write_bytes(change(path.read_bytes()))
+    return {"template_dir": str(template_dir)}, path
+
+
+def _catalog_not_utf8(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(b"\xff" + _catalog().encode())
+    return {"catalog_path": str(path)}, path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp_path: _templates_with_relationship(tmp_path, lambda text: text + b" {stray}"),
+    lambda tmp_path: _templates_with_relationship(tmp_path, lambda text: text + b" {}"),
+    lambda tmp_path: _templates_with_relationship(tmp_path, lambda text: text + b" {"),
+    lambda tmp_path: _templates_with_relationship(tmp_path, lambda text: b"\xff" + text),
+    _catalog_not_utf8,
+], ids=["stray field", "positional field", "lone brace", "template not utf-8", "catalog not utf-8"])
+def test_run_on_bad_template_or_catalog_exit_2_before_any_checkpoint(runner, tmp_path, make):
+    overrides, path = make(tmp_path)
+    config = write_config(tmp_path, backend="scripted", **overrides)
+    result = runner.invoke(main, ["--config", str(config), "run"])
+    assert result.exit_code == 2, result.output
+    error = _error_line(result)
+    assert error["error"] == "ConfigError" and str(path) in error["message"]
+    assert not (tmp_path / "run" / "checkpoints").exists()
+
+
 # the CLI's exit code for every class in sdgpb.errors, and for a missing file
 EXIT_CODES = {
     "ConfigError": 2,

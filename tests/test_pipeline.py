@@ -891,6 +891,28 @@ def test_stage3_failure_reported(tmp_path, catalog, templates):
     assert res.reason.startswith("PairSetMismatch: response covers pairs [], expected [")
 
 
+def test_first_failing_call_decides_its_document(tmp_path, catalog, templates):
+    # at cap 1 the first of the six stage-3 batches, pair (2,2), is answered
+    # with invalid JSON however often it is sent
+    def first_batch_not_json(stage3):
+        return lambda req: "NOT JSON" if "\nPAIRS: [[2,2]]\n" in req.user_text else stage3(req)
+
+    outputs = []
+    for kind, workers in ((StageBackend, 1), (LiveStageBackend, 2)):
+        replies = happy_replies("Irrigation programs improved water access")
+        replies[3] = first_batch_not_json(replies[3])
+        backend, run_dir = kind(replies), tmp_path / kind.__name__
+        [res] = make_runner(backend, run_dir, catalog, templates, batch_cap=1).run([make_doc()], workers)
+        assert (res.status, res.failed_stage, res.reason) == (
+            "failed", 3, "SchemaError: response is not valid JSON: Expecting value: line 1 column 1 (char 0)"
+        )
+        if not backend.live:
+            # no call after the first failing one is sent: only the batch and its repair
+            assert backend.calls_by_stage[3] == 2
+        outputs.append((res.to_json(), (run_dir / "checkpoints" / "doc-x.jsonl").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_over_context_skips_document(tmp_path, catalog, templates):
     runner = make_runner(StageBackend(happy_replies("q")), tmp_path, catalog, templates,
                          context_budget=50)
@@ -1163,6 +1185,7 @@ def test_every_pairs_line_sent_is_sorted(tmp_path, fixture_docs, catalog, templa
     log = _PromptLog()
     make_runner(log, tmp_path, catalog, templates, batch_cap=cap).run(fixture_docs)
     seen = Counter()
+    sent = {}  # (doc_id, stage) -> the pairs of its PAIRS lines, joined in send order
     for req in log.requests:
         lines = [line for line in req.user_text.splitlines() if line.startswith("PAIRS: ")]
         assert len(lines) == (req.stage >= 3)
@@ -1175,7 +1198,15 @@ def test_every_pairs_line_sent_is_sorted(tmp_path, fixture_docs, catalog, templa
             assert pairs == sorted(pairs) and len(set(map(tuple, pairs))) == len(pairs)
             assert len(pairs) <= cap
             seen[req.stage] += 1
+            sent.setdefault((req.doc_id, req.stage), []).extend(pairs)
     assert all(seen[stage] for stage in (3, 4, 5))
+    # stages 3-5 each send exactly the pairs they store, in stored order
+    for doc in fixture_docs:
+        lines = (tmp_path / "checkpoints" / f"{doc.doc_id}.jsonl").read_text("utf-8").splitlines()
+        payloads = {obj["stage"]: obj["payload"] for obj in map(json.loads, lines)}
+        for stage in (3, 4, 5):
+            stored = [[e["sdg"], e["pb"]] for e in payloads[stage][pipeline.STAGES[stage].payload_key]]
+            assert sent.get((doc.doc_id, stage), []) == stored, (doc.doc_id, stage)
 
 
 def _corpus_with_article_pairs_line(tmp_path):
