@@ -28,18 +28,18 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import logging
 import os
 import re
+import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import store
 from .corpus import CleanDocument, estimate_tokens, normalize_ws
@@ -124,6 +124,18 @@ _VALUES = {None: None} | {m: v for members in _MEMBERS.values() for v, m in memb
 _CATEGORIES, _DIRECTIONS, _LABELS = _MEMBERS[Category], _MEMBERS[Direction], _MEMBERS[RefinedLabel]
 
 _NEUTRAL = _VALUES[Category.NEUTRAL]
+
+# each pair stage's answers read from a reply, to their value: each spelling of
+# its vocabulary (so any answer, once stripped and lower-cased) and each value
+# as written
+_ANSWERS = {
+    stage: {text: _VALUES[m] for text, m in _SPELLINGS.items() if type(m) is spec.vocabulary}
+    | {value: value for value in _MEMBERS[spec.vocabulary]}
+    for stage, spec in STAGES.items() if spec.vocabulary
+}
+
+# the values of the refinement labels legal for each category
+_LEGAL = {category: frozenset(map(_VALUES.get, refined_labels_for(category))) for category in Category}
 
 _SYSTEM_TEXT = (
     "You classify interactions between Sustainable Development Goals and "
@@ -250,17 +262,16 @@ class DocumentResult:
 
 def _complete(doc_id: str, payloads: dict[int, dict], version: str) -> DocumentResult:
     """The complete result of a document from its five stage payloads, which agree."""
-    directions, labels = (
-        {(e["sdg"], e["pb"]): e[STAGES[s].answer] for e in payloads[s][STAGES[s].payload_key]}
-        for s in (4, 5)
-    )
+    directions = {(e["sdg"], e["pb"]): e["direction"] for e in payloads[4]["directions"]}
+    labels = {(e["sdg"], e["pb"]): e["label"] for e in payloads[5]["refinements"]}
     pairs = []
     for v in payloads[3]["verdicts"]:
         pair = (v["sdg"], v["pb"])
+        label, direction = labels.get(pair), directions.get(pair)
         pairs.append(PairClassification(
             *pair, _CATEGORIES[v["category"]],
-            _LABELS[labels[pair]] if pair in labels else None,
-            _DIRECTIONS[directions[pair]] if pair in directions else None,
+            None if label is None else _LABELS[label],
+            None if direction is None else _DIRECTIONS[direction],
             v["justification"], v["evidence_quote"],
         ))
     return DocumentResult(doc_id, frozenset(payloads[1]["sdgs"]), frozenset(payloads[2]["pbs"]),
@@ -286,13 +297,41 @@ def _definition_block(catalog: Catalog, axis: str, ids: tuple[int, ...] | None =
     return "\n".join(lines)
 
 
-def _pair_lines(catalog: Catalog, batch: Sequence[tuple[int, int]]) -> list[str]:
-    lines = []
-    for s, p in batch:
-        sd = catalog.sdg_descriptor(s)
-        pd = catalog.pb_descriptor(p)
-        lines.append(f"- SDG {s} ({sd.short_name}) and PB {p} ({pd.short_name})")
-    return lines
+@functools.lru_cache(maxsize=8)
+def _pair_table(catalog: Catalog) -> dict[tuple[int, int], tuple[str, str]]:
+    """Each (SDG, PB) pair's item of a PAIRS line, as `json.dumps` writes it
+    with separators (",", ":"), and its line of a pair block."""
+    sdgs = {s: catalog.sdg_descriptor(s).short_name for s in catalog.sdg_ids}
+    pbs = {p: catalog.pb_descriptor(p).short_name for p in catalog.pb_ids}
+    return {(s, p): (f"[{s},{p}]", f"- SDG {s} ({sdg}) and PB {p} ({pb})")
+            for s, sdg in sdgs.items() for p, pb in pbs.items()}
+
+
+def _pair_rows(catalog: Catalog, batch: Sequence[tuple[int, int]]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The batch's items of a PAIRS line and lines of a pair block, in batch
+    order. The first pair with an id that is not an int in the catalog raises
+    its descriptor's error."""
+    table = _pair_table(catalog)
+    rows = [table.get((s, p)) if type(s) is int is type(p) else None for s, p in batch]
+    if None in rows:
+        for s, p in batch:
+            catalog.sdg_descriptor(s), catalog.pb_descriptor(p)
+    return tuple(zip(*rows)) or ((), ())
+
+
+@functools.lru_cache(maxsize=16)
+def _pieces(template: str) -> tuple[tuple[str, str | None, str | None], ...]:
+    """A template as `str.format` reads it: (literal text, field name, field
+    markup) pieces, the name None after the last field. A field that is only
+    a name has no markup; any other (a conversion, a format spec, an attribute
+    or an index) is formatted alone from its own markup."""
+    pieces = []
+    for literal, name, spec, conversion in string.Formatter().parse(template):
+        markup = None
+        if name is not None and (conversion or spec or not name.isidentifier()):
+            markup = f"{{{name}{'!' + conversion if conversion else ''}{':' + spec if spec else ''}}}"
+        pieces.append((literal, name, markup))
+    return tuple(pieces)
 
 
 def _render(
@@ -300,17 +339,25 @@ def _render(
     doc: CleanDocument,
     templates: PromptTemplates,
     context_budget: int,
-    batch: Sequence[tuple[int, int]] | None = None,
+    items: Sequence[str] | None = None,
     **fields: str,
 ) -> PromptRequest:
-    """The stage's template filled with the body, the batch's PAIRS list
-    (pair stages) and the stage's own fields, within the context budget."""
+    """The stage's template filled with the body, the PAIRS line of a pair
+    stage's batch (`items`, one per pair) and the stage's own fields, within
+    the context budget. Filled piece by piece, it reads as `str.format` would
+    fill it, without parsing the template again."""
     spec = STAGES[stage]
-    if batch is not None:
-        if not batch:
+    if items is not None:
+        if not items:
             raise ValueError("batch must be non-empty")
-        fields["pairs_json"] = json.dumps([list(p) for p in batch], separators=(",", ":"))
-    rendered = templates.text(spec.template).format(body_text=doc.body_text, **fields)
+        fields["pairs_json"] = f"[{','.join(items)}]"
+    fields["body_text"] = doc.body_text
+    parts = []
+    for literal, name, markup in _pieces(templates.text(spec.template)):
+        parts.append(literal)
+        if name is not None:
+            parts.append(fields[name] if markup is None else markup.format_map(fields))
+    rendered = "".join(parts)
     tokens = estimate_tokens(rendered)
     if tokens > context_budget:
         raise OverContext(
@@ -355,11 +402,11 @@ def build_relationship_prompt(
 ) -> PromptRequest:
     sdg_ids = tuple(sorted({s for s, _ in batch}))
     pb_ids = tuple(sorted({p for _, p in batch}))
-    return _render(
-        3, doc, templates, context_budget, batch,
-        sdg_definitions=_definition_block(catalog, "SDG", sdg_ids),
-        pb_definitions=_definition_block(catalog, "PB", pb_ids),
-    )
+    sdg_definitions = _definition_block(catalog, "SDG", sdg_ids)
+    pb_definitions = _definition_block(catalog, "PB", pb_ids)
+    items, _ = _pair_rows(catalog, batch)
+    return _render(3, doc, templates, context_budget, items,
+                   sdg_definitions=sdg_definitions, pb_definitions=pb_definitions)
 
 
 def build_causality_prompt(
@@ -369,10 +416,8 @@ def build_causality_prompt(
     templates: PromptTemplates,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> PromptRequest:
-    return _render(
-        4, doc, templates, context_budget, batch,
-        pair_block="\n".join(_pair_lines(catalog, batch)),
-    )
+    items, lines = _pair_rows(catalog, batch)
+    return _render(4, doc, templates, context_budget, items, pair_block="\n".join(lines))
 
 
 def build_reasoner_prompt(
@@ -383,13 +428,14 @@ def build_reasoner_prompt(
     templates: PromptTemplates,
     context_budget: int = DEFAULT_CONTEXT_BUDGET,
 ) -> PromptRequest:
-    lines = []
-    for (s, p), line in zip(batch, _pair_lines(catalog, batch)):
+    items, lines = _pair_rows(catalog, batch)
+    block = []
+    for (s, p), line in zip(batch, lines):
         cat = categories[(s, p)]
         if cat is Category.NEUTRAL:
             raise ValueError(f"pair ({s},{p}) is neutral; reasoner takes only synergies/trade-offs")
-        lines.append(f"{line}: currently classified as {cat.value}")
-    return _render(5, doc, templates, context_budget, batch, pair_block="\n".join(lines))
+        block.append(f"{line}: currently classified as {_VALUES[cat]}")
+    return _render(5, doc, templates, context_budget, items, pair_block="\n".join(block))
 
 
 # --------------------------------------------------------------------------
@@ -405,7 +451,7 @@ def _parse_json_object(text: str) -> dict:
     if "```" in cleaned:
         cleaned = _FENCE.sub("", cleaned).strip()
     try:
-        obj = json.loads(cleaned)
+        obj = store.loads(cleaned)
     except ValueError as exc:
         raise SchemaError(f"response is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -415,12 +461,25 @@ def _parse_json_object(text: str) -> dict:
     return obj
 
 
-def _read_reply(text: str, stage: int, batch: Sequence[tuple[int, int]] | None = None) -> list:
+def _read_reply(
+    text: str,
+    stage: int,
+    batch: Sequence[tuple[int, int]] | None = None,
+    categories: dict[tuple[int, int], Category] | None = None,
+) -> list:
     """The list a stage's reply holds under its payload key. Given the batch
-    it answers, (pair, entry) for each pair of the batch, in batch order:
-    duplicates are dropped, conflicting ones poison the batch, and the
-    entries must cover exactly the batch's pairs."""
-    key = STAGES[stage].payload_key
+    it answers, the stage's checkpoint entry for each pair of the batch, in
+    batch order: its ids and its answer's value, and stage 3's justification
+    and evidence quote.
+
+    Every entry must name its pair by integer ids; duplicates are dropped,
+    conflicting ones poison the batch, and the entries must cover exactly the
+    batch's pairs. Then, pair by pair: the answer must spell a value of the
+    stage's vocabulary, whatever its case and surrounding whitespace; a
+    non-neutral verdict needs a justification; and a label must be legal for
+    its pair's category in `categories`."""
+    spec = STAGES[stage]
+    key = spec.payload_key
     entries = _parse_json_object(text).get(key)
     if not isinstance(entries, list):
         raise SchemaError(f"expected key {key!r} holding a list")
@@ -442,23 +501,29 @@ def _read_reply(text: str, stage: int, batch: Sequence[tuple[int, int]] | None =
         raise PairSetMismatch(
             f"response covers pairs {sorted(by_pair)}, expected {sorted(set(batch))}"
         )
-    return [(pair, by_pair[pair]) for pair in batch]
-
-
-def _answers(
-    text: str, stage: int, batch: Sequence[tuple[int, int]]
-) -> Iterator[tuple[dict, Enum, dict]]:
-    """For each pair of the batch, in batch order: its checkpoint entry (its
-    ids and its answer's canonical value), the answer, and the reply's entry.
-    Answers match their vocabulary's spellings whatever their case and
-    surrounding whitespace."""
-    field, vocabulary = STAGES[stage].answer, STAGES[stage].vocabulary
-    for (s, p), entry in _read_reply(text, stage, batch):
+    field, answers = spec.answer, _ANSWERS[stage]
+    out = []
+    for s, p in batch:
+        entry = by_pair[s, p]
         raw = entry.get(field)
-        answer = _SPELLINGS.get(str(raw).strip().lower())
-        if type(answer) is not vocabulary:
-            raise _UNKNOWN_ANSWER[vocabulary](f"unknown {field} {raw!r} for pair {(s, p)}")
-        yield {"sdg": s, "pb": p, field: _VALUES[answer]}, answer, entry
+        value = answers.get(raw) if type(raw) is str else None
+        if value is None:
+            value = answers.get(str(raw).strip().lower())
+            if value is None:
+                raise _UNKNOWN_ANSWER[spec.vocabulary](f"unknown {field} {raw!r} for pair {(s, p)}")
+        if stage == 3:
+            justification = str(entry.get("justification", "") or "")
+            if value != _NEUTRAL and not justification:
+                raise SchemaError(f"missing justification for non-neutral pair {(s, p)}")
+            out.append({"sdg": s, "pb": p, field: value, "justification": justification,
+                        "evidence_quote": str(entry.get("evidence_quote", "") or "")})
+            continue
+        if stage == 5 and value not in _LEGAL[categories[s, p]]:
+            raise IllegalRefinement(
+                f"label {value!r} illegal for {_VALUES[categories[s, p]]} pair {(s, p)}"
+            )
+        out.append({"sdg": s, "pb": p, field: value})
+    return out
 
 
 def parse_allocation(text: str, axis: str) -> frozenset[int]:
@@ -474,20 +539,11 @@ def parse_allocation(text: str, axis: str) -> frozenset[int]:
 
 
 def parse_relationship(text: str, batch: Sequence[tuple[int, int]]) -> list[dict]:
-    out = []
-    for verdict, category, entry in _answers(text, 3, batch):
-        verdict["justification"] = str(entry.get("justification", "") or "")
-        verdict["evidence_quote"] = str(entry.get("evidence_quote", "") or "")
-        if category is not Category.NEUTRAL and not verdict["justification"]:
-            raise SchemaError(
-                f"missing justification for non-neutral pair {(verdict['sdg'], verdict['pb'])}"
-            )
-        out.append(verdict)
-    return out
+    return _read_reply(text, 3, batch)
 
 
 def parse_causality(text: str, batch: Sequence[tuple[int, int]]) -> list[dict]:
-    return [direction for direction, _, _ in _answers(text, 4, batch)]
+    return _read_reply(text, 4, batch)
 
 
 def parse_reasoner(
@@ -495,15 +551,7 @@ def parse_reasoner(
     batch: Sequence[tuple[int, int]],
     categories: dict[tuple[int, int], Category],
 ) -> list[dict]:
-    out = []
-    for refinement, label, _ in _answers(text, 5, batch):
-        pair = (refinement["sdg"], refinement["pb"])
-        if label not in refined_labels_for(categories[pair]):
-            raise IllegalRefinement(
-                f"label {label.value!r} illegal for {categories[pair].value} pair {pair}"
-            )
-        out.append(refinement)
-    return out
+    return _read_reply(text, 5, batch, categories)
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +560,7 @@ def parse_reasoner(
 
 def pair_candidates(sdgs: Iterable[int], pbs: Iterable[int]) -> list[tuple[int, int]]:
     """Full Cartesian product, sorted ascending by (sdg, pb)."""
-    return sorted((s, p) for s in set(sdgs) for p in set(pbs))
+    return list(product(sorted(set(sdgs)), sorted(set(pbs))))
 
 
 def chunk_pairs(pairs: Sequence[tuple[int, int]], cap: int = DEFAULT_BATCH_CAP) -> list[list[tuple[int, int]]]:
@@ -544,26 +592,33 @@ def _categories(verdicts: list[dict]) -> dict[tuple[int, int], Category]:
 def _payload(stage: int, payload: dict) -> dict:
     """`payload` if it holds its stage's list: distinct ids in range, and
     pairs in range with an answer in the stage's vocabulary, stage 3's with
-    a text justification and evidence quote."""
+    a text justification and evidence quote. Each entry is checked in that
+    order, and the first that fails raises."""
     spec = STAGES[stage]
     entries = payload[spec.payload_key]
     if not isinstance(entries, list):
         raise TypeError(f"stage {stage} payload {spec.payload_key!r} is not a list")
-    members = _MEMBERS.get(spec.vocabulary)
+    if spec.vocabulary is None:
+        count = SDG_COUNT if stage == 1 else PB_COUNT
+        for entry in entries:
+            if type(entry) is not int or not 1 <= entry <= count:
+                id_in_range(entry, count, spec.payload_key)
+        if len(set(entries)) < len(entries):
+            raise ValueError(f"stage {stage} {spec.payload_key} {entries} repeat an id")
+        return payload
+    field, values = spec.answer, _MEMBERS[spec.vocabulary]
     for entry in entries:
-        if members is None:
-            id_in_range(entry, SDG_COUNT if stage == 1 else PB_COUNT, spec.payload_key)
-        else:
-            id_in_range(entry["sdg"], SDG_COUNT, "sdg")
-            id_in_range(entry["pb"], PB_COUNT, "pb")
-            if entry[spec.answer] not in members:
-                raise ValueError(f"{entry[spec.answer]!r} is not a valid {spec.vocabulary.__qualname__}")
-            if stage == 3 and not (isinstance(entry["justification"], str)
-                                   and isinstance(entry["evidence_quote"], str)):
-                raise TypeError(f"pair {(entry['sdg'], entry['pb'])}'s justification "
-                                "or evidence_quote is not a string")
-    if spec.vocabulary is None and len(set(entries)) < len(entries):
-        raise ValueError(f"stage {stage} {spec.payload_key} {entries} repeat an id")
+        s = entry["sdg"]
+        if type(s) is not int or not 1 <= s <= SDG_COUNT:
+            id_in_range(s, SDG_COUNT, "sdg")
+        p = entry["pb"]
+        if type(p) is not int or not 1 <= p <= PB_COUNT:
+            id_in_range(p, PB_COUNT, "pb")
+        if entry[field] not in values:
+            raise ValueError(f"{entry[field]!r} is not a valid {spec.vocabulary.__qualname__}")
+        if stage == 3 and not (isinstance(entry["justification"], str)
+                               and isinstance(entry["evidence_quote"], str)):
+            raise TypeError(f"pair {(s, p)}'s justification or evidence_quote is not a string")
     return payload
 
 
@@ -584,10 +639,12 @@ def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, di
     version, no stage appears twice or without the stages it needs, each of
     stages 3-5 answers exactly its `_pairs`, and each label is legal for its
     pair's category; raises ValueError otherwise."""
-    versions = {version for _, _, version in entries}
+    payloads, versions = {}, set()
+    for stage, payload, version in entries:
+        payloads[stage] = payload
+        versions.add(version)
     if len(versions) > 1:
         raise ValueError(f"lines carry template versions {sorted(versions)}")
-    payloads = {stage: payload for stage, payload, _ in entries}
     if len(payloads) < len(entries):
         raise ValueError(f"a stage appears twice in stages {[stage for stage, _, _ in entries]}")
     for stage in payloads:
@@ -595,13 +652,17 @@ def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, di
         if missing:
             raise ValueError(f"stage {stage} appears without stages {missing}")
     for stage in sorted(payloads.keys() & {3, 4, 5}):  # stage 3 first: 4 and 5 answer its pairs
-        key, expected = STAGES[stage].payload_key, sorted(_pairs(stage, payloads))
-        if sorted((e["sdg"], e["pb"]) for e in payloads[stage][key]) != expected:
-            raise ValueError(f"stage {stage} {key} do not answer exactly its pairs {expected}")
+        key, expected = STAGES[stage].payload_key, _pairs(stage, payloads)
+        answered = [(e["sdg"], e["pb"]) for e in payloads[stage][key]]
+        # a stage's entries keep the order it batched its pairs in, unless edited
+        if answered != expected and sorted(answered) != sorted(expected):
+            raise ValueError(f"stage {stage} {key} do not answer exactly its pairs {sorted(expected)}")
     if 5 in payloads:
         categories = _categories(payloads[3]["verdicts"])
         for e in payloads[5]["refinements"]:
-            bucket(categories[e["sdg"], e["pb"]], _LABELS[e["label"]])
+            category = categories[e["sdg"], e["pb"]]
+            if e["label"] not in _LEGAL[category]:
+                bucket(category, _LABELS[e["label"]])  # raises IllegalRefinement
     return payloads, versions.pop() if versions else None
 
 
@@ -820,21 +881,26 @@ class PipelineRunner:
             )
 
         for wave in _WAVES:
-            stages = [
-                (stage, *self._stage_calls(doc, stage, payloads))
-                for stage in wave
-                if stage not in payloads
-            ]
-            outcomes = iter(self._run_wave([call for _, calls, _ in stages for call in calls]))
+            stages, calls = [], []
+            for stage in wave:
+                if stage not in payloads:
+                    stage_calls, adopt = self._stage_calls(doc, stage, payloads)
+                    stages.append((stage, len(stage_calls), adopt))
+                    calls += stage_calls
+            if not stages:
+                continue
+            outcomes = iter(self._run_wave(calls))
             # only the calls leave this thread: adopt and checkpoint here, in
             # (stage, batch) order; the first call that raises decides
-            for stage, calls, adopt in stages:
+            for stage, count, adopt in stages:
+                parsed = []
                 try:
-                    parsed = [entry for outcome in islice(outcomes, len(calls)) for entry in outcome()]
+                    for outcome in islice(outcomes, count):
+                        parsed += outcome()
                 except Exception as error:
                     return self._stopped(doc, stage, error, payloads)
-                payloads[stage] = {STAGES[stage].payload_key: adopt(parsed)}
-                self.checkpoints.write(doc.doc_id, stage, payloads[stage], version)
+                payload = payloads[stage] = {STAGES[stage].payload_key: adopt(parsed)}
+                self.checkpoints.write(doc.doc_id, stage, payload, version)
 
         # `load` checked the stages it read, the parsers those run here
         return _complete(doc.doc_id, payloads, version)

@@ -24,14 +24,31 @@ from .errors import StoreCorrupt
 
 T = TypeVar("T")
 
-# one encoder for every stored line: json.dumps with a keyword builds a new one per call
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# one encoder for every stored line: json.dumps with a keyword builds a new one
+# per call. A stored object is never circular, so no encode checks for a cycle.
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+_DECODER = json.JSONDecoder()
 
 _APPENDING = os.O_RDWR | os.O_APPEND
 
 
 def _line(obj: Any) -> str:
     return _ENCODER.encode(obj) + "\n"
+
+
+def loads(text: str) -> Any:
+    """`json.loads(text)`. A text that is one JSON value and then nothing but
+    JSON whitespace, as every stored line and most replies are, is decoded in
+    one scan, without `json.loads`' two whitespace matches; any other text
+    goes to `json.loads`, which decodes it or raises its own error."""
+    try:
+        obj, end = _DECODER.raw_decode(text)
+    except ValueError:  # leading whitespace or a byte order mark among them
+        return json.loads(text)
+    if end == len(text) or not text[end:].strip(" \t\n\r"):
+        return obj
+    return json.loads(text)
 
 
 def _records(path: str | Path, lines: Iterable[bytes], from_json: Callable[[Any], T],
@@ -47,7 +64,7 @@ def _records(path: str | Path, lines: Iterable[bytes], from_json: Callable[[Any]
         try:
             text = line.decode("utf-8")
             if text.strip():
-                items.append(from_json(json.loads(text)))
+                items.append(from_json(loads(text)))
         except (ValueError, KeyError, TypeError) as exc:
             raise error(f"{path}: line {number} is not a valid record: {exc!r}") from exc
     return items

@@ -19,13 +19,21 @@ SDG_COUNT = 17
 PB_COUNT = 9
 
 
-class Category(Enum):
+class _Vocabulary(Enum):
+    """A closed vocabulary. Members compare by identity (`Enum.__eq__` is
+    `object.__eq__`), so they hash by identity too, in C: `Enum.__hash__` is
+    a Python function, called on every lookup keyed by a member."""
+
+    __hash__ = object.__hash__
+
+
+class Category(_Vocabulary):
     SYNERGY = "synergy"
     TRADEOFF = "trade-off"
     NEUTRAL = "neutral"
 
 
-class RefinedLabel(Enum):
+class RefinedLabel(_Vocabulary):
     GENERALITY = "Generality"
     MISLED_BY_POSITIVITY = "Misled by Positivity"
     ACTUAL_SYNERGY = "Actual Synergy"
@@ -34,7 +42,7 @@ class RefinedLabel(Enum):
     DOUBLE_NEGATIVE = "Double Negative (Co-Degradation)"
 
 
-class ReportBucket(Enum):
+class ReportBucket(_Vocabulary):
     TS = "TS"
     TT = "TT"
     DP = "DP"
@@ -44,7 +52,7 @@ class ReportBucket(Enum):
     NEUTRAL = "Neutral"
 
 
-class Direction(Enum):
+class Direction(_Vocabulary):
     SDG_TO_PB = "sdg_to_pb"
     PB_TO_SDG = "pb_to_sdg"
 

@@ -1,10 +1,12 @@
 import itertools
+import types
 
 import pytest
 
 from sdgpb.errors import IllegalRefinement, OutOfRange
 from sdgpb.taxonomy import (
     Category,
+    Direction,
     RefinedLabel,
     ReportBucket,
     bucket,
@@ -107,3 +109,15 @@ def test_bucket_rejects_refined_neutral_and_missing_refinement():
         bucket(Category.SYNERGY, None)
     with pytest.raises(IllegalRefinement):
         bucket(Category.TRADEOFF, None)
+
+
+@pytest.mark.parametrize("vocabulary", [Category, RefinedLabel, ReportBucket, Direction])
+def test_vocabularies_hash_in_c(vocabulary):
+    """A member keys the tables every stage, result and matrix cell is read
+    through, so its hash must not be a Python function (as `Enum.__hash__`
+    is); members compare by identity, so they hash by identity."""
+    assert not isinstance(vocabulary.__hash__, types.FunctionType)
+    assert vocabulary.__eq__ is object.__eq__
+    for member in vocabulary:
+        assert hash(member) == object.__hash__(member)
+        assert {member: 1}[vocabulary(member.value)] == 1
