@@ -4,9 +4,9 @@ One gateway wraps any backend with exponential-backoff retry and, for a
 live backend, a token-bucket rate limiter: offline backends skip only the
 limiter. The same retry rule, `retry`, and the same HTTP exchange rule,
 `http_json`, serve the works-API client.
-Backends: a live HTTPS completion endpoint, a recording wrapper that
-persists (key, response) pairs as JSONL, and a replay backend that serves
-only recorded keys with zero network activity.
+Backends: a live HTTPS completion endpoint, and a replay backend that serves
+a run dir's recorded (key, response) JSONL cache with zero network activity
+and, given an answerer, records the answerer's reply to each miss.
 """
 
 from __future__ import annotations
@@ -296,59 +296,53 @@ def _cache_entry(obj: dict) -> tuple[str, str]:
     return key, text
 
 
-class RecordingBackend:
-    """Wraps another backend and persists every (key, response) pair. Building
-    one reads the cache and cuts a torn final line away; the first recorded
-    reply makes the file, and no descriptor outlives a `send`."""
+class ReplayBackend:
+    """Serves the recorded replies in a run dir's cache; never touches the
+    network itself. A miss goes to `answerer`, whose reply is appended and
+    served from then on; with no answerer a miss raises ReplayMiss.
+    Without an answerer the cache is only read, a line at a time. With one,
+    building reads it whole and cuts a torn final line away, the first
+    recorded reply makes the file, and no descriptor outlives a `send`."""
 
-    def __init__(self, inner: Backend, run_dir: str | Path):
-        self.inner = inner
-        self.live = inner.live
-        self.backend_id = inner.backend_id
-        self._cache = store.Appended(Path(run_dir) / CACHE_SUBDIR / CACHE_FILE)
+    def __init__(self, run_dir: str | Path, answerer: Backend | None = None):
+        path = Path(run_dir) / CACHE_SUBDIR / CACHE_FILE
+        self.answerer = answerer
+        self.live = answerer is not None and answerer.live
+        self.backend_id = "replay" if answerer is None else answerer.backend_id
+        if answerer is None:
+            self._cache = dict(store.read(path, _cache_entry, appended=True, error=CacheCorrupt))
+            return
+        self._store = store.Appended(path)
         self._lock = threading.Lock()
         try:
-            self._seen: set[str] = set(self._cache.read(lambda obj: _cache_entry(obj)[0], CacheCorrupt))
-            self._cache.append()  # cut a torn final line away now
+            self._cache = dict(self._store.read(_cache_entry, CacheCorrupt))
+            self._store.append()  # cut a torn final line away now
         finally:
-            self._cache.close()
-
-    def send(self, req: PromptRequest) -> str:
-        text = self.inner.send(req)
-        key = record_key(req).hex()
-        entry = {
-            "key": key,
-            "stage": req.stage,
-            "doc_id": req.doc_id,
-            "backend_id": self.backend_id,
-            "text": text,
-        }
-        with self._lock:
-            if key not in self._seen:
-                self._seen.add(key)
-                try:
-                    self._cache.append(entry)
-                finally:
-                    self._cache.close()
-        return text
-
-
-class ReplayBackend:
-    """Serves only previously recorded responses; never touches the network."""
-
-    live = False
-    backend_id = "replay"
-
-    def __init__(self, run_dir: str | Path):
-        self._path = Path(run_dir) / CACHE_SUBDIR / CACHE_FILE
-        self._cache = dict(store.read(self._path, _cache_entry, appended=True, error=CacheCorrupt))
+            self._store.close()
 
     def send(self, req: PromptRequest) -> str:
         key = record_key(req).hex()
-        if key not in self._cache:
+        if key in self._cache:  # an empty reply too: the gateway refuses it
+            return self._cache[key]
+        if self.answerer is None:
             raise ReplayMiss(
                 f"no recorded response for stage {req.stage}, doc {req.doc_id!r} "
                 f"(key {key[:12]}...); fixture drift or edited prompt template"
             )
+        text = self.answerer.send(req)
+        with self._lock:
+            if key not in self._cache:  # another thread may have answered it meanwhile
+                try:
+                    self._store.append({"key": key, "stage": req.stage, "doc_id": req.doc_id,
+                                        "backend_id": self.backend_id, "text": text})
+                finally:
+                    self._store.close()
+                self._cache[key] = text
         return self._cache[key]
 
+
+class RecordingBackend(ReplayBackend):
+    """`ReplayBackend(run_dir, inner)`: a record run sends only what its cache lacks."""
+
+    def __init__(self, inner: Backend, run_dir: str | Path):
+        super().__init__(run_dir, inner)

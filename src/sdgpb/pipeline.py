@@ -624,13 +624,17 @@ def _payload(stage: int, payload: dict) -> dict:
 
 def _checkpoint_entry(doc_id: str, obj: dict) -> tuple[int, dict, str]:
     """(stage, payload, template version) of a line of `doc_id`'s checkpoint
-    file that names `doc_id` and whose payload holds its stage's list."""
+    file that names `doc_id`, whose payload holds its stage's list and whose
+    template version is a string."""
     if obj["doc_id"] != doc_id:
         raise ValueError(f"line names document {obj['doc_id']!r}")
     stage = obj["stage"]
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    return stage, _payload(stage, obj["payload"]), obj["template_version"]
+    payload, version = _payload(stage, obj["payload"]), obj["template_version"]
+    if not isinstance(version, str):
+        raise TypeError(f"template version {version!r} is not a string")
+    return stage, payload, version
 
 
 def _agreeing_stages(entries: list[tuple[int, dict, str]]) -> tuple[dict[int, dict], str | None]:

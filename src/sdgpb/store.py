@@ -3,9 +3,9 @@
 An appended store (a document's checkpoints, the recorded cache) grows a
 line at a time, so a kill mid-append can leave a final line with no
 newline. An appended store is read before it is appended to: `Appended.read`
-leaves a torn final line out, and the first `append` through the same
-descriptor cuts it away. Any other file (manifest, documents, results,
-matrix.json, reports) is written whole by `replacing`.
+leaves a torn final line out, and the first `append` after it cuts it away.
+Any other file (manifest, documents, results, matrix.json, reports) is
+written whole by `replacing`.
 `read` takes a store one line at a time, so a load holds no more than one
 line beyond the records it returns. A line that holds no valid record
 raises a `StoreCorrupt` subclass naming the file and line.
@@ -122,21 +122,21 @@ class Appended:
         object; with none and nothing to cut, does nothing. When this returns
         the lines have reached the kernel, in one `write(2)` repeated only for
         the rest of a short one; they are not fsynced."""
-        if self._keep is not None:
-            os.ftruncate(self._fd, self._keep)
-            self._keep = None
-        if not objs:
+        if self._keep is None and not objs:
             return
-        data = "".join(map(_line, objs)).encode("utf-8")
         fd = self._fd
-        if fd is None:
+        if fd is None:  # after `close`, or before the first line of a missing file
             try:
                 fd = os.open(self.path, _APPENDING | os.O_CREAT, 0o666)
             except FileNotFoundError:
                 Path(self.path).parent.mkdir(parents=True, exist_ok=True)
                 fd = os.open(self.path, _APPENDING | os.O_CREAT, 0o666)
             self._fd = fd
-        written = os.write(fd, data)
+        if self._keep is not None:
+            os.ftruncate(fd, self._keep)
+            self._keep = None
+        data = "".join(map(_line, objs)).encode("utf-8")
+        written = 0
         while written < len(data):
             written += os.write(fd, data[written:])
 

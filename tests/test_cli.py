@@ -15,7 +15,8 @@ import sdgpb
 from sdgpb import analytics, corpus, errors, pipeline, reporting, store
 from sdgpb.cli import _make_gateway, _outputs, main
 from sdgpb.config import RunConfig, load_config
-from sdgpb.gateway import PromptRequest
+from sdgpb.gateway import PromptRequest, record_key
+from sdgpb.testing import ScriptedBackend
 from conftest import FIXTURES_DIR, seeded_run_dir
 
 SUBCOMMANDS = ["fetch", "ingest", "run", "resume", "aggregate", "report", "validate-fixtures"]
@@ -476,21 +477,24 @@ def _rewrite_checkpoint(path, change):
     path.write_bytes(b"".join(json.dumps(entry).encode() + b"\n" for entry in entries))
 
 
-# apart from the copied file, whose lines name doc-001, and the repeated SDG,
-# every line stays valid alone: only the file as a whole is wrong. doc-002's
-# stages 1 and 2 hold SDGs 1, 5, 16, 17 and PBs 4, 7, 8: 12 pairs, all of
-# them in its stage 3.
+# apart from the copied file, whose lines name doc-001, the template version
+# that is a number and the repeated SDG, every line stays valid alone: only
+# the file as a whole is wrong. doc-002's stages 1 and 2 hold SDGs 1, 5, 16,
+# 17 and PBs 4, 7, 8: 12 pairs, all of them in its stage 3.
 @pytest.mark.parametrize("doc, damage", [
     ("doc-000", lambda path: shutil.copyfile(path.with_name("doc-001.jsonl"), path)),
     ("doc-000", lambda path: _rewrite_checkpoint(
         path, lambda entries: entries[0].update(template_version="0" * 16))),
+    ("doc-000", lambda path: _rewrite_checkpoint(
+        path, lambda entries: entries[1].update(template_version=1))),
     ("doc-000", lambda path: _rewrite_checkpoint(path, lambda entries: entries.append(entries[-1]))),
     ("doc-000", lambda path: _rewrite_checkpoint(path, lambda entries: entries.pop(2))),
     ("doc-002", lambda path: _rewrite_checkpoint(
         path, lambda entries: entries[0]["payload"]["sdgs"].insert(1, 2))),
     ("doc-002", lambda path: _rewrite_checkpoint(
         path, lambda entries: entries[0]["payload"]["sdgs"].insert(1, 5))),
-], ids=["copied from another document", "two template versions", "a stage twice",
+], ids=["copied from another document", "two template versions",
+        "a template version that is a number", "a stage twice",
         "stages 4 and 5 without stage 3", "an SDG without verdicts", "an SDG twice"])
 def test_resume_on_checkpoint_file_whose_stages_disagree_exit_3(runner, tmp_path, doc, damage):
     config, _ = _finished_run(runner, tmp_path)
@@ -845,6 +849,46 @@ def test_record_after_torn_cache_line_restores_cache(runner, tmp_path, kept):
     assert path.read_bytes() == whole
     results = (tmp_path / "run" / "results" / "results.jsonl").read_bytes()
     assert results == (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
+
+
+def _noted_sends(monkeypatch):
+    """The requests `record`'s scripted backend answers from now on, as it answers them."""
+    sent = []
+
+    class Noting(ScriptedBackend):
+        def send(self, req):
+            sent.append(req)
+            return super().send(req)
+
+    monkeypatch.setattr("sdgpb.cli.ScriptedBackend", Noting)
+    return sent
+
+
+def test_record_sends_only_what_its_cache_lacks(runner, tmp_path, monkeypatch):
+    path = seeded_run_dir(tmp_path) / "llm_cache" / "cache.jsonl"
+    whole = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(whole[::2]))
+    sent = _noted_sends(monkeypatch)
+    config = write_config(tmp_path, backend="record")
+    assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
+    missing = sorted(json.loads(line)["key"] for line in whole[1::2])
+    assert len(missing) == 74 and sorted(record_key(req).hex() for req in sent) == missing
+    results = (tmp_path / "run" / "results" / "results.jsonl").read_bytes()
+    assert results == (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
+    assert sorted(path.read_bytes().splitlines(keepends=True)) == sorted(whole)
+
+
+def test_record_over_a_whole_cache_replays_it(runner, tmp_path, monkeypatch):
+    # at seed 1 the scripted backend would answer otherwise: only the cache gives the goldens
+    path = seeded_run_dir(tmp_path) / "llm_cache" / "cache.jsonl"
+    cache = path.read_bytes()
+    sent = _noted_sends(monkeypatch)
+    config = write_config(tmp_path, backend="record", scripted_seed=1)
+    assert runner.invoke(main, ["--config", str(config), "run"]).exit_code == 0
+    assert sent == []
+    results = (tmp_path / "run" / "results" / "results.jsonl").read_bytes()
+    assert results == (FIXTURES_DIR / "golden" / "results.jsonl").read_bytes()
+    assert path.read_bytes() == cache
 
 
 def test_record_stopped_by_its_preflight_leaves_no_cache(runner, tmp_path):

@@ -1,5 +1,7 @@
+import itertools
 import json
 import shutil
+import sys
 import threading
 import time
 from collections import deque
@@ -512,7 +514,7 @@ def test_torn_final_cache_line_is_dropped(tmp_path):
     assert path.read_bytes() == whole[:-40]  # replay only reads
 
     recorder = RecordingBackend(ScriptedBackend(), tmp_path)
-    assert last["key"] not in recorder._seen
+    assert last["key"] not in recorder._cache
     # the torn bytes are cut away before anything is appended
     assert path.read_bytes() == b"".join(lines[:-1])
 
@@ -536,7 +538,41 @@ def test_recorder_makes_its_cache_on_its_first_reply(tmp_path):
     Gateway(recorder).complete(req())
     lines = (run_dir / CACHE_SUBDIR / CACHE_FILE).read_bytes().splitlines()
     assert [json.loads(line)["key"] for line in lines] == [record_key(req()).hex()]
-    assert recorder._cache._fd is None  # closed before send returned
+    assert recorder._store._fd is None  # closed before send returned
+
+
+def test_concurrent_misses_record_one_reply_per_key_and_serve_it(tmp_path):
+    calls = itertools.count()
+
+    class Numbering:  # a different reply on every call, so a reply served unrecorded shows
+        live = False
+        backend_id = "numbering"
+
+        def send(self, request):
+            return json.dumps({"doc": request.doc_id, "call": next(calls)})
+
+    backend = ReplayBackend(tmp_path, Numbering())
+    requests = [req(doc_id=f"doc-{n}") for n in range(20)]
+    served = [None] * 8
+
+    def send_all(i):
+        served[i] = {r.doc_id: backend.send(r) for r in requests[i:] + requests[:i]}
+
+    threads = [threading.Thread(target=send_all, args=(i,)) for i in range(len(served))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    lines = [json.loads(line) for line in (tmp_path / CACHE_SUBDIR / CACHE_FILE).read_bytes().splitlines()]
+    recorded = {line["doc_id"]: line["text"] for line in lines}
+    assert len(lines) == len(recorded) == len(requests)
+    assert all(replies == recorded for replies in served)
 
 
 @pytest.mark.parametrize("bad", [

@@ -170,7 +170,10 @@ def old_checkpoint_entry(doc_id, obj):
     stage = obj["stage"]
     if stage not in STAGES:
         raise ValueError(f"unknown stage {stage!r}")
-    return stage, old_payload(stage, obj["payload"]), obj["template_version"]
+    payload, version = old_payload(stage, obj["payload"]), obj["template_version"]
+    if not isinstance(version, str):
+        raise TypeError(f"template version {version!r} is not a string")
+    return stage, payload, version
 
 
 def old_pairs(stage, payloads):
@@ -449,7 +452,7 @@ def _line_fault(draw, lines):
     if kind == "repeat stage":
         lines.insert(draw(st.integers(0, len(lines))), json.loads(json.dumps(line)))
     elif kind == "other version":
-        line["template_version"] = draw(st.sampled_from(["v0", "v2", 1]))
+        line["template_version"] = draw(st.sampled_from(["v0", "v2", 1, None, ["v1"]]))
     elif kind == "drop stage":
         lines.remove(line)
     elif not isinstance(entries, list):

@@ -52,6 +52,18 @@ def test_append_cuts_torn_line_and_completes_short_writes(tmp_path, monkeypatch,
     assert path.read_bytes() == whole
 
 
+@pytest.mark.parametrize("objs", [(), ({"n": 3},)], ids=["nothing", "a line"])
+def test_append_after_close_cuts_the_torn_line_read_left_out(tmp_path, objs):
+    path = tmp_path / "store.jsonl"
+    path.write_bytes(b'{"n": 1}\n{"n": 2')  # a kill mid-append
+    appended = store.Appended(path)
+    assert appended.read(lambda obj: obj["n"]) == [1]
+    appended.close()
+    appended.append(*objs)  # opens the file again
+    appended.close()
+    assert path.read_bytes() == b'{"n": 1}\n' + b'{"n": 3}\n' * len(objs)
+
+
 @pytest.mark.parametrize("previous", [b"old\n", None], ids=["over a previous file", "first write"])
 def test_replacing_keeps_previous_file_when_block_raises(tmp_path, previous):
     path = tmp_path / "sub" / "out.json"
